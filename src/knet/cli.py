@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +78,7 @@ def cmd_infer(args) -> int:
         pan = merge_panoptic(final, cfg.model)
         write_pgm16(out / "panoptic.pgm", pan.segment_ids)
         (out / "segments.json").write_text(json.dumps({
-            "segments": [
-                {"id": s.id, "class_id": s.class_id, "is_thing": s.is_thing,
-                 "score": s.score, "area": s.area}
-                for s in pan.segments
-            ]
+            "segments": [asdict(s) for s in pan.segments]
         }, sort_keys=True, indent=1))
     elif mode == "instance":
         instances = binarize_instances(final, cfg.model)

@@ -286,11 +286,7 @@ def _write_sample(root: Path, index: int, sample: GroundTruthSample) -> list[Pat
     write_pgm16(d / "semantic.pgm", sample.semantic)
     write_pgm16(d / "panoptic.pgm", sample.panoptic.segment_ids)
     (d / "panoptic.json").write_text(json.dumps({
-        "segments": [
-            {"id": s.id, "class_id": s.class_id, "is_thing": s.is_thing,
-             "score": s.score, "area": s.area}
-            for s in sample.panoptic.segments
-        ]
+        "segments": [asdict(s) for s in sample.panoptic.segments]
     }, sort_keys=True))
     h, w = sample.semantic.shape
     if sample.instances:
@@ -359,6 +355,3 @@ def read_dataset(in_dir) -> Dataset:
     samples = [_read_sample(root, i) for i in range(manifest["count"])]
     return Dataset(spec, samples)
 
-
-def generate_dataset(spec: SceneSpec, count: int) -> Dataset:
-    return Dataset(spec, [generate_sample(spec, i) for i in range(count)])

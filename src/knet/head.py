@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import FeedForward, Layer, LayerNorm, Linear, MultiHeadAttention
@@ -59,9 +57,6 @@ class FcLnRelu(Layer):
         self.fc = Linear(c_in, c_out, rng)
         self.norm = LayerNorm(c_out, enabled=ln_enabled)
 
-    def params(self):
-        return self._merge({"fc": self.fc, "norm": self.norm})
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.relu(self.norm(self.fc(x)))
 
@@ -88,20 +83,6 @@ class AdaptiveKernelUpdate(Layer):
         self.kernel_fc = Linear(c, c, rng)
         self.kernel_norm = LayerNorm(c, enabled=ln_enabled)
 
-    def params(self):
-        return self._merge({
-            "lin_feat": self.lin_feat,
-            "lin_kernel": self.lin_kernel,
-            "gate_k_fc": self.gate_k_fc,
-            "gate_k_norm": self.gate_k_norm,
-            "gate_f_fc": self.gate_f_fc,
-            "gate_f_norm": self.gate_f_norm,
-            "feat_fc": self.feat_fc,
-            "feat_norm": self.feat_norm,
-            "kernel_fc": self.kernel_fc,
-            "kernel_norm": self.kernel_norm,
-        })
-
     def gates(self, group_feats: Tensor, kernels: Tensor) -> tuple[Tensor, Tensor]:
         mixed = self.lin_feat(group_feats) * self.lin_kernel(kernels)
         gate_k = T.sigmoid(self.gate_k_norm(self.gate_k_fc(mixed)))
@@ -121,9 +102,6 @@ class PlainKernelUpdate(Layer):
     def __init__(self, c: int, rng, ln_enabled: bool = True):
         self.proj = FcLnRelu(c, c, rng, ln_enabled=ln_enabled)
 
-    def params(self):
-        return self._merge({"proj": self.proj})
-
     def __call__(self, group_feats: Tensor, kernels: Tensor) -> Tensor:
         return self.proj(group_feats + kernels)
 
@@ -135,9 +113,6 @@ class KernelInteraction(Layer):
         self.attn = MultiHeadAttention(c, heads, rng)
         self.norm = LayerNorm(c, enabled=ln_enabled)
         self.ffn = FeedForward(c, rng, ln_enabled=ln_enabled)
-
-    def params(self):
-        return self._merge({"attn": self.attn, "norm": self.norm, "ffn": self.ffn})
 
     def __call__(self, kernels: Tensor) -> Tensor:
         attended = self.norm(kernels + self.attn(kernels, kernels, kernels))
@@ -151,9 +126,6 @@ class KernelMlp(Layer):
                  out_bias_init: float = 0.0):
         self.hidden = FcLnRelu(c, c, rng, ln_enabled=ln_enabled)
         self.out = Linear(c, c_out, rng, bias_init=out_bias_init)
-
-    def params(self):
-        return self._merge({"hidden": self.hidden, "out": self.out})
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.out(self.hidden(x))
@@ -184,21 +156,16 @@ class KernelUpdateStage(Layer):
             if adaptive_update
             else PlainKernelUpdate(c, rng, ln_enabled=ln_enabled)
         )
-        self.interaction = KernelInteraction(c, heads, rng, ln_enabled=ln_enabled) if interaction else None
-        self.mask_branch = KernelMlp(c, c, rng, ln_enabled=ln_enabled)
-        self.class_branch = (
+        # built before the mask branch (random draw order), assigned after
+        # it (parameter key order)
+        interaction_block = KernelInteraction(c, heads, rng, ln_enabled=ln_enabled) if interaction else None
+        self.mask = KernelMlp(c, c, rng, ln_enabled=ln_enabled)
+        self.interaction = interaction_block
+        self.cls = (
             KernelMlp(c, num_classes, rng, ln_enabled=ln_enabled, out_bias_init=class_bias_init)
             if num_classes
             else None
         )
-
-    def params(self):
-        children = {"update": self.update, "mask": self.mask_branch}
-        if self.interaction is not None:
-            children["interaction"] = self.interaction
-        if self.class_branch is not None:
-            children["cls"] = self.class_branch
-        return self._merge(children)
 
     def __call__(self, mask_logits_prev: Tensor, kernels_prev: Tensor,
                  feats: Tensor, activation: str) -> StageOutput:
@@ -211,23 +178,23 @@ class KernelUpdateStage(Layer):
         group_feats = assemble_group_features(probs, feats)
         fused = self.update(group_feats, kernels_prev)
         kernels = self.interaction(fused) if self.interaction is not None else fused
-        mask_logits = predict_masks(self.mask_branch(kernels), feats)
-        class_logits = self.class_branch(kernels) if self.class_branch is not None else None
+        mask_logits = predict_masks(self.mask(kernels), feats)
+        class_logits = self.cls(kernels) if self.cls is not None else None
         return StageOutput(kernels, mask_logits, class_logits, activation)
 
 
 class IterativeKernelHead(Layer):
-    """S stacked update stages plus the stage-0 (static kernel) head."""
+    """The stage-0 (static kernel) class branch plus S >= 0 update stages."""
 
     def __init__(self, c: int, stages: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
                  interaction: bool = True, ln_enabled: bool = True,
                  class_bias_init: float = 0.0):
-        if stages < 1:
-            raise ConfigError(f"need at least one refinement stage, got {stages}")
+        if stages < 0:
+            raise ConfigError(f"refinement stage count must be >= 0, got {stages}")
         # class branch first: heads with different S then share a parameter
         # prefix, which the stage-composability tests compare bitwise
-        self.init_class_branch = (
+        self.stage0_cls = (
             KernelMlp(c, num_classes, rng, ln_enabled=ln_enabled, out_bias_init=class_bias_init)
             if num_classes
             else None
@@ -242,19 +209,19 @@ class IterativeKernelHead(Layer):
         ]
 
     def params(self):
+        # the generic walk skips the stage list; it adds only stage0_cls,
+        # whose keys come after the stages' in checkpoints
         out = {}
         for i, stage in enumerate(self.stages):
             for k, v in stage.params().items():
                 out[f"stage{i + 1}.{k}"] = v
-        if self.init_class_branch is not None:
-            for k, v in self.init_class_branch.params().items():
-                out[f"stage0_cls.{k}"] = v
+        out.update(super().params())
         return out
 
     def run_iterative(self, kernels0: Tensor, mask_logits0: Tensor,
                       feats: Tensor, activation: str) -> list[StageOutput]:
         """Run every stage; element 0 of the result is the static prediction."""
-        class0 = self.init_class_branch(kernels0) if self.init_class_branch is not None else None
+        class0 = self.stage0_cls(kernels0) if self.stage0_cls is not None else None
         outputs = [StageOutput(kernels0, mask_logits0, class0, activation)]
         for stage in self.stages:
             prev = outputs[-1]

@@ -16,14 +16,18 @@ from .tensor import Tensor
 
 class Layer:
     def params(self) -> dict[str, Tensor]:
-        raise NotImplementedError
+        """Trainable tensors keyed by attribute path, in assignment order.
 
-    @staticmethod
-    def _merge(children: dict[str, "Layer"]) -> dict[str, Tensor]:
+        Keys are the checkpoint format: renaming an attribute renames its
+        tensors on disk.
+        """
         out: dict[str, Tensor] = {}
-        for prefix, child in children.items():
-            for k, v in child.params().items():
-                out[f"{prefix}.{k}"] = v
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                out[name] = value
+            elif isinstance(value, Layer):
+                for k, v in value.params().items():
+                    out[f"{name}.{k}"] = v
         return out
 
 
@@ -36,9 +40,6 @@ class Linear(Layer):
         self.weight = Tensor(rng.uniform(-limit, limit, size=(c_out, c_in)), requires_grad=True)
         self.bias = Tensor(np.full(c_out, bias_init), requires_grad=True)
         self.c_in, self.c_out = c_in, c_out
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
 
     def __call__(self, x: Tensor) -> Tensor:
         # broadcast-multiply + trailing-axis reduction instead of a GEMM:
@@ -66,9 +67,6 @@ class LayerNorm(Layer):
         self.enabled = enabled
         self.c = c
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
     def __call__(self, x: Tensor) -> Tensor:
         if not self.enabled:
             return x
@@ -88,13 +86,10 @@ class MultiHeadAttention(Layer):
         self.c = c
         self.heads = heads
         self.head_dim = c // heads
-        self.q_proj = Linear(c, c, rng)
-        self.k_proj = Linear(c, c, rng)
-        self.v_proj = Linear(c, c, rng)
-        self.out_proj = Linear(c, c, rng)
-
-    def params(self):
-        return self._merge({"q": self.q_proj, "k": self.k_proj, "v": self.v_proj, "out": self.out_proj})
+        self.q = Linear(c, c, rng)
+        self.k = Linear(c, c, rng)
+        self.v = Linear(c, c, rng)
+        self.out = Linear(c, c, rng)
 
     def _split(self, x: Tensor, b: int, n: int) -> Tensor:
         return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
@@ -102,9 +97,9 @@ class MultiHeadAttention(Layer):
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         b, n, _ = q.shape
         nk = k.shape[1]
-        qh = self._split(self.q_proj(q), b, n)
-        kh = self._split(self.k_proj(k), b, nk)
-        vh = self._split(self.v_proj(v), b, nk)
+        qh = self._split(self.q(q), b, n)
+        kh = self._split(self.k(k), b, nk)
+        vh = self._split(self.v(v), b, nk)
         # per-pair dot products via a trailing-axis reduction (see Linear)
         prod = T.mul(T.reshape(qh, (b, self.heads, n, 1, self.head_dim)),
                      T.reshape(kh, (b, self.heads, 1, nk, self.head_dim)))
@@ -112,7 +107,7 @@ class MultiHeadAttention(Layer):
         attn = T.softmax(scores, axis=-1)
         ctx = T.attention_mix(attn, vh)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c))
-        return self.out_proj(ctx)
+        return self.out(ctx)
 
 
 class FeedForward(Layer):
@@ -124,9 +119,6 @@ class FeedForward(Layer):
         self.lin1 = Linear(c, d_ff, rng)
         self.lin2 = Linear(d_ff, c, rng)
         self.norm = LayerNorm(c, enabled=ln_enabled)
-
-    def params(self):
-        return self._merge({"lin1": self.lin1, "lin2": self.lin2, "norm": self.norm})
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.norm(x + self.lin2(T.relu(self.lin1(x))))
@@ -143,9 +135,6 @@ class Conv2d(Layer):
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
         self.padding = padding
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)

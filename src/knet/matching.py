@@ -131,7 +131,7 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     if n_gt == 0:
         empty = np.zeros((n_pred, 0))
         return CostMatrix(empty, empty, empty, empty)
-    p = 1.0 / (1.0 + np.exp(-mask_logits.astype(np.float64)))
+    p = T.sigmoid_array(mask_logits.astype(np.float64))
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     g = gt_masks.astype(np.float64)
     hw = p.shape[1]
@@ -202,18 +202,11 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
 # full set-prediction loss
 
 def semantic_loss(mask_logits: Tensor, sem_map: np.ndarray,
-                  class_ids: list[int], valid: np.ndarray | None = None,
-                  dice_activation: str = "softmax") -> Tensor:
-    """Softmax cross-entropy plus per-class dice vs a label raster.
+                  class_ids: list[int]) -> Tensor:
+    """Softmax cross-entropy plus per-class softmax dice vs a label raster.
 
     mask_logits: (B, K, HW); sem_map: (B, HW) integer classes; class_ids
-    gives the class of each of the K channels.  ``valid`` restricts the
-    cross-entropy to labeled pixels (used when thing pixels have no
-    channel to fall into).  ``dice_activation`` picks the probabilities
-    the dice term supervises: softmax when the channels compete for every
-    pixel (semantic mode), sigmoid when the masks are read out as
-    independent binary masks (panoptic stuff rows) so their absolute
-    scale stays trained.
+    gives the class of each of the K channels.
     """
     b, k, hw = mask_logits.shape
     onehot = np.zeros((b, k, hw), dtype=mask_logits.data.dtype)
@@ -221,13 +214,8 @@ def semantic_loss(mask_logits: Tensor, sem_map: np.ndarray,
         onehot[:, ki, :] = sem_map == cid
     logp = T.log_softmax(mask_logits, axis=1)
     ce_pix = T.reduce_sum(logp * onehot, axes=1) * -1.0  # (B, HW)
-    if valid is None:
-        ce = T.reduce_mean(ce_pix)
-    else:
-        w = valid.astype(mask_logits.data.dtype)
-        ce = T.reduce_sum(ce_pix * w) * (1.0 / max(1.0, float(w.sum())))
-    probs = T.sigmoid(mask_logits) if dice_activation == "sigmoid" else T.softmax(mask_logits, axis=1)
-    dice = T.reduce_mean(dice_loss(probs, onehot))
+    ce = T.reduce_mean(ce_pix)
+    dice = T.reduce_mean(dice_loss(T.softmax(mask_logits, axis=1), onehot))
     return ce + dice
 
 
@@ -284,7 +272,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list,
             focal_targets = np.zeros((b, n_ins, k_cls), dtype=np.float32)
             sel_rows: list[int] = []
             sel_masks: list[np.ndarray] = []
-            cls_probs = 1.0 / (1.0 + np.exp(-stage.class_logits.data[:, :n_ins]))
+            cls_probs = T.sigmoid_array(stage.class_logits.data[:, :n_ins])
             for bi in range(b):
                 if gt_masks[bi].shape[0] == 0:
                     continue

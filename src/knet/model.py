@@ -13,23 +13,44 @@ One model class covers the three modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS
 from .errors import ConfigError, ContractError
-from .head import (
-    SIGMOID, SOFTMAX, IterativeKernelHead, KernelMlp, StageOutput, predict_masks,
-)
+from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
-from .matching import LossBreakdown, LossWeights, TaskLayout, semantic_loss, set_prediction_loss
+from .matching import LossWeights, TaskLayout, semantic_loss, set_prediction_loss
 from .metrics import PanopticMap, SegmentInfo
 from .tensor import Tensor
 
 MODES = ("semantic", "instance", "panoptic")
 BACKGROUND_ID = 0
+
+
+def dataclass_from_dict(cls, d: dict):
+    """Build config dataclass ``cls`` from its ``asdict`` form.
+
+    Restores from the field types what JSON loses: tuples and nested
+    dataclasses.  Unknown keys raise ``ConfigError``.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} config must be an object, got {d!r}")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        if is_dataclass(types[key]):
+            value = dataclass_from_dict(types[key], value)
+        elif typing.get_origin(types[key]) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -53,6 +74,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.stages < 0:
+            raise ConfigError(f"refinement stage count must be >= 0, got {self.stages}")
         if self.image_size % 4 != 0:
             raise ConfigError(f"image size {self.image_size} must be divisible by 4")
         if self.channels % 4 != 0 or self.channels % self.heads != 0:
@@ -78,19 +101,11 @@ class ModelConfig:
         return [ids.index(c) for c in self.stuff_class_ids]
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "image_size": self.image_size, "channels": self.channels,
-            "num_instance_kernels": self.num_instance_kernels, "stages": self.stages,
-            "heads": self.heads, "thing_class_ids": list(self.thing_class_ids),
-            "stuff_class_ids": list(self.stuff_class_ids), "aku": self.aku, "ki": self.ki,
-            "positional_encoding": self.positional_encoding,
-            "score_floor": self.score_floor, "mask_threshold": self.mask_threshold,
-            "min_area": self.min_area, "keep_fraction": self.keep_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return dataclass_from_dict(cls, d)
 
 
 class BackboneLite(Layer):
@@ -106,13 +121,6 @@ class BackboneLite(Layer):
         self.sem2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.use_pe = cfg.positional_encoding
         self._pe_cache: dict[tuple, Tensor] = {}
-
-    def params(self):
-        return self._merge({
-            "stem1": self.stem1, "stem2": self.stem2,
-            "ins1": self.ins1, "ins2": self.ins2,
-            "sem1": self.sem1, "sem2": self.sem2,
-        })
 
     def __call__(self, images: Tensor) -> tuple[Tensor, Tensor]:
         _, _, h, w = images.shape
@@ -148,7 +156,7 @@ def build_panoptic_inputs(m0_ins: Tensor, m0_sem: Tensor, k0_ins: Tensor,
 
 
 class SegmentationModel(Layer):
-    def __init__(self, cfg: ModelConfig, seed: int = 0, ln_enabled: bool = True):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.backbone = BackboneLite(cfg, rng)
@@ -163,37 +171,16 @@ class SegmentationModel(Layer):
         num_classes = len(cfg.thing_class_ids) if cfg.mode != "semantic" else None
         # start class probabilities below chance: focal negatives dominate
         # early on, and the short desk schedule cannot climb far
-        class_bias = -1.0
-        if cfg.stages >= 1:
-            self.head = IterativeKernelHead(
-                c, cfg.stages, num_classes, rng, heads=cfg.heads,
-                adaptive_update=cfg.aku, interaction=cfg.ki,
-                ln_enabled=ln_enabled, class_bias_init=class_bias,
-            )
-            self.init_class_branch = self.head.init_class_branch
-        else:
-            self.head = None
-            self.init_class_branch = (
-                KernelMlp(c, num_classes, rng, ln_enabled=ln_enabled, out_bias_init=class_bias)
-                if num_classes else None
-            )
+        self.head = IterativeKernelHead(
+            c, cfg.stages, num_classes, rng, heads=cfg.heads,
+            adaptive_update=cfg.aku, interaction=cfg.ki, class_bias_init=-1.0,
+        )
 
     def params(self):
-        out = {f"backbone.{k}": v for k, v in self.backbone.params().items()}
-        out["kernels.instance"] = self.instance_kernels
-        out["kernels.semantic"] = self.semantic_kernels
-        if self.head is not None:
-            for k, v in self.head.params().items():
-                out[f"head.{k}"] = v
-        elif self.init_class_branch is not None:
-            for k, v in self.init_class_branch.params().items():
-                out[f"head.stage0_cls.{k}"] = v
-        return out
-
-    # ------------------------------------------------------------------
-    def _static_stage(self, kernels0: Tensor, mask_logits0: Tensor, activation: str) -> StageOutput:
-        cls = self.init_class_branch(kernels0) if self.init_class_branch is not None else None
-        return StageOutput(kernels0, mask_logits0, cls, activation)
+        out = super().params()
+        # the static kernels are stored as kernels.{instance,semantic}
+        rename = {"instance_kernels": "kernels.instance", "semantic_kernels": "kernels.semantic"}
+        return {rename.get(k, k): v for k, v in out.items()}
 
     def forward(self, images: np.ndarray | Tensor,
                 gts: list[GroundTruthSample] | None = None,
@@ -234,10 +221,7 @@ class SegmentationModel(Layer):
             )
             activation = SIGMOID
 
-        if self.head is not None:
-            stages = self.head.run_iterative(k0, m0, feats, activation)
-        else:
-            stages = [self._static_stage(k0, m0, activation)]
+        stages = self.head.run_iterative(k0, m0, feats, activation)
 
         if gts is None:
             return stages
@@ -280,7 +264,7 @@ def _upsampled_probs(stage: StageOutput, index: int) -> tuple[np.ndarray, np.nda
     # mask logits live at stride 4; decode at full resolution
     _, h, w = stage.mask_logits.data[index].shape
     logits = T.bilinear_resize_array(stage.mask_logits.data[index], 4 * h, 4 * w)
-    return logits, 1.0 / (1.0 + np.exp(-logits))
+    return logits, T.sigmoid_array(logits)
 
 
 def binarize_instances(stage: StageOutput, cfg: ModelConfig,
@@ -295,7 +279,7 @@ def binarize_instances(stage: StageOutput, cfg: ModelConfig,
     if stage.class_logits is None:
         raise ContractError("instance decoding needs class predictions")
     _, probs = _upsampled_probs(stage, index)
-    cls_probs = 1.0 / (1.0 + np.exp(-stage.class_logits.data[index]))
+    cls_probs = T.sigmoid_array(stage.class_logits.data[index])
     out = []
     for n in range(cfg.num_instance_kernels):
         score = float(cls_probs[n].max())
@@ -328,7 +312,7 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
 
     cls_probs = None
     if stage.class_logits is not None:
-        cls_probs = 1.0 / (1.0 + np.exp(-stage.class_logits.data[index]))
+        cls_probs = T.sigmoid_array(stage.class_logits.data[index])
     for n in range(n_ins):
         score = float(cls_probs[n].max())
         if score < cfg.score_floor:

@@ -285,15 +285,6 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), bw)
 
 
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Binary elementwise op by name; broadcasting over singleton axes only."""
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    raise ContractError(f"unknown elementwise op {op!r}")
-
-
 def pow_const(a: Tensor, p: float) -> Tensor:
     data = a.data ** p
 
@@ -351,6 +342,11 @@ def sigmoid(a: Tensor) -> Tensor:
         a.accumulate_grad(g * data * (1.0 - data))
 
     return _node(data, (a,), bw)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array (decoding and matching costs)."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:

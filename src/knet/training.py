@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from .errors import ConfigError, FormatError, TrainingError
 from .matching import LossWeights
 from .metrics import MiouStats, PqStats, compute_mask_ap
 from .model import (
-    ModelConfig, SegmentationModel, binarize_instances, merge_panoptic, semantic_raster,
+    ModelConfig, SegmentationModel, binarize_instances, dataclass_from_dict, merge_panoptic,
+    semantic_raster,
 )
 from .optim import AdamW, lr_at, milestone_iterations
 
@@ -54,30 +55,11 @@ class TrainConfig:
         return 0.0005 if self.model.mode == "semantic" else 0.05
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(), "lr": self.lr,
-            "weight_decay": self.weight_decay, "betas": list(self.betas),
-            "epochs": self.epochs, "milestones": list(self.milestones),
-            "lr_decay_factor": self.lr_decay_factor, "batch_size": self.batch_size,
-            "seed": self.seed, "train_dir": self.train_dir, "val_dir": self.val_dir,
-            "out_dir": self.out_dir,
-            "loss": {
-                "lam_cls": self.loss.lam_cls, "lam_ce": self.loss.lam_ce,
-                "lam_dice": self.loss.lam_dice, "lam_seg": self.loss.lam_seg,
-                "focal_alpha": self.loss.focal_alpha, "focal_gamma": self.loss.focal_gamma,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        model = ModelConfig.from_dict(d.pop("model", {}))
-        loss = LossWeights(**d.pop("loss", {}))
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        if "milestones" in d:
-            d["milestones"] = tuple(d["milestones"])
-        return cls(model=model, loss=loss, **d)
+        return dataclass_from_dict(cls, d)
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -175,8 +157,7 @@ def evaluate(model: SegmentationModel, dataset: Dataset, workers: int = 1) -> di
     n_stages = cfg.stages + 1
 
     def decode(sample: GroundTruthSample):
-        with T.no_grad():
-            stages = model.forward(sample.image[None])
+        stages = model.forward(sample.image[None])
         if cfg.mode == "panoptic":
             return [merge_panoptic(s, cfg) for s in stages]
         if cfg.mode == "instance":
@@ -184,11 +165,13 @@ def evaluate(model: SegmentationModel, dataset: Dataset, workers: int = 1) -> di
         return [semantic_raster(s, cfg) for s in stages]
 
     workers = _max_workers(workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decoded = list(pool.map(decode, dataset.samples))
-    else:
-        decoded = [decode(s) for s in dataset.samples]
+    # grad mode is process-global: set it once here, never from pool threads
+    with T.no_grad():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                decoded = list(pool.map(decode, dataset.samples))
+        else:
+            decoded = [decode(s) for s in dataset.samples]
 
     per_stage = []
     for si in range(n_stages):

@@ -67,6 +67,12 @@ class TestTrainEval:
         metrics = json.loads((workspace / "run2" / "metrics.json").read_text())
         assert len(metrics["final"]["per_stage"]) == 3
 
+    def test_unknown_key_is_an_error_not_a_traceback(self, workspace, capsys):
+        config = write_config(workspace)
+        rc = cli.main(["train", "--config", str(config), "--set", "model.bogus=1"])
+        assert rc == 1
+        assert "error: unknown ModelConfig keys: bogus" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_infer_writes_artifacts(self, workspace):

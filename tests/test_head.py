@@ -135,7 +135,7 @@ class TestKernelInteraction:
         ki = H.KernelInteraction(4, 2, rng)
         x = T.Tensor(rng.standard_normal((1, 1, 4)))
         out = ki(x)
-        attended = ki.norm(x + ki.attn.out_proj(ki.attn.v_proj(x)))
+        attended = ki.norm(x + ki.attn.out(ki.attn.v(x)))
         expected = ki.ffn(attended)
         assert np.allclose(out.data, expected.data, atol=1e-12)
 
@@ -185,8 +185,8 @@ class TestStage:
     def test_trivial_settings_give_uniform_masks(self, f64):
         rng = np.random.default_rng(3)
         stage = self._tiny_stage(rng)
-        stage.mask_branch.out.weight.data = np.zeros_like(stage.mask_branch.out.weight.data)
-        stage.mask_branch.out.bias.data = np.zeros_like(stage.mask_branch.out.bias.data)
+        stage.mask.out.weight.data = np.zeros_like(stage.mask.out.weight.data)
+        stage.mask.out.bias.data = np.zeros_like(stage.mask.out.bias.data)
         out = stage(
             T.Tensor(rng.standard_normal((1, 3, 4, 4))),
             T.Tensor(rng.standard_normal((1, 3, 8))),
@@ -239,9 +239,19 @@ class TestIterative:
     def _head(self, stages, seed=0, **kw):
         return H.IterativeKernelHead(8, stages, 2, np.random.default_rng(seed), heads=2, **kw)
 
-    def test_requires_at_least_one_stage(self):
+    def test_rejects_negative_stage_count(self):
         with pytest.raises(ConfigError):
-            self._head(0)
+            self._head(-1)
+
+    def test_zero_stages_is_static_prediction(self):
+        rng = np.random.default_rng(0)
+        hd = self._head(0)
+        assert list(hd.params()) == [k for k in self._head(2).params() if k.startswith("stage0_cls.")]
+        k0 = T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
+        m0 = T.Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
+        (out,) = hd.run_iterative(k0, m0, T.Tensor(np.zeros((1, 8, 4, 4), np.float32)), H.SIGMOID)
+        assert out.kernels is k0 and out.mask_logits is m0
+        assert np.array_equal(out.class_logits.data, hd.stage0_cls(k0).data)
 
     def test_output_length(self):
         rng = np.random.default_rng(1)

@@ -75,7 +75,7 @@ class TestMultiHeadAttention:
         mha = L.MultiHeadAttention(4, 2, rng)
         x = T.Tensor(rng.standard_normal((1, 1, 4)))
         out = mha(x, x, x)
-        expected = mha.out_proj(mha.v_proj(x))
+        expected = mha.out(mha.v(x))
         assert np.allclose(out.data, expected.data, atol=1e-12)
 
     def test_identical_tokens_identical_outputs(self, f64):
@@ -93,7 +93,7 @@ class TestMultiHeadAttention:
         wk = np.array([[0.0, 1.0], [1.0, 0.0]])
         wv = np.array([[2.0, 0.0], [0.0, 2.0]])
         wo = np.array([[1.0, 1.0], [0.0, 1.0]])
-        for lin, w in ((mha.q_proj, wq), (mha.k_proj, wk), (mha.v_proj, wv), (mha.out_proj, wo)):
+        for lin, w in ((mha.q, wq), (mha.k, wk), (mha.v, wv), (mha.out, wo)):
             lin.weight.data = w
             lin.bias.data = np.zeros(2)
         x = np.array([[0.5, -1.0], [1.5, 0.25]])
@@ -110,8 +110,8 @@ class TestMultiHeadAttention:
         # survive any attention weighting exactly iff each row sums to 1
         rng = np.random.default_rng(6)
         mha = L.MultiHeadAttention(4, 2, rng)
-        set_identity(mha.v_proj)
-        set_identity(mha.out_proj)
+        set_identity(mha.v)
+        set_identity(mha.out)
         const = np.array([0.3, -0.7, 1.1, 0.2])
         x = T.Tensor(np.tile(const, (1, 5, 1)))
         q = T.Tensor(rng.standard_normal((1, 5, 4)))

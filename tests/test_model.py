@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             MO.ModelConfig(mode="boxes?")
 
+    def test_rejects_negative_stages(self):
+        with pytest.raises(ConfigError):
+            MO.ModelConfig(stages=-1)
+
     def test_rejects_indivisible_size(self):
         with pytest.raises(ConfigError):
             MO.ModelConfig(image_size=30)
@@ -42,6 +48,57 @@ class TestModelConfig:
     def test_round_trip_dict(self):
         cfg = tiny_cfg()
         assert MO.ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# sha256 prefix of the newline-joined parameter keys, in order.  The keys
+# name the tensors of a checkpoint, so a change here is a format change.
+PARAM_KEY_DIGESTS = {
+    ("semantic", 0, True, True): "154ee9e8a410dc94",
+    ("semantic", 0, True, False): "154ee9e8a410dc94",
+    ("semantic", 0, False, True): "154ee9e8a410dc94",
+    ("semantic", 0, False, False): "154ee9e8a410dc94",
+    ("semantic", 1, True, True): "369c86acd88518f6",
+    ("semantic", 1, True, False): "b62fd89d9af44720",
+    ("semantic", 1, False, True): "d5ecf370d36c4832",
+    ("semantic", 1, False, False): "ccb88e85cea46e98",
+    ("semantic", 3, True, True): "1c2b5d005a82e969",
+    ("semantic", 3, True, False): "9d282a975d960b9b",
+    ("semantic", 3, False, True): "025c6184df768c9d",
+    ("semantic", 3, False, False): "238d2090222a8252",
+    ("instance", 0, True, True): "6adba518ca6676a8",
+    ("instance", 0, True, False): "6adba518ca6676a8",
+    ("instance", 0, False, True): "6adba518ca6676a8",
+    ("instance", 0, False, False): "6adba518ca6676a8",
+    ("instance", 1, True, True): "418867d7baefae52",
+    ("instance", 1, True, False): "398997a34703dbc2",
+    ("instance", 1, False, True): "c4cc08b7eedf684a",
+    ("instance", 1, False, False): "24426e33e24c9b0b",
+    ("instance", 3, True, True): "7e327eb3ecd45689",
+    ("instance", 3, True, False): "9af436f958f5c228",
+    ("instance", 3, False, True): "588403d79a0bb2e4",
+    ("instance", 3, False, False): "02cf5d4dffa7a87c",
+    ("panoptic", 0, True, True): "6adba518ca6676a8",
+    ("panoptic", 0, True, False): "6adba518ca6676a8",
+    ("panoptic", 0, False, True): "6adba518ca6676a8",
+    ("panoptic", 0, False, False): "6adba518ca6676a8",
+    ("panoptic", 1, True, True): "418867d7baefae52",
+    ("panoptic", 1, True, False): "398997a34703dbc2",
+    ("panoptic", 1, False, True): "c4cc08b7eedf684a",
+    ("panoptic", 1, False, False): "24426e33e24c9b0b",
+    ("panoptic", 3, True, True): "7e327eb3ecd45689",
+    ("panoptic", 3, True, False): "9af436f958f5c228",
+    ("panoptic", 3, False, True): "588403d79a0bb2e4",
+    ("panoptic", 3, False, False): "02cf5d4dffa7a87c",
+}
+
+
+@pytest.mark.parametrize("mode,stages,aku,ki", sorted(PARAM_KEY_DIGESTS))
+def test_parameter_keys_golden(mode, stages, aku, ki):
+    cfg = MO.ModelConfig(mode=mode, image_size=16, channels=8, num_instance_kernels=3,
+                         stages=stages, heads=2, aku=aku, ki=ki)
+    keys = list(MO.SegmentationModel(cfg).params())
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
+    assert digest == PARAM_KEY_DIGESTS[(mode, stages, aku, ki)]
 
 
 class TestBackbone:

@@ -109,7 +109,7 @@ class TestSigmoid:
 class TestElementwise:
     def test_mul_by_one(self):
         a = T.Tensor([[1.0, -2.0], [3.0, 4.0]])
-        out = T.elementwise(a, T.Tensor(1.0), "mul")
+        out = T.mul(a, T.Tensor(1.0))
         assert np.array_equal(out.data, a.data)
 
     def test_reduce_sum_all(self):

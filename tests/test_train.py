@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,15 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        # JSON turns tuples into lists; from_dict restores them
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("d", [
+        {"bogus": 1}, {"model": {"bogus": 1}}, {"loss": {"bogus": 1}}, {"model": 3},
+    ])
+    def test_from_dict_rejects_unknown_keys(self, d):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(d)
 
     def test_weight_decay_defaults_by_mode(self, tmp_path):
         assert tiny_train_config(tmp_path).resolved_weight_decay() == 0.05
@@ -47,6 +57,12 @@ class TestConfig:
         assert d["model"]["stages"] == 5
         assert d["lr"] == 0.001
         assert d["train_dir"] == "custom/path"
+
+    def test_config_hash_golden(self):
+        assert TrainConfig().config_hash() == "1c9d57362001b59c"
+        quick_start = {"model": {"mode": "panoptic"}, "epochs": 20, "train_dir": "data/train",
+                       "val_dir": "data/val", "out_dir": "runs/demo"}
+        assert TrainConfig.from_dict(quick_start).config_hash() == "f02752f1ea3776c7"
 
     def test_bad_override(self):
         with pytest.raises(ConfigError):
@@ -133,6 +149,24 @@ class TestEvaluate:
         monkeypatch.setenv("KNET_THREADS", "1")
         capped = evaluate(model, val, workers=4)
         assert capped == serial
+
+    def test_threaded_eval_keeps_grad_mode(self):
+        from knet.data import Dataset, generate_sample
+        from knet.model import SegmentationModel
+
+        spec = SceneSpec(seed=6, size=32, n_max=2, size_range=(5.0, 8.0))
+        val = Dataset(spec, [generate_sample(spec, i) for i in range(8)])
+        model = SegmentationModel(ModelConfig(image_size=32, channels=8, num_instance_kernels=4,
+                                              stages=1, heads=2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                evaluate(model, val, workers=4)
+                _, loss, _ = model.forward(val.samples[0].image[None], val.samples[:1])
+                assert loss.requires_grad
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_report_formatting(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
