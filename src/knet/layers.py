@@ -42,12 +42,13 @@ class Linear(Layer):
         self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        # broadcast-multiply + trailing-axis reduction instead of a GEMM:
-        # every row (token) is then reduced in an identical order, which
-        # keeps token-permutation equivariance exact downstream
+        # T.linear, not T.matmul: every row (token) must be reduced in the
+        # same order wherever it sits, or kernel-permutation equivariance
+        # breaks downstream.  OpenBLAS GEMM rounds rows differently by
+        # position (x[p] @ W.T != (x @ W.T)[p] for some widths), so BLAS
+        # is kept out of the forward pass.
         lead = x.shape[:-1]
-        flat = T.reshape(x, (-1, 1, self.c_in))
-        out = T.reduce_sum(T.mul(flat, self.weight), axes=-1) + self.bias
+        out = T.linear(T.reshape(x, (-1, self.c_in)), self.weight, self.bias)
         return T.reshape(out, (*lead, self.c_out))
 
 
@@ -100,10 +101,9 @@ class MultiHeadAttention(Layer):
         qh = self._split(self.q(q), b, n)
         kh = self._split(self.k(k), b, nk)
         vh = self._split(self.v(v), b, nk)
-        # per-pair dot products via a trailing-axis reduction (see Linear)
-        prod = T.mul(T.reshape(qh, (b, self.heads, n, 1, self.head_dim)),
-                     T.reshape(kh, (b, self.heads, 1, nk, self.head_dim)))
-        scores = T.reduce_sum(prod, axes=-1) * (1.0 / np.sqrt(self.head_dim))
+        # row-exact like Linear; softmax and attention_mix sort along the
+        # key axis, so the whole block is exactly permutation-equivariant
+        scores = T.attention_scores(qh, kh, 1.0 / np.sqrt(self.head_dim))
         attn = T.softmax(scores, axis=-1)
         ctx = T.attention_mix(attn, vh)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c))

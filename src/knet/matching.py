@@ -150,12 +150,62 @@ def _lsap_min(costs: np.ndarray) -> float:
     return float(costs[r, c].sum())
 
 
+def _is_strict_optimum(c: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       limit: float) -> bool:
+    """True when every assignment other than ``(rows, cols)`` costs more than
+    ``limit``.  Any other assignment drops at least one of these pairs, so
+    one re-solve per pair with that pair forbidden covers them all."""
+    work = c.copy()
+    for r, g in zip(rows, cols):
+        work[r, g] = np.inf
+        try:
+            alt_r, alt_c = linear_sum_assignment(work)
+        except ValueError:             # no assignment avoids this pair
+            alt_r = alt_c = None
+        work[r, g] = c[r, g]
+        if alt_r is not None and float(work[alt_r, alt_c].sum()) <= limit:
+            return False
+    return True
+
+
+def _lexicographic_pairs(c: np.ndarray, limit: float) -> list[tuple[int, int]]:
+    """The lexicographically smallest pair list among assignments costing at
+    most ``limit``: fix predictions in order, each to the smallest free GT
+    column whose best completion stays within the limit."""
+    n_pred, n_gt = c.shape
+    pairs: list[tuple[int, int]] = []
+    free_gt = list(range(n_gt))
+    locked = 0.0
+    for p in range(n_pred):
+        if not free_gt:
+            break
+        rest_preds = np.arange(p + 1, n_pred)
+        matched_here = None
+        for g in free_gt:
+            others = [x for x in free_gt if x != g]
+            if len(others) > len(rest_preds):
+                continue
+            completion = _lsap_min(c[np.ix_(rest_preds, others)])
+            if locked + c[p, g] + completion <= limit:
+                matched_here = g
+                break
+        if matched_here is None:
+            # leaving p unmatched must stay optimal and feasible
+            continue
+        pairs.append((p, matched_here))
+        free_gt.remove(matched_here)
+        locked += c[p, matched_here]
+    return pairs
+
+
 def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
     """Minimum-cost one-to-one assignment of predictions to ground truth.
 
     Every ground-truth column is matched (requires n_pred >= n_gt).  Among
     equal-cost optima the lexicographically smallest pair list wins, so
-    degenerate cost matrices resolve deterministically.
+    degenerate cost matrices resolve deterministically.  A strict optimum
+    is returned after n_gt + 1 solves; only ties pay for the
+    O(n_pred * n_gt) lexicographic scan.
     """
     c = costs.costs if isinstance(costs, CostMatrix) else np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
@@ -171,29 +221,10 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
     rows, cols = linear_sum_assignment(c)
     best = float(c[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-
-    pairs: list[tuple[int, int]] = []
-    free_gt = list(range(n_gt))
-    locked = 0.0
-    for p in range(n_pred):
-        if not free_gt:
-            break
-        rest_preds = np.arange(p + 1, n_pred)
-        matched_here = None
-        for g in free_gt:
-            others = [x for x in free_gt if x != g]
-            if len(others) > len(rest_preds):
-                continue
-            completion = _lsap_min(c[np.ix_(rest_preds, others)])
-            if locked + c[p, g] + completion <= best + tol:
-                matched_here = g
-                break
-        if matched_here is None:
-            # leaving p unmatched must stay optimal and feasible
-            continue
-        pairs.append((p, matched_here))
-        free_gt.remove(matched_here)
-        locked += c[p, matched_here]
+    if _is_strict_optimum(c, rows, cols, best + tol):
+        pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    else:
+        pairs = _lexicographic_pairs(c, best + tol)
     matched_preds = {p for p, _ in pairs}
     return Assignment(pairs, [i for i in range(n_pred) if i not in matched_preds])
 

@@ -458,6 +458,54 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
     return _node(data, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Row-exact affine map (M, C_in) x (C_out, C_in) + (C_out,) -> (M, C_out).
+
+    The forward and the input gradient use unoptimized ``np.einsum``, which
+    never calls BLAS: every row is reduced by the same loop, so permuting
+    the rows of ``x`` permutes the output bitwise.  A GEMM may round a row
+    differently depending on where it sits in storage.  The weight and bias
+    gradients sum over rows anyway and use GEMM.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1] \
+            or b.data.shape != w.data.shape[:1]:
+        raise DimensionError(
+            f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not align"
+        )
+    data = np.einsum("mi,oi->mo", x.data, w.data) + b.data
+
+    def bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.einsum("mo,oi->mi", g, w.data))
+        if w.requires_grad:
+            w.accumulate_grad(g.T @ x.data)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+
+    return _node(data, (x, w, b), bw)
+
+
+def attention_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
+    """(..., Nq, D) x (..., Nk, D) -> (..., Nq, Nk) scaled dot products.
+
+    Row-exact along both token axes for the reason given in :func:`linear`;
+    the backward sums over tokens and uses GEMM.
+    """
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise DimensionError(f"attention_scores: shapes {q.data.shape} and {k.data.shape} do not align")
+    scale = float(scale)               # a Python float keeps the array dtype
+    data = np.einsum("...qd,...kd->...qk", q.data, k.data) * scale
+
+    def bw(g):
+        g = g * scale
+        if q.requires_grad:
+            q.accumulate_grad(_unbroadcast(g @ k.data, q.data.shape))
+        if k.requires_grad:
+            k.accumulate_grad(_unbroadcast(np.swapaxes(g, -1, -2) @ q.data, k.data.shape))
+
+    return _node(data, (q, k), bw)
+
+
 def attention_mix(attn: Tensor, values: Tensor) -> Tensor:
     """(..., Nq, Nk) x (..., Nk, D) -> (..., Nq, D) weighted aggregation.
 

@@ -118,14 +118,19 @@ def load_checkpoint(path, with_optimizer: bool = False):
         line = fp.readline()
         try:
             header = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:
             raise FormatError(f"{path}: not a checkpoint") from None
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise FormatError(f"{path}: unknown checkpoint format")
+        for key in ("epoch", "iteration", "opt_t"):
+            if not isinstance(header.get(key), int):
+                raise FormatError(f"{path}: checkpoint header lacks an integer {key!r}")
+        if not isinstance(header.get("config"), dict):
+            raise FormatError(f"{path}: checkpoint header lacks a config object")
         cfg = TrainConfig.from_dict(header["config"])
         model = SegmentationModel(cfg.model, seed=cfg.seed)
         params = model.params()
-        if list(params.keys()) != header["param_keys"]:
+        if list(params.keys()) != header.get("param_keys"):
             raise FormatError(f"{path}: parameter keys do not match the configured model")
         for key in header["param_keys"]:
             arr = T.read_tensor(fp)
@@ -136,7 +141,16 @@ def load_checkpoint(path, with_optimizer: bool = False):
         if with_optimizer:
             opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.resolved_weight_decay(),
                         betas=cfg.betas)
-            arrays = {key: T.read_tensor(fp) for key in header["opt_keys"]}
+            expected = opt.state_arrays()
+            if not header.get("opt_keys"):
+                raise FormatError(f"{path}: checkpoint was saved without optimizer state")
+            if header["opt_keys"] != list(expected.keys()):
+                raise FormatError(f"{path}: optimizer keys do not match the configured model")
+            arrays = {}
+            for key in header["opt_keys"]:
+                arrays[key] = T.read_tensor(fp)
+                if arrays[key].shape != expected[key].shape:
+                    raise FormatError(f"{path}: shape mismatch for {key}")
             opt.load_state_arrays(arrays, header["opt_t"])
     return cfg, model, opt, header["epoch"], header["iteration"]
 

@@ -6,8 +6,8 @@ import pytest
 
 from knet import cli
 from knet.data import SceneSpec, read_dataset, write_dataset, write_ppm, generate_sample
-from knet.model import ModelConfig
-from knet.training import TrainConfig
+from knet.model import ModelConfig, SegmentationModel
+from knet.training import TrainConfig, save_checkpoint
 
 
 def write_config(tmp_path, **kw) -> Path:
@@ -72,6 +72,16 @@ class TestTrainEval:
         rc = cli.main(["train", "--config", str(config), "--set", "model.bogus=1"])
         assert rc == 1
         assert "error: unknown ModelConfig keys: bogus" in capsys.readouterr().err
+
+    def test_resume_without_optimizer_is_an_error(self, workspace, capsys):
+        config = write_config(workspace)
+        cfg = TrainConfig.from_dict(json.loads(config.read_text()))
+        ckpt = workspace / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        rc = cli.main(["train", "--config", str(config), "--resume", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "without optimizer state" in err
 
 
 class TestInfer:

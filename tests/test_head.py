@@ -221,6 +221,23 @@ class TestStage:
 
         assert T.grad_check(loss, feats) < 1e-4
 
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_kernel_permutation_equivariance_exact(self, b):
+        # paper-size kernel set with the class branch: permuting the kernels
+        # (and their previous masks) permutes every output row bitwise
+        rng = np.random.default_rng(7)
+        n, c, hw = 102, 32, 16
+        stage = H.KernelUpdateStage(c, 3, rng)
+        m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
+        k = rng.standard_normal((b, n, c)).astype(np.float32)
+        f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
+        perm = rng.permutation(n)
+        out = stage(T.Tensor(m), T.Tensor(k), f, H.SIGMOID)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, H.SIGMOID)
+        assert np.array_equal(out_perm.kernels.data, out.kernels.data[:, perm])
+        assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
+        assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
+
     def test_semantic_softmax_activation(self):
         rng = np.random.default_rng(6)
         stage = H.KernelUpdateStage(8, None, rng, heads=2)

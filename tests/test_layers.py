@@ -64,6 +64,18 @@ class TestLinear:
         coef = T.Tensor(rng.standard_normal((2, 4, 3)))
         assert T.grad_check(lambda t: T.reduce_sum(T.mul(lin(t), coef)), x) < 1e-5
 
+    @pytest.mark.parametrize("c_out", [3, 13, 32, 128])
+    @pytest.mark.parametrize("m", [5, 51, 102, 408])
+    def test_row_permutation_exact(self, c_out, m):
+        # each output row must not depend on where its token sits in storage;
+        # BLAS GEMM kernels round edge-block rows differently and fail this
+        rng = np.random.default_rng(c_out * 1000 + m)
+        lin = L.Linear(32, c_out, rng)
+        x = rng.standard_normal((m, 32)).astype(np.float32)
+        perm = rng.permutation(m)
+        out = lin(T.Tensor(x)).data
+        assert np.array_equal(lin(T.Tensor(x[perm])).data, out[perm])
+
 
 class TestMultiHeadAttention:
     def test_width_not_divisible(self):

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from knet import matching as M
 from knet import tensor as T
@@ -29,6 +32,56 @@ def brute_force_assign(costs):
 
 def total_cost(costs, pairs):
     return sum(costs[p, g] for p, g in sorted(pairs, key=lambda x: x[1]))
+
+
+def lexicographic_scan(c):
+    """Reference tie-break: the lexicographically smallest optimal pair list.
+
+    Fixes predictions in order, each to the smallest free GT column whose
+    best completion keeps the total optimal.  Returns (pairs, unmatched).
+    """
+    n_pred, n_gt = c.shape
+
+    def lsap_min(sub):
+        if sub.shape[1] == 0:
+            return 0.0
+        r, k = linear_sum_assignment(sub)
+        return float(sub[r, k].sum())
+
+    best = lsap_min(c)
+    tol = 1e-9 * max(1.0, abs(best))
+    pairs, free_gt, locked = [], list(range(n_gt)), 0.0
+    for p in range(n_pred):
+        if not free_gt:
+            break
+        rest_preds = np.arange(p + 1, n_pred)
+        for g in free_gt:
+            others = [x for x in free_gt if x != g]
+            if len(others) > len(rest_preds):
+                continue
+            if locked + c[p, g] + lsap_min(c[np.ix_(rest_preds, others)]) <= best + tol:
+                pairs.append((p, g))
+                free_gt.remove(g)
+                locked += c[p, g]
+                break
+    matched = {p for p, _ in pairs}
+    return pairs, [i for i in range(n_pred) if i not in matched]
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """Cost matrices up to 12 x 11 whose optima are often tied."""
+    n_pred = draw(st.integers(1, 12))
+    n_gt = draw(st.integers(0, min(n_pred, 11)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["int0-2", "one-decimal", "half-zero"]))
+    rng = np.random.default_rng(seed)
+    shape = (n_pred, n_gt)
+    if kind == "int0-2":
+        return rng.integers(0, 3, size=shape).astype(np.float64)
+    if kind == "one-decimal":
+        return np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+    return np.where(rng.uniform(size=shape) < 0.5, 0.0, rng.standard_normal(shape))
 
 
 class TestFocalLoss:
@@ -212,6 +265,27 @@ class TestHungarian:
     def test_empty_gt(self):
         out = M.hungarian_assign(np.zeros((4, 0)))
         assert out.pairs == [] and out.unmatched_preds == [0, 1, 2, 3]
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_costs())
+    def test_equals_lexicographic_scan(self, c):
+        out = M.hungarian_assign(c)
+        pairs, unmatched = lexicographic_scan(c)
+        assert out.pairs == pairs
+        assert out.unmatched_preds == unmatched
+
+    def test_strict_optimum_skips_the_scan(self, monkeypatch):
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(M, "linear_sum_assignment", counting)
+        c = np.random.default_rng(12).standard_normal((100, 6))
+        out = M.hungarian_assign(c)
+        assert len(calls) <= 6 + 1
+        assert (out.pairs, out.unmatched_preds) == lexicographic_scan(c)
 
 
 class FakeGt:

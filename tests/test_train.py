@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import knet.training as TR
-from knet.data import SceneSpec, write_dataset
-from knet.errors import ConfigError
-from knet.model import ModelConfig
+from knet.data import SceneSpec, read_dataset, write_dataset
+from knet.errors import ConfigError, FormatError
+from knet.model import ModelConfig, SegmentationModel
+from knet.optim import AdamW
 from knet.training import TrainConfig, apply_overrides, evaluate, load_checkpoint, save_checkpoint
 
 
@@ -127,12 +128,58 @@ class TestTrainSmoke:
         with pytest.raises(ConfigError):
             TR.train(other, resume=str(Path(cfg.out_dir) / "last.ckpt"))
 
+    def test_train_step_keeps_f32(self, tmp_path):
+        # a float64 scalar inside an op would promote gradients, and AdamW
+        # would then silently turn the parameters into float64
+        cfg = tiny_train_config(tmp_path)
+        model = SegmentationModel(cfg.model, seed=cfg.seed)
+        gts = read_dataset(cfg.train_dir).samples[:2]
+        _, loss, _ = model.forward(np.stack([g.image for g in gts]), gts, cfg.loss)
+        loss.backward()
+        for key, p in model.params().items():
+            assert p.data.dtype == np.float32, key
+            assert p.grad is None or p.grad.dtype == np.float32, key
+
     @pytest.mark.parametrize("mode", ["semantic", "instance"])
     def test_other_modes_smoke(self, tmp_path, mode):
         cfg = tiny_train_config(tmp_path, mode=mode)
         metrics = TR.train(cfg)
         key = {"semantic": "miou", "instance": "ap"}[mode]
         assert key in metrics["final"]["final"]
+
+
+class TestCheckpointErrors:
+    def _save(self, tmp_path, with_optimizer=True, mutate=None):
+        cfg = tiny_train_config(tmp_path)
+        model = SegmentationModel(cfg.model, seed=cfg.seed)
+        opt = AdamW(model.params()) if with_optimizer else None
+        if mutate:
+            mutate(opt)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, model, opt, 1, 2)
+        return path
+
+    def test_resume_without_optimizer_state(self, tmp_path):
+        path = self._save(tmp_path, with_optimizer=False)
+        load_checkpoint(path)
+        with pytest.raises(FormatError, match="without optimizer state"):
+            load_checkpoint(path, with_optimizer=True)
+
+    @pytest.mark.parametrize("header", [b"[]", b"1", b'"x"', b"\xff\xfe", b'{"format": "knet-checkpoint-v1"}'])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_optimizer_shape_mismatch(self, tmp_path):
+        def shrink(opt):
+            key = next(iter(opt.v))
+            opt.v[key] = opt.v[key].reshape(-1)[:1]
+
+        path = self._save(tmp_path, mutate=shrink)
+        with pytest.raises(FormatError, match="shape mismatch for v:"):
+            load_checkpoint(path, with_optimizer=True)
 
 
 class TestEvaluate:
