@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ChecksumError, FormatError, GenerationError, ParameterError
+from .errors import ChecksumError, ConfigError, FormatError, GenerationError, ParameterError
 from .metrics import PanopticMap, SegmentInfo
 
 CIRCLE, RECTANGLE, TRIANGLE = 1, 2, 3
@@ -37,6 +38,28 @@ _SKY_COLOR = (0.55, 0.70, 0.90)
 _GROUND_COLOR = (0.45, 0.35, 0.20)
 
 
+def dataclass_from_dict(cls, d: dict):
+    """Build config dataclass ``cls`` from its ``asdict`` form.
+
+    Restores from the field types what JSON loses: tuples and nested
+    dataclasses.  Unknown keys raise ``ConfigError``.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} config must be an object, got {d!r}")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        if is_dataclass(types[key]):
+            value = dataclass_from_dict(types[key], value)
+        elif typing.get_origin(types[key]) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
 @dataclass
 class SceneSpec:
     seed: int = 0
@@ -46,17 +69,6 @@ class SceneSpec:
     allow_overlap: bool = True
     color_jitter: float = 0.06
     noise: float = 0.05
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["size_range"] = list(self.size_range)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        d = dict(d)
-        d["size_range"] = tuple(d["size_range"])
-        return cls(**d)
 
 
 @dataclass
@@ -258,6 +270,8 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "knet-dataset-v1"
+SAMPLE_FILES = ("image.tensor", "semantic.pgm", "panoptic.pgm", "panoptic.json",
+                "instances.bin", "instances.json")
 
 
 @dataclass
@@ -299,9 +313,7 @@ def _write_sample(root: Path, index: int, sample: GroundTruthSample) -> list[Pat
         "classes": [int(c) for c, _ in sample.instances],
         "shape": [h, w],
     }, sort_keys=True))
-    return [d / name for name in
-            ("image.tensor", "semantic.pgm", "panoptic.pgm", "panoptic.json",
-             "instances.bin", "instances.json")]
+    return [d / name for name in SAMPLE_FILES]
 
 
 def _read_sample(root: Path, index: int) -> GroundTruthSample:
@@ -335,7 +347,7 @@ def write_dataset(spec: SceneSpec, count: int, out_dir) -> None:
         for path in _write_sample(root, i, sample):
             checksums[str(path.relative_to(root))] = _sha256(path)
     manifest = {"format": DATASET_FORMAT, "count": count,
-                "spec": spec.to_dict(), "files": checksums}
+                "spec": asdict(spec), "files": checksums}
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
@@ -344,14 +356,33 @@ def read_dataset(in_dir) -> Dataset:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise FormatError(f"{root}: missing {MANIFEST_NAME}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError:
+        raise FormatError(f"{manifest_path}: not valid JSON") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise FormatError(f"{root}: unknown dataset format {manifest.get('format')!r}")
-    for rel, expected in manifest["files"].items():
-        actual = _sha256(root / rel)
+    files, count = manifest.get("files"), manifest.get("count")
+    if not isinstance(files, dict) or not isinstance(count, int):
+        raise FormatError(f"{manifest_path}: needs a 'files' object and an integer 'count'")
+    for rel, expected in files.items():
+        try:
+            actual = _sha256(root / rel)
+        except FileNotFoundError:
+            raise FormatError(f"{rel}: listed in {MANIFEST_NAME} but missing") from None
         if actual != expected:
             raise ChecksumError(f"{rel}: checksum mismatch (corrupt file?)")
-    spec = SceneSpec.from_dict(manifest["spec"])
-    samples = [_read_sample(root, i) for i in range(manifest["count"])]
+    # every file read below must have passed the checksum loop above
+    for i in range(count):
+        for name in SAMPLE_FILES:
+            rel = str(_sample_dir(Path(), i) / name)
+            if rel not in files:
+                raise FormatError(f"{manifest_path}: counts {count} samples but does not list {rel}")
+    try:
+        spec = dataclass_from_dict(SceneSpec, manifest.get("spec"))
+    except (ConfigError, TypeError) as err:
+        raise FormatError(f"{manifest_path}: bad scene spec: {err}") from None
+    samples = [_read_sample(root, i) for i in range(count)]
     return Dataset(spec, samples)
-

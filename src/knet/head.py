@@ -53,9 +53,9 @@ def assemble_group_features(mask_probs: Tensor, feats: Tensor) -> Tensor:
 class FcLnRelu(Layer):
     """The FC-LN-ReLU unit used by mask/class branches and the plain update."""
 
-    def __init__(self, c_in: int, c_out: int, rng, ln_enabled: bool = True):
+    def __init__(self, c_in: int, c_out: int, rng):
         self.fc = Linear(c_in, c_out, rng)
-        self.norm = LayerNorm(c_out, enabled=ln_enabled)
+        self.norm = LayerNorm(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.relu(self.norm(self.fc(x)))
@@ -67,21 +67,19 @@ class AdaptiveKernelUpdate(Layer):
     mixed   = lin_feat(F) * lin_kernel(K)
     gate_k  = sigmoid(LN(FC(mixed)))     gate_f = sigmoid(LN(FC(mixed)))
     fused   = gate_f * LN(FC(F)) + gate_k * LN(FC(K))
-
-    LayerNorms can be disabled so the scalar closed-form tests apply.
     """
 
-    def __init__(self, c: int, rng, ln_enabled: bool = True):
+    def __init__(self, c: int, rng):
         self.lin_feat = Linear(c, c, rng)
         self.lin_kernel = Linear(c, c, rng)
         self.gate_k_fc = Linear(c, c, rng)
-        self.gate_k_norm = LayerNorm(c, enabled=ln_enabled)
+        self.gate_k_norm = LayerNorm(c)
         self.gate_f_fc = Linear(c, c, rng)
-        self.gate_f_norm = LayerNorm(c, enabled=ln_enabled)
+        self.gate_f_norm = LayerNorm(c)
         self.feat_fc = Linear(c, c, rng)
-        self.feat_norm = LayerNorm(c, enabled=ln_enabled)
+        self.feat_norm = LayerNorm(c)
         self.kernel_fc = Linear(c, c, rng)
-        self.kernel_norm = LayerNorm(c, enabled=ln_enabled)
+        self.kernel_norm = LayerNorm(c)
 
     def gates(self, group_feats: Tensor, kernels: Tensor) -> tuple[Tensor, Tensor]:
         mixed = self.lin_feat(group_feats) * self.lin_kernel(kernels)
@@ -99,8 +97,8 @@ class AdaptiveKernelUpdate(Layer):
 class PlainKernelUpdate(Layer):
     """Ablation variant: fused = FcLnRelu(group_feats + kernels)."""
 
-    def __init__(self, c: int, rng, ln_enabled: bool = True):
-        self.proj = FcLnRelu(c, c, rng, ln_enabled=ln_enabled)
+    def __init__(self, c: int, rng):
+        self.proj = FcLnRelu(c, c, rng)
 
     def __call__(self, group_feats: Tensor, kernels: Tensor) -> Tensor:
         return self.proj(group_feats + kernels)
@@ -109,10 +107,10 @@ class PlainKernelUpdate(Layer):
 class KernelInteraction(Layer):
     """Self-attention across the kernel tokens, then a feed-forward block."""
 
-    def __init__(self, c: int, heads: int, rng, ln_enabled: bool = True):
+    def __init__(self, c: int, heads: int, rng):
         self.attn = MultiHeadAttention(c, heads, rng)
-        self.norm = LayerNorm(c, enabled=ln_enabled)
-        self.ffn = FeedForward(c, rng, ln_enabled=ln_enabled)
+        self.norm = LayerNorm(c)
+        self.ffn = FeedForward(c, rng)
 
     def __call__(self, kernels: Tensor) -> Tensor:
         attended = self.norm(kernels + self.attn(kernels, kernels, kernels))
@@ -122,9 +120,8 @@ class KernelInteraction(Layer):
 class KernelMlp(Layer):
     """FC-LN-ReLU followed by an FC layer; used for masks and classes."""
 
-    def __init__(self, c: int, c_out: int, rng, ln_enabled: bool = True,
-                 out_bias_init: float = 0.0):
-        self.hidden = FcLnRelu(c, c, rng, ln_enabled=ln_enabled)
+    def __init__(self, c: int, c_out: int, rng, out_bias_init: float = 0.0):
+        self.hidden = FcLnRelu(c, c, rng)
         self.out = Linear(c, c_out, rng, bias_init=out_bias_init)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -149,20 +146,17 @@ class KernelUpdateStage(Layer):
 
     def __init__(self, c: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
-                 interaction: bool = True, ln_enabled: bool = True,
-                 class_bias_init: float = 0.0):
+                 interaction: bool = True, class_bias_init: float = 0.0):
         self.update: Layer = (
-            AdaptiveKernelUpdate(c, rng, ln_enabled=ln_enabled)
-            if adaptive_update
-            else PlainKernelUpdate(c, rng, ln_enabled=ln_enabled)
+            AdaptiveKernelUpdate(c, rng) if adaptive_update else PlainKernelUpdate(c, rng)
         )
         # built before the mask branch (random draw order), assigned after
         # it (parameter key order)
-        interaction_block = KernelInteraction(c, heads, rng, ln_enabled=ln_enabled) if interaction else None
-        self.mask = KernelMlp(c, c, rng, ln_enabled=ln_enabled)
+        interaction_block = KernelInteraction(c, heads, rng) if interaction else None
+        self.mask = KernelMlp(c, c, rng)
         self.interaction = interaction_block
         self.cls = (
-            KernelMlp(c, num_classes, rng, ln_enabled=ln_enabled, out_bias_init=class_bias_init)
+            KernelMlp(c, num_classes, rng, out_bias_init=class_bias_init)
             if num_classes
             else None
         )
@@ -188,22 +182,20 @@ class IterativeKernelHead(Layer):
 
     def __init__(self, c: int, stages: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
-                 interaction: bool = True, ln_enabled: bool = True,
-                 class_bias_init: float = 0.0):
+                 interaction: bool = True, class_bias_init: float = 0.0):
         if stages < 0:
             raise ConfigError(f"refinement stage count must be >= 0, got {stages}")
         # class branch first: heads with different S then share a parameter
         # prefix, which the stage-composability tests compare bitwise
         self.stage0_cls = (
-            KernelMlp(c, num_classes, rng, ln_enabled=ln_enabled, out_bias_init=class_bias_init)
+            KernelMlp(c, num_classes, rng, out_bias_init=class_bias_init)
             if num_classes
             else None
         )
         self.stages = [
             KernelUpdateStage(
                 c, num_classes, rng, heads=heads, adaptive_update=adaptive_update,
-                interaction=interaction, ln_enabled=ln_enabled,
-                class_bias_init=class_bias_init,
+                interaction=interaction, class_bias_init=class_bias_init,
             )
             for _ in range(stages)
         ]

@@ -10,7 +10,8 @@ and are supervised directly against the semantic map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,6 +20,9 @@ from . import tensor as T
 from .errors import CapacityError, NumericError
 from .head import StageOutput
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-4
@@ -32,18 +36,6 @@ class LossWeights:
     lam_seg: float = 1.0
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
-
-
-@dataclass
-class TaskLayout:
-    """How kernel rows map to instance slots and semantic classes."""
-
-    mode: str                      # semantic | instance | panoptic
-    image_size: tuple[int, int]    # (H, W) of the ground-truth rasters
-    num_instance_kernels: int      # rows [0, n) are instance kernels
-    thing_class_ids: list[int]     # class-logit column c <-> thing_class_ids[c]
-    stuff_class_ids: list[int]     # panoptic: rows [n, n+len) <-> these classes
-    semantic_class_ids: list[int]  # semantic mode: row k <-> this class
 
 
 @dataclass
@@ -70,10 +62,7 @@ class LossBreakdown:
     per_stage: list[dict[str, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total, "cls": self.cls, "ce": self.ce,
-            "dice": self.dice, "seg": self.seg, "per_stage": self.per_stage,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +243,23 @@ def _gather_rows(flat_logits: Tensor, rows: list[int]) -> Tensor:
     return T.index_select(flat_logits, 0, np.asarray(rows, dtype=np.int64))
 
 
-def set_prediction_loss(stages: list[StageOutput], gts: list,
-                        layout: TaskLayout,
+def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                         weights: LossWeights | None = None) -> tuple[Tensor, LossBreakdown]:
     """Deep-supervised loss over all stages; matching is redone per stage.
 
     ``gts`` is one GroundTruthSample-like object per batch item, exposing
     ``instances`` (list of (class_id, bool mask)) and ``semantic``
-    (H x W class raster).
+    (image_size x image_size class raster).  Kernel rows [0, n) are the
+    instance kernels, class-logit column c is ``cfg.thing_class_ids[c]``,
+    and the rows after the instance kernels are ``cfg.stuff_class_ids``
+    (panoptic) or ``cfg.semantic_class_ids`` (semantic).
     """
     weights = weights or LossWeights()
-    h, w = layout.image_size
+    h = w = cfg.image_size
     hw = h * w
-    n_ins = layout.num_instance_kernels
-    thing_index = {cid: i for i, cid in enumerate(layout.thing_class_ids)}
-    k_cls = len(layout.thing_class_ids)
+    n_ins = cfg.num_instance_kernels
+    thing_index = {cid: i for i, cid in enumerate(cfg.thing_class_ids)}
+    k_cls = len(cfg.thing_class_ids)
 
     total = Tensor(0.0)
     agg = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
@@ -294,8 +285,8 @@ def set_prediction_loss(stages: list[StageOutput], gts: list,
         stage_terms = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
         stage_loss = Tensor(0.0)
 
-        if layout.mode == "semantic":
-            seg = semantic_loss(up_flat, sem_maps, layout.semantic_class_ids)
+        if cfg.mode == "semantic":
+            seg = semantic_loss(up_flat, sem_maps, cfg.semantic_class_ids)
             stage_loss = stage_loss + weights.lam_seg * seg
             stage_terms["seg"] = float(seg.data)
         else:
@@ -333,7 +324,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list,
                 stage_terms["ce"] = float(ce_term.data)
                 stage_terms["dice"] = float(dice_term.data)
 
-            if layout.mode == "panoptic" and layout.stuff_class_ids:
+            if cfg.mode == "panoptic" and cfg.stuff_class_ids:
                 # stuff kernels: fixed per-class assignment, same binary mask
                 # losses as matched instances; panoptic masks are sigmoid-read
                 # at inference, so the supervision must pin that scale and
@@ -341,7 +332,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list,
                 stuff_rows = np.arange(n_ins, n_total)
                 stuff_logits = T.index_select(up_flat, 1, stuff_rows)
                 targets = np.stack(
-                    [(sem_maps == cid) for cid in layout.stuff_class_ids], axis=1
+                    [(sem_maps == cid) for cid in cfg.stuff_class_ids], axis=1
                 ).astype(np.float32)
                 stuff_ce = T.reduce_mean(mask_ce_loss(stuff_logits, targets))
                 stuff_dice = T.reduce_mean(dice_loss(T.sigmoid(stuff_logits), targets))

@@ -13,44 +13,21 @@ One model class covers the three modes:
 
 from __future__ import annotations
 
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS
+from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass_from_dict
 from .errors import ConfigError, ContractError
 from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
-from .matching import LossWeights, TaskLayout, semantic_loss, set_prediction_loss
+from .matching import LossWeights, semantic_loss, set_prediction_loss
 from .metrics import PanopticMap, SegmentInfo
 from .tensor import Tensor
 
 MODES = ("semantic", "instance", "panoptic")
 BACKGROUND_ID = 0
-
-
-def dataclass_from_dict(cls, d: dict):
-    """Build config dataclass ``cls`` from its ``asdict`` form.
-
-    Restores from the field types what JSON loses: tuples and nested
-    dataclasses.  Unknown keys raise ``ConfigError``.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{cls.__name__} config must be an object, got {d!r}")
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in d.items():
-        if is_dataclass(types[key]):
-            value = dataclass_from_dict(types[key], value)
-        elif typing.get_origin(types[key]) is tuple:
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
 
 
 @dataclass
@@ -230,14 +207,7 @@ class SegmentationModel(Layer):
     def _training_loss(self, stages, m0_sem, gts, weights):
         cfg = self.cfg
         size = cfg.image_size
-        layout = TaskLayout(
-            mode=cfg.mode, image_size=(size, size),
-            num_instance_kernels=cfg.num_instance_kernels,
-            thing_class_ids=list(cfg.thing_class_ids),
-            stuff_class_ids=list(cfg.stuff_class_ids),
-            semantic_class_ids=cfg.semantic_class_ids,
-        )
-        loss, breakdown = set_prediction_loss(stages, gts, layout, weights)
+        loss, breakdown = set_prediction_loss(stages, gts, cfg, weights)
         if cfg.mode == "instance" and m0_sem is not None:
             aux_maps = np.stack([aux_semantic_map(gt) for gt in gts]).reshape(len(gts), -1)
             up = T.bilinear_upsample(m0_sem, size, size)

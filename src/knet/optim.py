@@ -44,6 +44,11 @@ class AdamW:
             if grad is None:
                 # decoupled decay still applies to idle parameters
                 grad = np.zeros_like(p.data)
+            elif grad.dtype != p.data.dtype:
+                # AdamW would silently promote the parameter and its moments
+                raise TrainingError(
+                    f"gradient of parameter {key!r} is {grad.dtype}, the parameter {p.data.dtype}"
+                )
             elif not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient in parameter {key!r}")
             p.data, self.m[key], self.v[key] = adamw_step(

@@ -108,7 +108,8 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            # no copy: gradients are never updated in place
+            self.grad = np.asarray(g)
         else:
             self.grad = self.grad + g
 

@@ -20,17 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, GroundTruthSample, read_dataset
+from .data import Dataset, GroundTruthSample, dataclass_from_dict, read_dataset
 from .errors import ConfigError, FormatError, TrainingError
 from .matching import LossWeights
 from .metrics import MiouStats, PqStats, compute_mask_ap
 from .model import (
-    ModelConfig, SegmentationModel, binarize_instances, dataclass_from_dict, merge_panoptic,
-    semantic_raster,
+    ModelConfig, SegmentationModel, binarize_instances, merge_panoptic, semantic_raster,
 )
 from .optim import AdamW, lr_at, milestone_iterations
 
 CHECKPOINT_FORMAT = "knet-checkpoint-v1"
+PRIMARY_METRIC = {"panoptic": "pq", "instance": "ap", "semantic": "miou"}
 
 
 @dataclass
@@ -206,10 +206,9 @@ def evaluate(model: SegmentationModel, dataset: Dataset, workers: int = 1) -> di
             entry["miou"] = stats.result()
         per_stage.append(entry)
 
-    primary = {"panoptic": "pq", "instance": "ap", "semantic": "miou"}[cfg.mode]
     return {
         "mode": cfg.mode,
-        "primary_metric": primary,
+        "primary_metric": PRIMARY_METRIC[cfg.mode],
         "per_stage": per_stage,
         "final": per_stage[-1],
     }
@@ -272,7 +271,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
     milestones = milestone_iterations(total_iters, cfg.milestones)
     end_epoch = cfg.epochs if max_epochs is None else min(cfg.epochs, start_epoch + max_epochs)
 
-    primary = {"panoptic": "pq", "instance": "ap", "semantic": "miou"}[cfg.model.mode]
+    primary = PRIMARY_METRIC[cfg.model.mode]
     history: list[dict] = []
     best_value = -1.0
     log_mode = "a" if resume else "w"
@@ -327,56 +326,42 @@ def train(cfg: TrainConfig, resume: str | None = None,
 # ---------------------------------------------------------------------------
 # ablations
 
-def ablate(cfg: TrainConfig, parts: tuple[str, ...] = ("grid", "stages", "kernels"),
+# part -> cells, each a (name, ModelConfig overrides) pair; a cell trains
+# under <out_dir>/<part>_<name without a leading "<part>=">
+ABLATIONS: dict[str, list[tuple[str, dict]]] = {
+    "grid": [(f"aku={int(aku)}_ki={int(ki)}", {"aku": aku, "ki": ki})
+             for aku in (True, False) for ki in (True, False)],
+    "stages": [(f"stages={s}", {"stages": s}) for s in range(1, 6)],
+    "kernels": [(f"kernels={n}", {"num_instance_kernels": n}) for n in (5, 10, 20)],
+}
+
+
+def ablate(cfg: TrainConfig, parts: tuple[str, ...] = tuple(ABLATIONS),
            log_fn=None) -> dict:
     """Head-component grid and capacity sweeps, each cell a full training."""
-    results: dict[str, list[dict]] = {}
-
-    def run_cell(name: str, cell_cfg: TrainConfig) -> dict:
-        if log_fn:
-            log_fn(f"[ablate] training cell {name}")
-        metrics = train(cell_cfg, log_fn=None)
-        final = metrics["final"]["final"]
-        row = {"cell": name, **{k: v for k, v in final.items() if k != "stage"}}
-        row["per_stage"] = metrics["final"]["per_stage"]
-        if log_fn:
-            log_fn(f"[ablate] {name}: {row}")
-        return row
-
+    unknown = sorted(set(parts) - set(ABLATIONS))
+    if unknown:
+        raise ConfigError(f"unknown ablation parts: {', '.join(unknown)} "
+                          f"(choose from {', '.join(ABLATIONS)})")
     base_out = Path(cfg.out_dir)
-    if "grid" in parts:
-        rows = []
-        for aku in (True, False):
-            for ki in (True, False):
-                name = f"aku={int(aku)}_ki={int(ki)}"
-                cell = replace(
-                    cfg,
-                    model=ModelConfig.from_dict({**cfg.model.to_dict(), "aku": aku, "ki": ki}),
-                    out_dir=str(base_out / f"grid_{name}"),
-                )
-                rows.append(run_cell(name, cell))
-        results["grid"] = rows
-    if "stages" in parts:
-        rows = []
-        for s in range(1, 6):
-            cell = replace(
-                cfg,
-                model=ModelConfig.from_dict({**cfg.model.to_dict(), "stages": s}),
-                out_dir=str(base_out / f"stages_{s}"),
+    results: dict[str, list[dict]] = {}
+    for part, cells in ABLATIONS.items():
+        if part not in parts:
+            continue
+        results[part] = []
+        for name, overrides in cells:
+            cell_cfg = replace(
+                cfg, model=replace(cfg.model, **overrides),
+                out_dir=str(base_out / f"{part}_{name.removeprefix(part + '=')}"),
             )
-            rows.append(run_cell(f"stages={s}", cell))
-        results["stages"] = rows
-    if "kernels" in parts:
-        rows = []
-        for n in (5, 10, 20):
-            cell = replace(
-                cfg,
-                model=ModelConfig.from_dict(
-                    {**cfg.model.to_dict(), "num_instance_kernels": n}),
-                out_dir=str(base_out / f"kernels_{n}"),
-            )
-            rows.append(run_cell(f"kernels={n}", cell))
-        results["kernels"] = rows
+            if log_fn:
+                log_fn(f"[ablate] training cell {name}")
+            final = train(cell_cfg)["final"]
+            row = {"cell": name, **{k: v for k, v in final["final"].items() if k != "stage"}}
+            row["per_stage"] = final["per_stage"]
+            if log_fn:
+                log_fn(f"[ablate] {name}: {row}")
+            results[part].append(row)
 
     base_out.mkdir(parents=True, exist_ok=True)
     (base_out / "ablation.json").write_text(json.dumps(results, sort_keys=True, indent=1))

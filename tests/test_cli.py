@@ -83,6 +83,16 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "without optimizer state" in err
 
+    def test_bad_manifest_is_an_error_not_a_traceback(self, workspace, capsys):
+        config = write_config(workspace)
+        cfg = TrainConfig.from_dict(json.loads(config.read_text()))
+        ckpt = workspace / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        (workspace / "val" / "manifest.json").write_text("[]")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "val")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestInfer:
     def test_infer_writes_artifacts(self, workspace):
@@ -132,3 +142,11 @@ class TestAblateCommand:
         cells = {row["cell"] for row in results["grid"]}
         assert cells == {"aku=1_ki=1", "aku=1_ki=0", "aku=0_ki=1", "aku=0_ki=0"}
         assert (workspace / "ablate" / "ablation.txt").exists()
+
+    def test_unknown_part_is_an_error(self, workspace, capsys):
+        config = write_config(workspace)
+        rc = cli.main(["ablate", "--config", str(config),
+                       "--set", f"out_dir={workspace / 'ablate'}", "--parts", "bogus"])
+        assert rc == 1
+        assert "error: unknown ablation parts: bogus" in capsys.readouterr().err
+        assert not (workspace / "ablate").exists()

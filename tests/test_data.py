@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -140,11 +143,17 @@ class TestDatasetIo:
 
     def test_manifest_counts_files(self, tmp_path):
         D.write_dataset(D.SceneSpec(seed=10, size=32), 3, tmp_path / "ds")
-        import json
-
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert manifest["count"] == 3
         assert len(manifest["files"]) == 3 * 6
+
+    def test_manifest_golden(self, tmp_path):
+        # pins the manifest bytes (spec serialization, checksums of every
+        # sample file) for a fixed spec
+        spec = D.SceneSpec(seed=9, size=16, n_max=2, size_range=(5.0, 8.0))
+        D.write_dataset(spec, 3, tmp_path / "ds")
+        digest = hashlib.sha256((tmp_path / "ds" / "manifest.json").read_bytes()).hexdigest()
+        assert digest == "b297d5ed24255ea34c64924b7d1a55fa4ae9e1bb26c8e7bbdb4eb7ef57c5d346"
 
     def test_corrupt_byte_detected(self, tmp_path):
         D.write_dataset(D.SceneSpec(seed=11, size=32), 2, tmp_path / "ds")
@@ -153,6 +162,34 @@ class TestDatasetIo:
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
+            D.read_dataset(tmp_path / "ds")
+
+    @staticmethod
+    def _edit_manifest(root, edit):
+        path = root / "manifest.json"
+        path.write_text(edit(json.loads(path.read_text())))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: "{not json",
+        lambda m: "[]",
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "files"}),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "count"}),
+        lambda m: json.dumps({**m, "count": m["count"] + 1}),
+        lambda m: json.dumps({**m, "files": {}}),
+        lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}}),
+        lambda m: json.dumps({**m, "spec": 3}),
+    ], ids=["invalid-json", "array", "no-files", "no-count", "count-too-large",
+            "sample-not-listed", "unknown-spec-key", "spec-not-object"])
+    def test_bad_manifest_is_format_error(self, tmp_path, edit):
+        D.write_dataset(D.SceneSpec(seed=12, size=16), 2, tmp_path / "ds")
+        self._edit_manifest(tmp_path / "ds", edit)
+        with pytest.raises(FormatError):
+            D.read_dataset(tmp_path / "ds")
+
+    def test_missing_listed_file_is_format_error(self, tmp_path):
+        D.write_dataset(D.SceneSpec(seed=13, size=16), 2, tmp_path / "ds")
+        (tmp_path / "ds" / "sample_00001" / "semantic.pgm").unlink()
+        with pytest.raises(FormatError, match="semantic.pgm"):
             D.read_dataset(tmp_path / "ds")
 
     def test_missing_manifest(self, tmp_path):

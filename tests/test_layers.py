@@ -29,14 +29,9 @@ class TestLayerNorm:
         out = ln(T.Tensor([[5.0, 5.0, 5.0]]))
         assert np.allclose(out.data, 0.5)
 
-    def test_disabled_is_identity(self):
-        ln = L.LayerNorm(3, enabled=False)
-        x = T.Tensor([[1.0, 2.0, 3.0]])
-        assert np.array_equal(ln(x).data, x.data)
-
     def test_single_channel_rejected(self):
         with pytest.raises(ContractError):
-            L.LayerNorm(1, enabled=True)
+            L.LayerNorm(1)
 
     def test_normalized_stats(self, f64):
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from knet import matching as M
 from knet import tensor as T
 from knet.errors import CapacityError
+from knet.model import ModelConfig
 from knet.tensor import Tensor
 
 
@@ -306,10 +307,9 @@ def _fake_stage(rng, b, n, k_cls, hw_side, with_classes=True):
 
 
 def _layout(mode, n_ins, size=8):
-    return M.TaskLayout(
-        mode=mode, image_size=(size, size), num_instance_kernels=n_ins,
+    return ModelConfig(
+        mode=mode, image_size=size, num_instance_kernels=n_ins,
         thing_class_ids=[1, 2], stuff_class_ids=[101],
-        semantic_class_ids=[1, 2, 101],
     )
 
 
@@ -379,9 +379,9 @@ class TestSetPredictionLoss:
         sem[mask] = 1
         gt = FakeGt([(1, mask)], sem)
         stage = _fake_stage(rng, 1, 2, 2, 4)
-        layout = M.TaskLayout(
-            mode="instance", image_size=(4, 4), num_instance_kernels=2,
-            thing_class_ids=[1, 2], stuff_class_ids=[], semantic_class_ids=[],
+        layout = ModelConfig(
+            mode="instance", image_size=4, num_instance_kernels=2,
+            thing_class_ids=[1, 2], stuff_class_ids=[],
         )
         w = M.LossWeights()
         total, bd = M.set_prediction_loss([stage], [gt], layout, w)

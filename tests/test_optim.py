@@ -72,6 +72,14 @@ class TestAdamWClass:
         with pytest.raises(TrainingError, match="layer.weight"):
             opt.step()
 
+    def test_gradient_dtype_must_match_parameter(self):
+        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        opt = AdamW({"layer.weight": p}, lr=1e-2)
+        p.grad = np.ones(2, dtype=np.float64)
+        with pytest.raises(TrainingError, match="layer.weight"):
+            opt.step()
+        assert p.data.dtype == np.float32 and opt.m["layer.weight"].dtype == np.float32
+
     def test_idle_parameter_still_decays(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         opt = AdamW({"w": p}, lr=1e-2, weight_decay=0.5)

@@ -253,6 +253,17 @@ def test_backward_accumulates_through_reuse(f64):
     assert np.allclose(x.grad, [7.0])
 
 
+def test_backward_through_shared_subexpression(f64):
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
+    y = x * 2.0
+    s = y + y
+    T.reduce_sum(s).backward()
+    assert np.array_equal(y.grad, [2.0, 2.0])
+    assert np.array_equal(x.grad, [4.0, 4.0])
+    # y's first gradient is s's own buffer; accumulating must not change it
+    assert np.array_equal(s.grad, [1.0, 1.0])
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6)).astype(np.float32)

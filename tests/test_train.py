@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -243,3 +244,38 @@ class TestDeterminism:
         mb = json.loads((Path(cfg_b.out_dir) / "metrics.json").read_text())
         assert ma["history"] == mb["history"]
         assert ma["final"] == mb["final"]
+
+
+class TestAblate:
+    @staticmethod
+    def _record_cells(monkeypatch, cells):
+        def fake_train(cfg, **_):
+            cells.append((Path(cfg.out_dir).name, cfg.model.to_dict()))
+            return {"final": {"final": {"stage": 0, "pq": 0.0}, "per_stage": []}}
+
+        monkeypatch.setattr(TR, "train", fake_train)
+
+    def test_cells_golden(self, tmp_path, monkeypatch):
+        cells = []
+        self._record_cells(monkeypatch, cells)
+        cfg = TrainConfig(model=ModelConfig(image_size=16, channels=8, heads=2),
+                          out_dir=str(tmp_path / "ab"))
+        results = TR.ablate(cfg)
+        assert [name for name, _ in cells] == [
+            "grid_aku=1_ki=1", "grid_aku=1_ki=0", "grid_aku=0_ki=1", "grid_aku=0_ki=0",
+            "stages_1", "stages_2", "stages_3", "stages_4", "stages_5",
+            "kernels_5", "kernels_10", "kernels_20",
+        ]
+        digest = hashlib.sha256(json.dumps(cells, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == "811727309b8c231b"
+        assert [row["cell"] for row in results["stages"]] == [f"stages={s}" for s in range(1, 6)]
+        assert json.loads((tmp_path / "ab" / "ablation.json").read_text()) == results
+
+    def test_unknown_part_rejected(self, tmp_path, monkeypatch):
+        cells = []
+        self._record_cells(monkeypatch, cells)
+        cfg = TrainConfig(model=ModelConfig(image_size=16, channels=8, heads=2),
+                          out_dir=str(tmp_path / "ab"))
+        with pytest.raises(ConfigError, match="bogus"):
+            TR.ablate(cfg, parts=("grid", "bogus"))
+        assert cells == [] and not (tmp_path / "ab").exists()
