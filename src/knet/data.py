@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -38,23 +39,52 @@ _SKY_COLOR = (0.55, 0.70, 0.90)
 _GROUND_COLOR = (0.45, 0.35, 0.20)
 
 
+def _has_type(value, tp) -> bool:
+    """Whether a JSON-decoded ``value`` fits the field type ``tp``.
+
+    An int fits a float field; a bool fits only a bool field; a list
+    fits a tuple field, since JSON has no tuples.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, t) for t in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_has_type(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_has_type, value, args))
+    if tp is bool or isinstance(value, bool):
+        return tp is bool and isinstance(value, bool)
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
 def dataclass_from_dict(cls, d: dict):
     """Build config dataclass ``cls`` from its ``asdict`` form.
 
     Restores from the field types what JSON loses: tuples and nested
-    dataclasses.  Unknown keys raise ``ConfigError``.
+    dataclasses.  Unknown keys and values of the wrong type raise
+    ``ConfigError``.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} config must be an object, got {d!r}")
-    types = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls)
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     kwargs = {}
     for key, value in d.items():
-        if is_dataclass(types[key]):
-            value = dataclass_from_dict(types[key], value)
-        elif typing.get_origin(types[key]) is tuple:
+        tp = hints[key]
+        if is_dataclass(tp):
+            value = dataclass_from_dict(tp, value)
+        elif not _has_type(value, tp):
+            name = tp.__name__ if isinstance(tp, type) else str(tp)
+            raise ConfigError(f"{cls.__name__}.{key} must be {name}, got {value!r}")
+        elif typing.get_origin(tp) is tuple:
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
@@ -382,7 +412,7 @@ def read_dataset(in_dir) -> Dataset:
                 raise FormatError(f"{manifest_path}: counts {count} samples but does not list {rel}")
     try:
         spec = dataclass_from_dict(SceneSpec, manifest.get("spec"))
-    except (ConfigError, TypeError) as err:
+    except ConfigError as err:
         raise FormatError(f"{manifest_path}: bad scene spec: {err}") from None
     samples = [_read_sample(root, i) for i in range(count)]
     return Dataset(spec, samples)

@@ -7,6 +7,8 @@ optimizer and checkpoints can address them by hierarchical string keys.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -44,11 +46,11 @@ class Linear(Layer):
         self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        # T.linear, not T.matmul: every row (token) must be reduced in the
-        # same order wherever it sits, or kernel-permutation equivariance
-        # breaks downstream.  OpenBLAS GEMM rounds rows differently by
-        # position (x[p] @ W.T != (x @ W.T)[p] for some widths), so BLAS
-        # is kept out of the forward pass.
+        # T.linear, not T.matmul: the kernel update, feed-forward and branch
+        # layers run outside any canonical frame, so each row (token) must
+        # be reduced in the same order wherever it sits.  OpenBLAS GEMM
+        # rounds rows differently by position (x[p] @ W.T != (x @ W.T)[p]
+        # for some widths), so BLAS is kept out of the forward pass.
         lead = x.shape[:-1]
         out = T.linear(T.reshape(x, (-1, self.c_in)), self.weight, self.bias)
         return T.reshape(out, (*lead, self.c_out))
@@ -71,8 +73,27 @@ class LayerNorm(Layer):
         return normed * self.gamma + self.beta
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """(B, N, ...) array -> (B, N) opaque byte strings, one per row."""
+    flat = np.ascontiguousarray(rows).reshape(*rows.shape[:2], -1)
+    return flat.view(np.dtype((np.void, flat.shape[-1] * flat.itemsize)))[..., 0]
+
+
+def _canonical_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image stable sort of (B, N) row bytes, and its inverse."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    return order, np.argsort(order, axis=1)
+
+
 class MultiHeadAttention(Layer):
-    """Scaled dot-product attention over (B, N, C) token sequences."""
+    """Scaled dot-product attention over (B, N, C) token sequences.
+
+    The block runs in a canonical frame: each image's query rows are sorted
+    by their bytes (key and value rows by their joint bytes), the GEMMs run
+    there, and the result is gathered back to the input order.  Whatever
+    order the tokens arrive in, the frame holds the same bytes, so the
+    output is exactly permutation-equivariant however BLAS rounds.
+    """
 
     def __init__(self, c: int, heads: int, rng: np.random.Generator):
         if c % heads != 0:
@@ -91,16 +112,28 @@ class MultiHeadAttention(Layer):
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         b, n, _ = q.shape
         nk = k.shape[1]
-        qh = self._split(self.q(q), b, n)
-        kh = self._split(self.k(k), b, nk)
-        vh = self._split(self.v(v), b, nk)
-        # row-exact like Linear; softmax and attention_mix sort along the
-        # key axis, so the whole block is exactly permutation-equivariant
-        scores = T.attention_scores(qh, kh, 1.0 / np.sqrt(self.head_dim))
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.attention_mix(attn, vh)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c))
-        return self.out(ctx)
+        q_bytes = _row_bytes(q.data)
+        order, rank = _canonical_order(q_bytes)
+        q_in = T.permute_rows(q, order, rank)
+        if k is q and v is q:
+            k_in = v_in = q_in
+        else:
+            kv_order, kv_rank = _canonical_order(_row_bytes(np.concatenate([k.data, v.data], -1)))
+            k_in, v_in = T.permute_rows(k, kv_order, kv_rank), T.permute_rows(v, kv_order, kv_rank)
+        qh = self._split(self.q(q_in), b, n)
+        kt = T.transpose(T.reshape(self.k(k_in), (b, nk, self.heads, self.head_dim)), (0, 2, 3, 1))
+        vh = self._split(self.v(v_in), b, nk)
+        scores = T.matmul(qh * (1.0 / math.sqrt(self.head_dim)), kt)
+        ctx = T.matmul(T.softmax(scores, axis=-1), vh)
+        out = self.out(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c)))
+        # a GEMM may round bitwise-equal rows differently by their position
+        # in the frame, so each equal run of query rows takes the value of
+        # its first row (forward only: the gradient is the permutation's)
+        sorted_bytes = np.take_along_axis(q_bytes, order, axis=1)
+        starts = np.ones((b, n), dtype=bool)
+        starts[:, 1:] = sorted_bytes[:, 1:] != sorted_bytes[:, :-1]
+        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        return T.permute_rows(out, rank, order, source=np.take_along_axis(first, rank, axis=1))
 
 
 class FeedForward(Layer):

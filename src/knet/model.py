@@ -53,11 +53,18 @@ class ModelConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.stages < 0:
             raise ConfigError(f"refinement stage count must be >= 0, got {self.stages}")
-        if self.image_size % 4 != 0:
-            raise ConfigError(f"image size {self.image_size} must be divisible by 4")
-        if self.channels % 4 != 0 or self.channels % self.heads != 0:
+        if self.num_instance_kernels < 0:
             raise ConfigError(
-                f"channel width {self.channels} must be divisible by 4 and by {self.heads} heads"
+                f"instance kernel count must be >= 0, got {self.num_instance_kernels}"
+            )
+        if self.image_size <= 0 or self.image_size % 4 != 0:
+            raise ConfigError(f"image size {self.image_size} must be positive and divisible by 4")
+        if self.heads < 1:
+            raise ConfigError(f"head count must be >= 1, got {self.heads}")
+        if self.channels <= 0 or self.channels % 4 != 0 or self.channels % self.heads != 0:
+            raise ConfigError(
+                f"channel width {self.channels} must be positive and divisible by 4 "
+                f"and by {self.heads} heads"
             )
 
     @property
@@ -230,10 +237,13 @@ def aux_semantic_map(gt: GroundTruthSample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inference decoding
 
-def _upsampled_probs(stage: StageOutput, index: int) -> tuple[np.ndarray, np.ndarray]:
-    # mask logits live at stride 4; decode at full resolution
-    _, h, w = stage.mask_logits.data[index].shape
-    logits = T.bilinear_resize_array(stage.mask_logits.data[index], 4 * h, 4 * w)
+def _upsampled_probs(stage: StageOutput, index: int,
+                     rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    # mask logits live at stride 4; decode at full resolution.  Each row is
+    # resized on its own, so a subset of rows gives the same bytes.
+    maps = stage.mask_logits.data[index][rows]
+    _, h, w = maps.shape
+    logits = T.bilinear_resize_array(maps, 4 * h, 4 * w)
     return logits, T.sigmoid_array(logits)
 
 
@@ -272,65 +282,53 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     if cfg.mode != "panoptic":
         raise ContractError(f"panoptic merge called in {cfg.mode!r} mode")
     n_ins = cfg.num_instance_kernels
-    logits, probs = _upsampled_probs(stage, index)
-    n_total, out_h, out_w = probs.shape
+    n_total = stage.mask_logits.shape[1]
+    cls_probs = T.sigmoid_array(stage.class_logits.data[index])
+    thing_score = cls_probs.max(axis=1)
+    things = np.flatnonzero(thing_score >= cfg.score_floor)
+    stuff = np.arange(n_ins, n_total)
+    # only candidate things and the stuff rows are decoded at full size
+    logits, probs = _upsampled_probs(stage, index, np.concatenate([things, stuff]))
+    thing_probs = probs[: things.size]
+    stuff_logits, stuff_probs = logits[things.size :], probs[things.size :]
 
-    cand_class: list[int] = []
-    cand_thing: list[bool] = []
-    cand_score: list[float] = []
-    cand_rows: list[int] = []
-
-    cls_probs = None
-    if stage.class_logits is not None:
-        cls_probs = T.sigmoid_array(stage.class_logits.data[index])
-    for n in range(n_ins):
-        score = float(cls_probs[n].max())
-        if score < cfg.score_floor:
-            continue
-        cand_rows.append(n)
-        cand_class.append(cfg.thing_class_ids[int(cls_probs[n].argmax())])
-        cand_thing.append(True)
-        cand_score.append(score)
+    cand_class = [cfg.thing_class_ids[int(c)] for c in cls_probs[things].argmax(axis=1)]
+    cand_thing = [True] * things.size
+    cand_score = [float(s) for s in thing_score[things]]
+    cand_probs = [thing_probs]
 
     # stuff confidence: mean per-pixel softmax share over the thresholded
     # region, competing among the stuff channels (the distribution the
     # stuff supervision trains)
-    stuff_logits = logits[n_ins:]
     exp = np.exp(stuff_logits - stuff_logits.max(axis=0, keepdims=True))
     share = exp / exp.sum(axis=0, keepdims=True)
-    for j, class_id in enumerate(cfg.stuff_class_ids):
-        n = n_ins + j
-        if n >= n_total:
-            break
-        region = probs[n] >= cfg.mask_threshold
+    for j, class_id in enumerate(cfg.stuff_class_ids[: stuff.size]):
+        region = stuff_probs[j] >= cfg.mask_threshold
         score = float(share[j][region].mean()) if region.any() else 0.0
         if score < cfg.score_floor:
             continue
-        cand_rows.append(n)
         cand_class.append(class_id)
         cand_thing.append(False)
         cand_score.append(score)
+        cand_probs.append(stuff_probs[j : j + 1])
 
-    raster = np.zeros((out_h, out_w), dtype=np.int32)
-    if not cand_rows:
-        return PanopticMap(raster, [])
-
-    weighted = np.asarray(cand_score)[:, None, None] * probs[cand_rows]
+    k = len(cand_score)
+    if not k:
+        return PanopticMap(np.zeros(probs.shape[1:], dtype=np.int32), [])
+    cand_probs = np.concatenate(cand_probs)
+    weighted = np.asarray(cand_score)[:, None, None] * cand_probs
     assign = weighted.argmax(axis=0)
 
-    thresholded = probs[cand_rows] >= cfg.mask_threshold
-    deleted = np.zeros(len(cand_rows), dtype=bool)
-    for c in range(len(cand_rows)):
-        won = assign == c
-        surviving = int(np.logical_and(won, thresholded[c]).sum())
-        thresh_area = int(thresholded[c].sum())
-        frac = surviving / thresh_area if thresh_area else 0.0
-        if surviving < cfg.min_area or frac < cfg.keep_fraction:
-            deleted[c] = True
+    thresholded = cand_probs >= cfg.mask_threshold
+    won_thresholded = np.take_along_axis(thresholded, assign[None], axis=0)[0]
+    surviving = np.bincount(assign[won_thresholded], minlength=k)
+    thresh_area = thresholded.sum(axis=(1, 2))
+    frac = np.divide(surviving, thresh_area, out=np.zeros(k), where=thresh_area > 0)
+    deleted = (surviving < cfg.min_area) | (frac < cfg.keep_fraction)
 
     if deleted.any():
         survivors = np.flatnonzero(~deleted)
-        orphan = np.isin(assign, np.flatnonzero(deleted))
+        orphan = deleted[assign]
         if survivors.size:
             w_surv = weighted[survivors] * thresholded[survivors]
             best = w_surv.argmax(axis=0)
@@ -340,19 +338,15 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
         else:
             assign = np.where(orphan, -1, assign)
 
+    # area per candidate; slot 0 counts the void pixels (assign == -1)
+    areas = np.bincount(assign.ravel() + 1, minlength=k + 1)[1:]
+    lut = np.zeros(k + 1, dtype=np.int32)
     segments: list[SegmentInfo] = []
-    next_id = 1
-    for c in range(len(cand_rows)):
-        if deleted[c]:
-            continue
-        area = int((assign == c).sum())
-        if area == 0:
-            continue
-        raster[assign == c] = next_id
-        segments.append(SegmentInfo(next_id, cand_class[c], cand_thing[c],
-                                    cand_score[c], area))
-        next_id += 1
-    return PanopticMap(raster, segments)
+    for c in np.flatnonzero(~deleted & (areas > 0)):
+        lut[c + 1] = len(segments) + 1
+        segments.append(SegmentInfo(len(segments) + 1, cand_class[c], cand_thing[c],
+                                    cand_score[c], int(areas[c])))
+    return PanopticMap(lut[assign + 1], segments)
 
 
 def semantic_raster(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> np.ndarray:

@@ -14,6 +14,8 @@ because central differences are unreliable in single precision.
 from __future__ import annotations
 
 import json
+import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -396,8 +398,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax with an order-invariant denominator.
 
     The exponentials are sorted before summation, so the result is bitwise
-    invariant to permutations along ``axis``; kernel-interaction
-    equivariance relies on this.
+    invariant to permutations along ``axis``.  Semantic mode relies on this:
+    it softmaxes mask logits over the kernel axis outside any canonical
+    frame.
     """
     if not np.isfinite(a.data).all():
         raise NumericError("softmax: non-finite input")
@@ -486,52 +489,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(data, (x, w, b), bw)
 
 
-def attention_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """(..., Nq, D) x (..., Nk, D) -> (..., Nq, Nk) scaled dot products.
-
-    Row-exact along both token axes for the reason given in :func:`linear`;
-    the backward sums over tokens and uses GEMM.
-    """
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise DimensionError(f"attention_scores: shapes {q.data.shape} and {k.data.shape} do not align")
-    scale = float(scale)               # a Python float keeps the array dtype
-    data = np.einsum("...qd,...kd->...qk", q.data, k.data) * scale
-
-    def bw(g):
-        g = g * scale
-        if q.requires_grad:
-            q.accumulate_grad(_unbroadcast(g @ k.data, q.data.shape))
-        if k.requires_grad:
-            k.accumulate_grad(_unbroadcast(np.swapaxes(g, -1, -2) @ q.data, k.data.shape))
-
-    return _node(data, (q, k), bw)
-
-
-def attention_mix(attn: Tensor, values: Tensor) -> Tensor:
-    """(..., Nq, Nk) x (..., Nk, D) -> (..., Nq, D) weighted aggregation.
-
-    Per-element products are sorted before the reduction over Nk, making
-    the output bitwise invariant to a joint permutation of keys and
-    values.  A plain GEMM would round differently per storage order.
-    """
-    if attn.data.shape[-1] != values.data.shape[-2]:
-        raise DimensionError(
-            f"attention_mix: shapes {attn.data.shape} and {values.data.shape} do not align"
-        )
-    prod = attn.data[..., :, :, None] * values.data[..., None, :, :]
-    data = np.sort(prod, axis=-2).sum(axis=-2)
-
-    def bw(g):
-        if attn.requires_grad:
-            ga = g @ np.swapaxes(values.data, -1, -2)
-            attn.accumulate_grad(_unbroadcast(ga, attn.data.shape))
-        if values.requires_grad:
-            gv = np.swapaxes(attn.data, -1, -2) @ g
-            values.accumulate_grad(_unbroadcast(gv, values.data.shape))
-
-    return _node(data, (attn, values), bw)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -577,6 +534,24 @@ def index_select(a: Tensor, axis: int, indices) -> Tensor:
         idx = [slice(None)] * a.data.ndim
         np.add.at(buf, tuple(idx[:axis]) + (indices,), g)
         a.accumulate_grad(buf)
+
+    return _node(data, (a,), bw)
+
+
+def permute_rows(a: Tensor, perm: np.ndarray, inverse: np.ndarray,
+                 source: np.ndarray | None = None) -> Tensor:
+    """Reorder axis 1 per image: ``out[b, i] = a[b, perm[b, i]]``.
+
+    ``perm`` holds one permutation per leading index and ``inverse`` its
+    inverse, which the backward gathers with.  ``source``, when given, is
+    gathered from in place of ``perm`` in the forward pass only; the
+    backward is still that of the permutation.
+    """
+    batch = np.arange(a.data.shape[0])[:, None]
+    data = a.data[batch, perm if source is None else source]
+
+    def bw(g):
+        a.accumulate_grad(g[batch, inverse])
 
     return _node(data, (a,), bw)
 
@@ -736,19 +711,28 @@ def read_tensor(fp) -> np.ndarray:
         raise FormatError("tensor stream: missing header line")
     try:
         header = json.loads(line.decode("ascii"))
-        dtype = header["dtype"]
-        shape = tuple(int(s) for s in header["shape"])
-    except (ValueError, KeyError, UnicodeDecodeError) as err:
+    except ValueError as err:
         raise FormatError(f"tensor stream: bad header: {err}") from None
-    if dtype not in _WIRE:
+    if not isinstance(header, dict):
+        raise FormatError(f"tensor stream: header is not an object: {header!r}")
+    dtype, shape = header.get("dtype"), header.get("shape")
+    if not isinstance(dtype, str) or dtype not in _WIRE:
         raise FormatError(f"tensor stream: unknown dtype {dtype!r}")
-    count = int(np.prod(shape)) if shape else 1
-    buf = fp.read(count * np.dtype(_WIRE[dtype]).itemsize)
-    if len(buf) != count * np.dtype(_WIRE[dtype]).itemsize:
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise FormatError(f"tensor stream: shape {shape!r} is not a list of non-negative ints")
+    nbytes = math.prod(shape) * np.dtype(_WIRE[dtype]).itemsize
+    # check the length first: read() would allocate the claimed size
+    start = fp.tell()
+    available = fp.seek(0, os.SEEK_END) - start
+    fp.seek(start)
+    if nbytes > available:
         raise FormatError("tensor stream: truncated buffer")
-    return np.frombuffer(buf, dtype=_WIRE[dtype]).reshape(shape).astype(
-        np.float64 if dtype == "f64" else np.float32
-    )
+    buf = fp.read(nbytes)
+    try:
+        arr = np.frombuffer(buf, dtype=_WIRE[dtype]).reshape(shape)
+    except ValueError as err:               # too many axes or too large for numpy
+        raise FormatError(f"tensor stream: shape {shape}: {err}") from None
+    return arr.astype(np.float64 if dtype == "f64" else np.float32)
 
 
 def save_tensor(path, array) -> None:

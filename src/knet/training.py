@@ -49,6 +49,10 @@ class TrainConfig:
     out_dir: str = "runs/default"
     loss: LossWeights = field(default_factory=LossWeights)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     def resolved_weight_decay(self) -> float:
         if self.weight_decay is not None:
             return self.weight_decay
@@ -276,6 +280,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
     best_value = -1.0
     log_mode = "a" if resume else "w"
     t0 = time.time()
+    report = None
 
     with open(out / "log.jsonl", log_mode) as log:
         for epoch in range(start_epoch, end_epoch):
@@ -309,7 +314,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
                 best_value = report["final"][primary]
                 save_checkpoint(out / "best.ckpt", cfg, model, opt, epoch + 1, iteration)
 
-    final_report = evaluate(model, val_set)
+    # the last epoch's report already covers the final model
+    final_report = report if report is not None else evaluate(model, val_set)
     metrics = {
         "config_hash": cfg.config_hash(),
         "mode": cfg.model.mode,

@@ -50,24 +50,6 @@ def _check_linear_bias(rng):
     return T.grad_check(lambda _: read(layer(x)), layer.bias)
 
 
-def _score_operands(rng):
-    # the query's head axis broadcasts against the key's
-    read = _readout(rng, (2, 2, 3, 5))
-    q = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
-    k = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-    return read, q, k
-
-
-def _check_scores_q(rng):
-    read, q, k = _score_operands(rng)
-    return T.grad_check(lambda t: read(T.attention_scores(t, k, 0.5)), q)
-
-
-def _check_scores_k(rng):
-    read, q, k = _score_operands(rng)
-    return T.grad_check(lambda t: read(T.attention_scores(q, t, 0.5)), k)
-
-
 def _check_layer_norm(rng):
     layer = LayerNorm(6)
     read = _readout(rng, (3, 6))
@@ -180,8 +162,6 @@ CHECKS = {
     "linear": (_check_linear, LAYER_TOLERANCE),
     "linear_weight": (_check_linear_weight, LAYER_TOLERANCE),
     "linear_bias": (_check_linear_bias, LAYER_TOLERANCE),
-    "attention_scores_q": (_check_scores_q, LAYER_TOLERANCE),
-    "attention_scores_k": (_check_scores_k, LAYER_TOLERANCE),
     "layer_norm": (_check_layer_norm, LAYER_TOLERANCE),
     "multi_head_attention": (_check_attention, LAYER_TOLERANCE),
     "feed_forward": (_check_feed_forward, LAYER_TOLERANCE),

@@ -73,6 +73,17 @@ class TestTrainEval:
         assert rc == 1
         assert "error: unknown ModelConfig keys: bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "model.stages=x", "model.channels=x", "epochs=x", "lr=a", "model.aku=yes",
+    ])
+    def test_mistyped_value_is_an_error_not_a_traceback(self, workspace, capsys, override):
+        config = write_config(workspace)
+        rc = cli.main(["train", "--config", str(config), "--set", override])
+        assert rc == 1
+        key = override.split("=")[0].split(".")[-1]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f".{key} must be " in err
+
     def test_resume_without_optimizer_is_an_error(self, workspace, capsys):
         config = write_config(workspace)
         cfg = TrainConfig.from_dict(json.loads(config.read_text()))

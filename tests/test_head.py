@@ -247,6 +247,25 @@ class TestStage:
         assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
         assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
 
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_kernel_permutation_equivariance_with_duplicate_rows(self, b):
+        # 20 kernels repeat another kernel together with its previous mask
+        rng = np.random.default_rng(9)
+        n, c, hw = 102, 32, 16
+        stage = H.KernelUpdateStage(c, 3, rng)
+        m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
+        k = rng.standard_normal((b, n, c)).astype(np.float32)
+        idx = rng.permutation(n)
+        m[:, idx[:20]] = m[:, idx[20:40]]
+        k[:, idx[:20]] = k[:, idx[20:40]]
+        f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
+        perm = rng.permutation(n)
+        out = stage(T.Tensor(m), T.Tensor(k), f, H.SIGMOID)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, H.SIGMOID)
+        assert np.array_equal(out_perm.kernels.data, out.kernels.data[:, perm])
+        assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
+        assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
+
     def test_semantic_softmax_activation(self):
         rng = np.random.default_rng(6)
         stage = H.KernelUpdateStage(8, None, rng, heads=2)

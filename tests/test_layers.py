@@ -4,6 +4,7 @@ import pytest
 from knet import layers as L
 from knet import tensor as T
 from knet.errors import ConfigError, ContractError
+from knet.verification import LAYER_TOLERANCE
 
 
 @pytest.fixture
@@ -131,6 +132,33 @@ class TestMultiHeadAttention:
         coef = T.Tensor(rng.standard_normal((1, 3, 4)))
         x = T.Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True)
         assert T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t, t, t), coef)), x) < 1e-5
+
+    def test_grad_with_duplicate_row(self, f64):
+        # the equal-row fix-up is forward only, so the gradient stays the
+        # one of the attention itself
+        rng = np.random.default_rng(11)
+        mha = L.MultiHeadAttention(8, 2, rng)
+        coef = T.Tensor(rng.standard_normal((1, 4, 8)))
+        x = rng.standard_normal((1, 4, 8))
+        x[0, 3] = x[0, 1]
+        x = T.Tensor(x, requires_grad=True)
+        err = T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t, t, t), coef)), x)
+        assert err < LAYER_TOLERANCE
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permutation_exact_with_duplicate_rows(self, seed):
+        # 20 of 102 tokens repeat another bitwise; a GEMM may round equal
+        # rows differently by position, which must not show in the output
+        rng = np.random.default_rng(seed)
+        mha = L.MultiHeadAttention(8, 4, rng)
+        x = rng.standard_normal((1, 102, 8)).astype(np.float32)
+        idx = rng.permutation(102)
+        x[0, idx[:20]] = x[0, idx[20:40]]
+        perm = rng.permutation(102)
+        out = mha(T.Tensor(x), T.Tensor(x), T.Tensor(x)).data
+        xp = T.Tensor(x[:, perm])
+        assert np.array_equal(mha(xp, xp, xp).data, out[:, perm])
+        assert np.array_equal(out[0, idx[:20]], out[0, idx[20:40]])
 
 
 class TestFeedForward:

@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
 from knet.errors import ConfigError, ContractError
 from knet.head import SIGMOID, StageOutput
+from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
 
 
@@ -401,6 +404,115 @@ class TestMergePanoptic:
         cls = np.zeros((3, 3))
         with pytest.raises(ContractError):
             MO.merge_panoptic(self._stage(cfg, logits, cls), cfg)
+
+
+def loop_merge_panoptic(stage, cfg, index=0):
+    """The per-candidate loop merge_panoptic replaced, kept as a reference."""
+    n_ins = cfg.num_instance_kernels
+    _, h, w = stage.mask_logits.data[index].shape
+    logits = T.bilinear_resize_array(stage.mask_logits.data[index], 4 * h, 4 * w)
+    probs = T.sigmoid_array(logits)
+    n_total, out_h, out_w = probs.shape
+    cand_class, cand_thing, cand_score, cand_rows = [], [], [], []
+    cls_probs = T.sigmoid_array(stage.class_logits.data[index])
+    for n in range(n_ins):
+        score = float(cls_probs[n].max())
+        if score < cfg.score_floor:
+            continue
+        cand_rows.append(n)
+        cand_class.append(cfg.thing_class_ids[int(cls_probs[n].argmax())])
+        cand_thing.append(True)
+        cand_score.append(score)
+    stuff_logits = logits[n_ins:]
+    exp = np.exp(stuff_logits - stuff_logits.max(axis=0, keepdims=True))
+    share = exp / exp.sum(axis=0, keepdims=True)
+    for j, class_id in enumerate(cfg.stuff_class_ids):
+        n = n_ins + j
+        if n >= n_total:
+            break
+        region = probs[n] >= cfg.mask_threshold
+        score = float(share[j][region].mean()) if region.any() else 0.0
+        if score < cfg.score_floor:
+            continue
+        cand_rows.append(n)
+        cand_class.append(class_id)
+        cand_thing.append(False)
+        cand_score.append(score)
+    raster = np.zeros((out_h, out_w), dtype=np.int32)
+    if not cand_rows:
+        return PanopticMap(raster, [])
+    weighted = np.asarray(cand_score)[:, None, None] * probs[cand_rows]
+    assign = weighted.argmax(axis=0)
+    thresholded = probs[cand_rows] >= cfg.mask_threshold
+    deleted = np.zeros(len(cand_rows), dtype=bool)
+    for c in range(len(cand_rows)):
+        won = assign == c
+        surviving = int(np.logical_and(won, thresholded[c]).sum())
+        thresh_area = int(thresholded[c].sum())
+        frac = surviving / thresh_area if thresh_area else 0.0
+        if surviving < cfg.min_area or frac < cfg.keep_fraction:
+            deleted[c] = True
+    if deleted.any():
+        survivors = np.flatnonzero(~deleted)
+        orphan = np.isin(assign, np.flatnonzero(deleted))
+        if survivors.size:
+            w_surv = weighted[survivors] * thresholded[survivors]
+            best = w_surv.argmax(axis=0)
+            has_claim = thresholded[survivors].any(axis=0)
+            new_assign = np.where(has_claim, survivors[best], -1)
+            assign = np.where(orphan, new_assign, assign)
+        else:
+            assign = np.where(orphan, -1, assign)
+    segments = []
+    next_id = 1
+    for c in range(len(cand_rows)):
+        if deleted[c]:
+            continue
+        area = int((assign == c).sum())
+        if area == 0:
+            continue
+        raster[assign == c] = next_id
+        segments.append(SegmentInfo(next_id, cand_class[c], cand_thing[c], cand_score[c], area))
+        next_id += 1
+    return PanopticMap(raster, segments)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ins=st.integers(0, 12),
+    hw=st.sampled_from([(1, 1), (2, 3), (4, 4), (5, 2)]),
+    scale=st.sampled_from([0.5, 2.0, 6.0]),
+    step=st.sampled_from([0.0, 0.5]),
+    score_floor=st.sampled_from([0.0, 0.2, 0.3, 0.6, 0.95]),
+    mask_threshold=st.sampled_from([0.3, 0.5, 0.8]),
+    min_area=st.integers(0, 40),
+    keep_fraction=st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+)
+def test_merge_panoptic_matches_loop(seed, n_ins, hw, scale, step, score_floor,
+                                     mask_threshold, min_area, keep_fraction):
+    # step > 0 rounds the logits to a grid, which makes ties common
+    cfg = tiny_cfg("panoptic", num_instance_kernels=n_ins, score_floor=score_floor,
+                   mask_threshold=mask_threshold, min_area=min_area,
+                   keep_fraction=keep_fraction)
+    rng = np.random.default_rng(seed)
+    n_total = n_ins + len(cfg.stuff_class_ids)
+    logits = rng.standard_normal((n_total, *hw)) * scale
+    cls = rng.standard_normal((n_ins, len(cfg.thing_class_ids))) * scale
+    if step:
+        logits, cls = np.round(logits / step) * step, np.round(cls / step) * step
+    stage = StageOutput(
+        kernels=Tensor(np.zeros((1, n_total, cfg.channels), dtype=np.float32)),
+        mask_logits=Tensor(logits[None].astype(np.float32)),
+        class_logits=Tensor(cls[None].astype(np.float32)),
+        activation=SIGMOID,
+    )
+    got, want = MO.merge_panoptic(stage, cfg), loop_merge_panoptic(stage, cfg)
+    assert got.segment_ids.dtype == want.segment_ids.dtype
+    assert got.segment_ids.tobytes() == want.segment_ids.tobytes()
+    assert got.segments == want.segments
+    assert [type(v) for s in got.segments for v in vars(s).values()] == \
+        [type(v) for s in want.segments for v in vars(s).values()]
 
 
 class TestSemanticRaster:

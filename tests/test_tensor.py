@@ -1,11 +1,14 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knet import tensor as T
-from knet.errors import ContractError, DimensionError, FormatError, NumericError
+from knet.errors import ContractError, DimensionError, FormatError, KnetError, NumericError
 
 
 @pytest.fixture
@@ -319,3 +322,39 @@ class TestSerialization:
             back = T.read_tensor(buf)
             assert back.dtype == np.float64
             assert np.array_equal(arr, back)
+
+    @pytest.mark.parametrize("header", [
+        b"[1]", b'{"dtype": "f32", "shape": 5}', b'{"dtype": [1], "shape": [1]}',
+        b'{"dtype": "f32", "shape": [1.5]}', b'{"dtype": "f32", "shape": [-1]}',
+        b'{"dtype": "f32", "shape": [true]}', b'{"shape": [1]}', b'{"dtype": "f32"}',
+        b'{"dtype": "f32", "shape": [0, 100000000000000000000]}',
+        b'{"dtype": "f32", "shape": [100000000000000000000]}',
+    ])
+    def test_bad_header_is_format_error(self, header):
+        with pytest.raises(FormatError):
+            T.read_tensor(io.BytesIO(header + b"\n" + bytes(8)))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+HEADERS = st.one_of(
+    st.binary(max_size=40),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({
+        "dtype": st.sampled_from(["f32", "f64", "i4"]) | JSON_VALUES,
+        "shape": st.lists(st.integers(-2, 2**66), max_size=4) | JSON_VALUES,
+    }).map(lambda v: json.dumps(v).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=HEADERS, payload=st.binary(max_size=64))
+def test_read_tensor_raises_only_knet_errors(header, payload):
+    try:
+        T.read_tensor(io.BytesIO(header + b"\n" + payload))
+    except KnetError:
+        pass

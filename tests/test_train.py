@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knet.training as TR
 from knet.data import SceneSpec, read_dataset, write_dataset
-from knet.errors import ConfigError, FormatError
+from knet.errors import ConfigError, FormatError, KnetError
 from knet.model import ModelConfig, SegmentationModel
 from knet.optim import AdamW
 from knet.training import TrainConfig, apply_overrides, evaluate, load_checkpoint, save_checkpoint
@@ -45,6 +47,22 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self, d):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict(d)
+
+    @pytest.mark.parametrize("d", [
+        {"epochs": "x"}, {"epochs": 2.0}, {"lr": "a"}, {"lr": True}, {"betas": [0.9]},
+        {"milestones": [0.5, "a"]}, {"model": {"stages": "x"}}, {"model": {"aku": "yes"}},
+        {"model": {"aku": 1}}, {"model": {"thing_class_ids": [1, 2.5]}},
+        {"loss": {"lam_ce": None}}, {"train_dir": 3},
+    ])
+    def test_from_dict_rejects_mistyped_values(self, d):
+        with pytest.raises(ConfigError, match="must be"):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_accepts_json_forms(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "weight_decay": None, "milestones": [],
+                                     "betas": [0.5, 1], "model": {"stages": 0}})
+        assert cfg.lr == 1 and cfg.weight_decay is None and cfg.milestones == ()
+        assert cfg.betas == (0.5, 1) and cfg.model.stages == 0
 
     def test_weight_decay_defaults_by_mode(self, tmp_path):
         assert tiny_train_config(tmp_path).resolved_weight_decay() == 0.05
@@ -121,6 +139,23 @@ class TestTrainSmoke:
             assert ka == kb
             assert np.array_equal(pa.data, pb.data), ka
 
+    def test_validates_each_model_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_evaluate(model, dataset, workers=1):
+            calls.append(1)
+            return evaluate(model, dataset, workers)
+
+        monkeypatch.setattr(TR, "evaluate", counting_evaluate)
+        cfg = tiny_train_config(tmp_path, epochs=2)
+        metrics = TR.train(cfg)
+        assert len(calls) == 2
+        assert metrics["final"]["per_stage"] == metrics["history"][-1]["per_stage"]
+        # resumed at the end of the schedule: no epoch runs, one evaluation
+        calls.clear()
+        TR.train(cfg, resume=str(Path(cfg.out_dir) / "last.ckpt"))
+        assert len(calls) == 1
+
     def test_resume_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
         TR.train(cfg)
@@ -173,6 +208,20 @@ class TestCheckpointErrors:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("heads", 0), ("heads", -2), ("channels", 0), ("channels", -8),
+        ("num_instance_kernels", -1), ("image_size", -16), ("seed", -1),
+    ])
+    def test_out_of_range_config_is_config_error(self, tmp_path, key, value):
+        path = self._save(tmp_path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        node = header["config"] if key == "seed" else header["config"]["model"]
+        node[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
     def test_optimizer_shape_mismatch(self, tmp_path):
         def shrink(opt):
             key = next(iter(opt.v))
@@ -181,6 +230,36 @@ class TestCheckpointErrors:
         path = self._save(tmp_path, mutate=shrink)
         with pytest.raises(FormatError, match="shape mismatch for v:"):
             load_checkpoint(path, with_optimizer=True)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg = TrainConfig(model=ModelConfig(image_size=16, channels=8, num_instance_kernels=4,
+                                        stages=1, heads=2))
+    model = SegmentationModel(cfg.model, seed=cfg.seed)
+    save_checkpoint(root / "ok.ckpt", cfg, model, AdamW(model.params()), 1, 2)
+    data = (root / "ok.ckpt").read_bytes()
+    return root, data, data.index(b"\n") + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_checkpoint_raises_only_knet_errors(checkpoint_bytes, data):
+    # byte flips (mostly in the JSON header) and truncations of a valid file
+    root, raw, header_end = checkpoint_bytes
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        end = data.draw(st.sampled_from([header_end, len(raw)]))
+        raw[data.draw(st.integers(0, end - 1))] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    path = root / "fuzzed.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path, with_optimizer=data.draw(st.booleans()))
+    except KnetError:
+        pass
 
 
 class TestEvaluate:
