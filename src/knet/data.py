@@ -248,20 +248,29 @@ def write_pgm16(path, arr: np.ndarray) -> None:
         fp.write(arr.astype(">u2").tobytes())
 
 
-def read_pgm16(path) -> np.ndarray:
+def _read_pnm(path, magic: bytes, maxval: int, channels: int, dtype: str) -> np.ndarray:
+    """Read a binary PGM/PPM with the given magic and maxval -> (H, W, channels)."""
+    kind = "PGM" if magic == b"P5" else "PPM"
     with open(path, "rb") as fp:
         raw = fp.read()
     try:
-        magic, dims, maxval, rest = raw.split(b"\n", 3)
+        found, dims, found_max, rest = raw.split(b"\n", 3)
         w, h = (int(x) for x in dims.split())
+        found_max = int(found_max)
     except ValueError:
-        raise FormatError(f"{path}: not a PGM file") from None
-    if magic != b"P5" or int(maxval) != 65535:
-        raise FormatError(f"{path}: expected 16-bit binary PGM")
-    data = np.frombuffer(rest[: w * h * 2], dtype=">u2")
-    if data.size != w * h:
-        raise FormatError(f"{path}: truncated PGM payload")
-    return data.reshape(h, w).astype(np.int32)
+        raise FormatError(f"{path}: not a {kind} file") from None
+    if found != magic or found_max != maxval:
+        raise FormatError(f"{path}: expected a binary {kind} with maxval {maxval}")
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: {kind} size {w}x{h} is not positive")
+    nbytes = w * h * channels * np.dtype(dtype).itemsize
+    if len(rest) < nbytes:
+        raise FormatError(f"{path}: truncated {kind} payload")
+    return np.frombuffer(rest[:nbytes], dtype=dtype).reshape(h, w, channels)
+
+
+def read_pgm16(path) -> np.ndarray:
+    return _read_pnm(path, b"P5", 65535, 1, ">u2")[..., 0].astype(np.int32)
 
 
 def write_pgm8(path, arr: np.ndarray) -> None:
@@ -273,19 +282,8 @@ def write_pgm8(path, arr: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Read an 8-bit binary PPM into a (3, H, W) float image in [0, 1]."""
-    with open(path, "rb") as fp:
-        raw = fp.read()
-    try:
-        magic, dims, maxval, rest = raw.split(b"\n", 3)
-        w, h = (int(x) for x in dims.split())
-    except ValueError:
-        raise FormatError(f"{path}: not a PPM file") from None
-    if magic != b"P6" or int(maxval) != 255:
-        raise FormatError(f"{path}: expected 8-bit binary PPM")
-    data = np.frombuffer(rest[: w * h * 3], dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise FormatError(f"{path}: truncated PPM payload")
-    return (data.reshape(h, w, 3).transpose(2, 0, 1) / 255.0).astype(np.float32)
+    data = _read_pnm(path, b"P6", 255, 3, "u1")
+    return (data.transpose(2, 0, 1) / 255.0).astype(np.float32)
 
 
 def write_ppm(path, image: np.ndarray) -> None:

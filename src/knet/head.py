@@ -10,11 +10,20 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .layers import FeedForward, Layer, LayerNorm, Linear, MultiHeadAttention
+from .layers import FeedForward, Layer, LayerNorm, Linear, MultiHeadAttention, canonical_frame
 from .tensor import Tensor
 
 SIGMOID = "sigmoid"
 SOFTMAX = "softmax"
+
+
+def mask_activation(mask_logits: Tensor, activation: str) -> Tensor:
+    """Mask probabilities: per-kernel sigmoid, or softmax over the N axis."""
+    if activation == SIGMOID:
+        return T.sigmoid(mask_logits)
+    if activation == SOFTMAX:
+        return T.softmax(mask_logits, axis=1)
+    raise ContractError(f"unknown mask activation {activation!r}")
 
 
 @dataclass
@@ -27,9 +36,7 @@ class StageOutput:
     activation: str            # sigmoid | softmax over the N axis
 
     def mask_probs(self) -> Tensor:
-        if self.activation == SIGMOID:
-            return T.sigmoid(self.mask_logits)
-        return T.softmax(self.mask_logits, axis=1)
+        return mask_activation(self.mask_logits, self.activation)
 
 
 def assemble_group_features(mask_probs: Tensor, feats: Tensor) -> Tensor:
@@ -142,7 +149,11 @@ def predict_masks(kernels: Tensor, feats: Tensor) -> Tensor:
 
 
 class KernelUpdateStage(Layer):
-    """One refinement step f_s: masks + kernels + features -> new predictions."""
+    """One refinement step f_s: masks + kernels + features -> new predictions.
+
+    The step runs in one canonical frame keyed on each kernel together with
+    its previous mask, so it is exactly equivariant in the kernel order.
+    """
 
     def __init__(self, c: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
@@ -163,17 +174,15 @@ class KernelUpdateStage(Layer):
 
     def __call__(self, mask_logits_prev: Tensor, kernels_prev: Tensor,
                  feats: Tensor, activation: str) -> StageOutput:
-        if activation == SIGMOID:
-            probs = T.sigmoid(mask_logits_prev)
-        elif activation == SOFTMAX:
-            probs = T.softmax(mask_logits_prev, axis=1)
-        else:
-            raise ContractError(f"unknown mask activation {activation!r}")
-        group_feats = assemble_group_features(probs, feats)
-        fused = self.update(group_feats, kernels_prev)
-        kernels = self.interaction(fused) if self.interaction is not None else fused
-        mask_logits = predict_masks(self.mask(kernels), feats)
-        class_logits = self.cls(kernels) if self.cls is not None else None
+        # the parameters shadow the arguments: the body sees only sorted rows
+        def step(mask_logits_prev, kernels_prev):
+            probs = mask_activation(mask_logits_prev, activation)
+            fused = self.update(assemble_group_features(probs, feats), kernels_prev)
+            kernels = self.interaction(fused) if self.interaction is not None else fused
+            mask_logits = predict_masks(self.mask(kernels), feats)
+            return kernels, mask_logits, self.cls(kernels) if self.cls is not None else None
+
+        kernels, mask_logits, class_logits = canonical_frame(step, mask_logits_prev, kernels_prev)
         return StageOutput(kernels, mask_logits, class_logits, activation)
 
 

@@ -46,11 +46,6 @@ class Linear(Layer):
         self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        # T.linear, not T.matmul: the kernel update, feed-forward and branch
-        # layers run outside any canonical frame, so each row (token) must
-        # be reduced in the same order wherever it sits.  OpenBLAS GEMM
-        # rounds rows differently by position (x[p] @ W.T != (x @ W.T)[p]
-        # for some widths), so BLAS is kept out of the forward pass.
         lead = x.shape[:-1]
         out = T.linear(T.reshape(x, (-1, self.c_in)), self.weight, self.bias)
         return T.reshape(out, (*lead, self.c_out))
@@ -73,26 +68,37 @@ class LayerNorm(Layer):
         return normed * self.gamma + self.beta
 
 
-def _row_bytes(rows: np.ndarray) -> np.ndarray:
-    """(B, N, ...) array -> (B, N) opaque byte strings, one per row."""
-    flat = np.ascontiguousarray(rows).reshape(*rows.shape[:2], -1)
-    return flat.view(np.dtype((np.void, flat.shape[-1] * flat.itemsize)))[..., 0]
+def canonical_frame(fn, *rows: Tensor) -> tuple[Tensor | None, ...]:
+    """Run ``fn`` on (B, N, ...) rows sorted into a canonical order.
 
-
-def _canonical_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image stable sort of (B, N) row bytes, and its inverse."""
+    This is where exact permutation equivariance comes from.  Each image's
+    rows are sorted stably by the joint bytes of all of ``rows``, so ``fn``
+    sees the same bytes whatever order they arrive in, and its ops may
+    round as BLAS likes.  Every tensor ``fn`` returns is gathered back to
+    the input order (``None`` passes through).  A GEMM may still round
+    bitwise-equal rows differently by their position, so each run of equal
+    rows takes its first row's outputs.  That fix-up is forward only, the
+    backward being the permutation's: a copy inside the graph would send
+    the equal rows' gradients to the first one, unlike finite differences.
+    """
+    b, n = rows[0].shape[:2]
+    flat = np.concatenate([r.data.reshape(b, n, -1) for r in rows], axis=-1)
+    keys = flat.view(np.dtype((np.void, flat.shape[-1] * flat.itemsize)))[..., 0]
     order = np.argsort(keys, axis=1, kind="stable")
-    return order, np.argsort(order, axis=1)
+    rank = np.argsort(order, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    starts = np.ones((b, n), dtype=bool)
+    starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    source = np.take_along_axis(first, rank, axis=1)
+    outs = fn(*(T.permute_rows(r, order, rank) for r in rows))
+    return tuple(None if o is None else T.permute_rows(o, rank, order, source=source)
+                 for o in outs)
 
 
 class MultiHeadAttention(Layer):
-    """Scaled dot-product attention over (B, N, C) token sequences.
-
-    The block runs in a canonical frame: each image's query rows are sorted
-    by their bytes (key and value rows by their joint bytes), the GEMMs run
-    there, and the result is gathered back to the input order.  Whatever
-    order the tokens arrive in, the frame holds the same bytes, so the
-    output is exactly permutation-equivariant however BLAS rounds.
+    """Scaled dot-product attention over (B, N, C) token sequences, as plain
+    GEMMs; exactly permutation-equivariant only inside :func:`canonical_frame`.
     """
 
     def __init__(self, c: int, heads: int, rng: np.random.Generator):
@@ -112,28 +118,12 @@ class MultiHeadAttention(Layer):
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         b, n, _ = q.shape
         nk = k.shape[1]
-        q_bytes = _row_bytes(q.data)
-        order, rank = _canonical_order(q_bytes)
-        q_in = T.permute_rows(q, order, rank)
-        if k is q and v is q:
-            k_in = v_in = q_in
-        else:
-            kv_order, kv_rank = _canonical_order(_row_bytes(np.concatenate([k.data, v.data], -1)))
-            k_in, v_in = T.permute_rows(k, kv_order, kv_rank), T.permute_rows(v, kv_order, kv_rank)
-        qh = self._split(self.q(q_in), b, n)
-        kt = T.transpose(T.reshape(self.k(k_in), (b, nk, self.heads, self.head_dim)), (0, 2, 3, 1))
-        vh = self._split(self.v(v_in), b, nk)
+        qh = self._split(self.q(q), b, n)
+        kt = T.transpose(T.reshape(self.k(k), (b, nk, self.heads, self.head_dim)), (0, 2, 3, 1))
+        vh = self._split(self.v(v), b, nk)
         scores = T.matmul(qh * (1.0 / math.sqrt(self.head_dim)), kt)
         ctx = T.matmul(T.softmax(scores, axis=-1), vh)
-        out = self.out(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c)))
-        # a GEMM may round bitwise-equal rows differently by their position
-        # in the frame, so each equal run of query rows takes the value of
-        # its first row (forward only: the gradient is the permutation's)
-        sorted_bytes = np.take_along_axis(q_bytes, order, axis=1)
-        starts = np.ones((b, n), dtype=bool)
-        starts[:, 1:] = sorted_bytes[:, 1:] != sorted_bytes[:, :-1]
-        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-        return T.permute_rows(out, rank, order, source=np.take_along_axis(first, rank, axis=1))
+        return self.out(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c)))
 
 
 class FeedForward(Layer):

@@ -193,7 +193,17 @@ def _wrap(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Assemble an op output; record the edge only when grads can flow."""
+    """Assemble an op output; record the edge only when grads can flow.
+
+    The output must be in the working precision: a float64 scalar inside
+    an f32 op would otherwise turn it, and every gradient upstream, into
+    f64 without a trace.
+    """
+    if data.dtype != _state["dtype"]:
+        op = backward_fn.__qualname__.split(".")[0]
+        raise NumericError(
+            f"{op}: output dtype {data.dtype} is not the working precision {get_precision()}"
+        )
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -395,19 +405,13 @@ def reduce_mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax with an order-invariant denominator.
-
-    The exponentials are sorted before summation, so the result is bitwise
-    invariant to permutations along ``axis``.  Semantic mode relies on this:
-    it softmaxes mask logits over the kernel axis outside any canonical
-    frame.
-    """
+    """Stabilized softmax along ``axis``."""
     if not np.isfinite(a.data).all():
         raise NumericError("softmax: non-finite input")
     axis = axis % a.data.ndim
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / np.sort(e, axis=axis).sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
         # d/dx softmax = y * (g - sum(g * y))
@@ -463,24 +467,20 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row-exact affine map (M, C_in) x (C_out, C_in) + (C_out,) -> (M, C_out).
+    """Fused affine map (M, C_in) x (C_out, C_in) + (C_out,) -> (M, C_out).
 
-    The forward and the input gradient use unoptimized ``np.einsum``, which
-    never calls BLAS: every row is reduced by the same loop, so permuting
-    the rows of ``x`` permutes the output bitwise.  A GEMM may round a row
-    differently depending on where it sits in storage.  The weight and bias
-    gradients sum over rows anyway and use GEMM.
+    One graph node for ``x @ w.T + b``; every product is a BLAS GEMM.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1] \
             or b.data.shape != w.data.shape[:1]:
         raise DimensionError(
             f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not align"
         )
-    data = np.einsum("mi,oi->mo", x.data, w.data) + b.data
+    data = x.data @ w.data.T + b.data
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(np.einsum("mo,oi->mi", g, w.data))
+            x.accumulate_grad(g @ w.data)
         if w.requires_grad:
             w.accumulate_grad(g.T @ x.data)
         if b.requires_grad:

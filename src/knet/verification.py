@@ -133,29 +133,34 @@ def _check_backbone(rng):
     return T.grad_check(loss, x)
 
 
+def _stage_readout(rng, n):
+    read_m, read_k, read_c = (_readout(rng, s) for s in ((1, n, 3, 3), (1, n, 8), (1, n, 2)))
+    return lambda out: read_m(out.mask_logits) + read_k(out.kernels) + read_c(out.class_logits)
+
+
 def _check_full_stage(rng):
     stage = KernelUpdateStage(8, 2, rng, heads=2)
-    read_m = _readout(rng, (1, 2, 3, 3))
-    read_k = _readout(rng, (1, 2, 8))
-    read_c = _readout(rng, (1, 2, 2))
+    read = _stage_readout(rng, 2)
     m_prev = Tensor(rng.standard_normal((1, 2, 3, 3)))
     k_prev = Tensor(rng.standard_normal((1, 2, 8)))
     feats = Tensor(rng.standard_normal((1, 8, 3, 3)), requires_grad=True)
-
-    def loss(t):
-        out = stage(m_prev, k_prev, t, SIGMOID)
-        return read_m(out.mask_logits) + read_k(out.kernels) + read_c(out.class_logits)
-
-    err = T.grad_check(loss, feats)
-
+    err = T.grad_check(lambda t: read(stage(m_prev, k_prev, t, SIGMOID)), feats)
     k_prev2 = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
     feats2 = Tensor(rng.standard_normal((1, 8, 3, 3)))
+    return max(err, T.grad_check(lambda t: read(stage(m_prev, t, feats2, SIGMOID)), k_prev2))
 
-    def loss_k(t):
-        out = stage(m_prev, t, feats2, SIGMOID)
-        return read_m(out.mask_logits) + read_k(out.kernels) + read_c(out.class_logits)
 
-    return max(err, T.grad_check(loss_k, k_prev2))
+def _check_full_stage_duplicate_row(rng):
+    # kernel 2 repeats kernel 0 with its mask, so the canonical frame's
+    # forward-only equal-row fix-up is active at the point of the check
+    stage = KernelUpdateStage(8, 2, rng, heads=2)
+    read = _stage_readout(rng, 3)
+    m = rng.standard_normal((1, 3, 3, 3))
+    k = rng.standard_normal((1, 3, 8))
+    m[0, 2], k[0, 2] = m[0, 0], k[0, 0]
+    feats = Tensor(rng.standard_normal((1, 8, 3, 3)))
+    return T.grad_check(lambda t: read(stage(Tensor(m), t, feats, SIGMOID)),
+                        Tensor(k, requires_grad=True))
 
 
 CHECKS = {
@@ -173,6 +178,7 @@ CHECKS = {
     "mask_branch": (_check_mask_branch, LAYER_TOLERANCE),
     "class_branch": (_check_class_branch, LAYER_TOLERANCE),
     "full_stage": (_check_full_stage, FULL_STAGE_TOLERANCE),
+    "full_stage_duplicate_row": (_check_full_stage_duplicate_row, FULL_STAGE_TOLERANCE),
 }
 
 

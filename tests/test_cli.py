@@ -123,6 +123,16 @@ class TestInfer:
         raster = read_pgm16(workspace / "pred" / "panoptic.pgm")
         assert raster.shape == (16, 16)  # output dims equal input dims
 
+    def test_bad_ppm_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        cfg = TrainConfig.from_dict(json.loads(write_config(tmp_path).read_text()))
+        ckpt = tmp_path / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        (tmp_path / "bad.ppm").write_bytes(b"P6\n2 2\n25a\n" + bytes(12))
+        rc = cli.main(["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "bad.ppm"),
+                       "--out", str(tmp_path / "pred")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_image_nonzero_exit(self, workspace):
         config = write_config(workspace)
         cli.main(["train", "--config", str(config)])

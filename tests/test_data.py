@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knet import data as D
 from knet import metrics as ME
-from knet.errors import ChecksumError, FormatError, GenerationError, ParameterError
+from knet.errors import ChecksumError, FormatError, GenerationError, KnetError, ParameterError
 
 
 class TestRasterize:
@@ -122,6 +124,39 @@ class TestPgm:
         path.write_bytes(b"P2\n2 2\n65535\nxxxx")
         with pytest.raises(FormatError):
             D.read_pgm16(path)
+
+    @pytest.mark.parametrize("raw, reader", [
+        (b"P5\n2 2\nxyz\n" + bytes(8), D.read_pgm16),
+        (b"P6\n2 2\n25a\n" + bytes(12), D.read_ppm),
+        (b"P5\n-2 -2\n65535\n" + bytes(8), D.read_pgm16),
+        (b"P6\n0 3\n255\n", D.read_ppm),
+        (b"P5\n2 2\n65535\n" + bytes(7), D.read_pgm16),
+    ], ids=["pgm-maxval", "ppm-maxval", "pgm-negative-size", "ppm-zero-width", "pgm-odd-payload"])
+    def test_bad_header_is_format_error(self, tmp_path, raw, reader):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            reader(path)
+
+
+PNM_HEADERS = st.tuples(
+    st.sampled_from([b"P5", b"P6", b"P2", b""]),
+    st.lists(st.integers(-3, 6).map(lambda v: str(v).encode()) | st.binary(max_size=3),
+             max_size=3).map(b" ".join),
+    st.sampled_from([b"65535", b"255", b"0", b"-1", b"25a", b""]),
+).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=PNM_HEADERS, payload=st.binary(max_size=80))
+def test_pnm_readers_raise_only_knet_errors(tmp_path_factory, header, payload):
+    path = tmp_path_factory.mktemp("pnm") / "x.pnm"
+    path.write_bytes(header + b"\n" + payload)
+    for reader in (D.read_pgm16, D.read_ppm):
+        try:
+            reader(path)
+        except KnetError:
+            pass
 
 
 class TestDatasetIo:

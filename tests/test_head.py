@@ -3,8 +3,9 @@ import pytest
 
 from knet import head as H
 from knet import tensor as T
-from knet.errors import ConfigError, DimensionError
-from knet.layers import Linear
+from knet.errors import ConfigError, ContractError, DimensionError
+from knet.layers import Linear, canonical_frame
+from knet.verification import FULL_STAGE_TOLERANCE
 
 
 @pytest.fixture
@@ -44,6 +45,24 @@ def make_identity_aku(c):
         identity_linear(lin)
     aku.gate_k_norm = aku.gate_f_norm = aku.feat_norm = aku.kernel_norm = identity
     return aku
+
+
+# (batch, activation) cases of the stage equivariance tests; softmax runs
+# in semantic mode, so without a class branch
+STAGE_CASES = [
+    pytest.param(b, act, id=str(b) if act == H.SIGMOID else f"{b}-{act}")
+    for act in (H.SIGMOID, H.SOFTMAX)
+    for b in (1, 4)
+]
+
+
+def assert_rows_permuted(out, out_perm, perm):
+    assert np.array_equal(out_perm.kernels.data, out.kernels.data[:, perm])
+    if out.class_logits is None:
+        assert out_perm.class_logits is None
+    else:
+        assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
+    assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
 
 
 class TestAssembleGroupFeatures:
@@ -153,8 +172,13 @@ class TestKernelInteraction:
         ki = H.KernelInteraction(8, 4, rng)
         x = rng.standard_normal((1, 5, 8)).astype(np.float32)
         perm = np.array([3, 0, 4, 1, 2])
-        out = ki(T.Tensor(x)).data
-        out_perm = ki(T.Tensor(x[:, perm])).data
+
+        def framed(rows):
+            (out,) = canonical_frame(lambda t: (ki(t),), T.Tensor(rows))
+            return out.data
+
+        out = framed(x)
+        out_perm = framed(x[:, perm])
         assert np.array_equal(out[:, perm], out_perm)
 
     def test_grad(self, f64):
@@ -230,29 +254,28 @@ class TestStage:
 
         assert T.grad_check(loss, feats) < 1e-4
 
-    @pytest.mark.parametrize("b", [1, 4])
-    def test_kernel_permutation_equivariance_exact(self, b):
-        # paper-size kernel set with the class branch: permuting the kernels
-        # (and their previous masks) permutes every output row bitwise
+    @pytest.mark.parametrize("b, activation", STAGE_CASES)
+    def test_kernel_permutation_equivariance_exact(self, b, activation):
+        # paper-size kernel set, with the class branch in sigmoid mode:
+        # permuting the kernels (and their previous masks) permutes every
+        # output row bitwise
         rng = np.random.default_rng(7)
         n, c, hw = 102, 32, 16
-        stage = H.KernelUpdateStage(c, 3, rng)
+        stage = H.KernelUpdateStage(c, 3 if activation == H.SIGMOID else None, rng)
         m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
         k = rng.standard_normal((b, n, c)).astype(np.float32)
         f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
         perm = rng.permutation(n)
-        out = stage(T.Tensor(m), T.Tensor(k), f, H.SIGMOID)
-        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, H.SIGMOID)
-        assert np.array_equal(out_perm.kernels.data, out.kernels.data[:, perm])
-        assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
-        assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
+        out = stage(T.Tensor(m), T.Tensor(k), f, activation)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, activation)
+        assert_rows_permuted(out, out_perm, perm)
 
-    @pytest.mark.parametrize("b", [1, 4])
-    def test_kernel_permutation_equivariance_with_duplicate_rows(self, b):
+    @pytest.mark.parametrize("b, activation", STAGE_CASES)
+    def test_kernel_permutation_equivariance_with_duplicate_rows(self, b, activation):
         # 20 kernels repeat another kernel together with its previous mask
         rng = np.random.default_rng(9)
         n, c, hw = 102, 32, 16
-        stage = H.KernelUpdateStage(c, 3, rng)
+        stage = H.KernelUpdateStage(c, 3 if activation == H.SIGMOID else None, rng)
         m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
         k = rng.standard_normal((b, n, c)).astype(np.float32)
         idx = rng.permutation(n)
@@ -260,11 +283,33 @@ class TestStage:
         k[:, idx[:20]] = k[:, idx[20:40]]
         f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
         perm = rng.permutation(n)
-        out = stage(T.Tensor(m), T.Tensor(k), f, H.SIGMOID)
-        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, H.SIGMOID)
-        assert np.array_equal(out_perm.kernels.data, out.kernels.data[:, perm])
-        assert np.array_equal(out_perm.class_logits.data, out.class_logits.data[:, perm])
-        assert np.array_equal(out_perm.mask_logits.data, out.mask_logits.data[:, perm])
+        out = stage(T.Tensor(m), T.Tensor(k), f, activation)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, activation)
+        assert_rows_permuted(out, out_perm, perm)
+
+    def test_full_stage_grad_with_duplicate_row(self, f64):
+        # the canonical frame's equal-row fix-up is forward only, so the
+        # gradient through a duplicated kernel+mask row is the stage's own
+        rng = np.random.default_rng(12)
+        stage = self._tiny_stage(rng)
+        m = rng.standard_normal((1, 4, 3, 3))
+        k = rng.standard_normal((1, 4, 8))
+        m[0, 3], k[0, 3] = m[0, 1], k[0, 1]
+        feats = T.Tensor(rng.standard_normal((1, 8, 3, 3)))
+        coef_m = T.Tensor(rng.standard_normal((1, 4, 3, 3)))
+        coef_k = T.Tensor(rng.standard_normal((1, 4, 8)))
+        coef_c = T.Tensor(rng.standard_normal((1, 4, 2)))
+
+        def readout(out):
+            return (T.reduce_sum(T.mul(out.mask_logits, coef_m))
+                    + T.reduce_sum(T.mul(out.kernels, coef_k))
+                    + T.reduce_sum(T.mul(out.class_logits, coef_c)))
+
+        err_m = T.grad_check(lambda t: readout(stage(t, T.Tensor(k), feats, H.SIGMOID)),
+                             T.Tensor(m, requires_grad=True))
+        err_k = T.grad_check(lambda t: readout(stage(T.Tensor(m), t, feats, H.SIGMOID)),
+                             T.Tensor(k, requires_grad=True))
+        assert max(err_m, err_k) < FULL_STAGE_TOLERANCE
 
     def test_semantic_softmax_activation(self):
         rng = np.random.default_rng(6)
@@ -278,6 +323,18 @@ class TestStage:
         assert out.class_logits is None
         probs = out.mask_probs().data
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+    def test_unknown_activation_rejected(self):
+        # the stage and StageOutput.mask_probs share one dispatch
+        rng = np.random.default_rng(13)
+        stage = self._tiny_stage(rng)
+        m = T.Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
+        k = T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
+        with pytest.raises(ContractError):
+            stage(m, k, T.Tensor(np.zeros((1, 8, 3, 3), np.float32)), "relu")
+        with pytest.raises(ContractError):
+            H.StageOutput(k, m, None, "relu").mask_probs()
 
 
 class TestIterative:

@@ -63,14 +63,20 @@ class TestLinear:
     @pytest.mark.parametrize("c_out", [3, 13, 32, 128])
     @pytest.mark.parametrize("m", [5, 51, 102, 408])
     def test_row_permutation_exact(self, c_out, m):
-        # each output row must not depend on where its token sits in storage;
-        # BLAS GEMM kernels round edge-block rows differently and fail this
+        # in the canonical frame each output row must not depend on where its
+        # token sits in storage; BLAS GEMM kernels round edge-block rows
+        # differently, so the bare layer fails this
         rng = np.random.default_rng(c_out * 1000 + m)
         lin = L.Linear(32, c_out, rng)
         x = rng.standard_normal((m, 32)).astype(np.float32)
         perm = rng.permutation(m)
-        out = lin(T.Tensor(x)).data
-        assert np.array_equal(lin(T.Tensor(x[perm])).data, out[perm])
+
+        def framed(rows):
+            (out,) = L.canonical_frame(lambda t: (lin(t),), T.Tensor(rows[None]))
+            return out.data[0]
+
+        out = framed(x)
+        assert np.array_equal(framed(x[perm]), out[perm])
 
 
 class TestMultiHeadAttention:
@@ -149,15 +155,20 @@ class TestMultiHeadAttention:
     def test_permutation_exact_with_duplicate_rows(self, seed):
         # 20 of 102 tokens repeat another bitwise; a GEMM may round equal
         # rows differently by position, which must not show in the output
+        # of the canonical frame
         rng = np.random.default_rng(seed)
         mha = L.MultiHeadAttention(8, 4, rng)
         x = rng.standard_normal((1, 102, 8)).astype(np.float32)
         idx = rng.permutation(102)
         x[0, idx[:20]] = x[0, idx[20:40]]
         perm = rng.permutation(102)
-        out = mha(T.Tensor(x), T.Tensor(x), T.Tensor(x)).data
-        xp = T.Tensor(x[:, perm])
-        assert np.array_equal(mha(xp, xp, xp).data, out[:, perm])
+
+        def framed(rows):
+            (out,) = L.canonical_frame(lambda t: (mha(t, t, t),), T.Tensor(rows))
+            return out.data
+
+        out = framed(x)
+        assert np.array_equal(framed(x[:, perm]), out[:, perm])
         assert np.array_equal(out[0, idx[:20]], out[0, idx[20:40]])
 
 

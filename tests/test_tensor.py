@@ -95,6 +95,16 @@ class TestSoftmax:
             T.softmax(T.Tensor([np.inf, 0.0]), axis=0)
 
 
+def test_op_output_must_keep_working_precision():
+    # a float64 scalar would silently promote an f32 op and its gradients
+    x = T.Tensor(np.linspace(0.0, 1.0, 5, dtype=np.float32), requires_grad=True)
+    with pytest.raises(NumericError, match="pow_const"):
+        T.pow_const(x, np.float64(2.0))
+    with pytest.raises(NumericError, match="clip"):
+        T.clip(x, np.float64(0.1), np.float64(0.9))
+    assert T.pow_const(x, 2.0).data.dtype == np.float32
+
+
 class TestSigmoid:
     def test_zero(self):
         assert np.allclose(T.sigmoid(T.Tensor(0.0)).data, 0.5)
