@@ -14,9 +14,9 @@ from . import tensor as T
 from .data import SceneSpec, read_dataset, read_ppm, write_dataset, write_pgm8, write_pgm16
 from .errors import KnetError
 from .training import (
-    TrainConfig, ablate, apply_overrides, evaluate, format_report, load_checkpoint, train,
+    EVAL_MODES, TrainConfig, ablate, apply_overrides, evaluate, format_report, load_checkpoint,
+    train,
 )
-from .model import binarize_instances, merge_panoptic, semantic_raster
 from .verification import gradient_suite
 
 
@@ -50,7 +50,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _, model, _, _, _ = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data)
-    report = evaluate(model, dataset, workers=args.workers)
+    report = evaluate(model, dataset)
     table = format_report(report)
     _echo(table)
     if args.out:
@@ -72,18 +72,16 @@ def cmd_infer(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with T.no_grad():
         stages = model.forward(image[None])
-    final = stages[-1]
     mode = cfg.model.mode
+    pred = EVAL_MODES[mode].decode(stages[-1], cfg.model)
     if mode == "panoptic":
-        pan = merge_panoptic(final, cfg.model)
-        write_pgm16(out / "panoptic.pgm", pan.segment_ids)
+        write_pgm16(out / "panoptic.pgm", pred.segment_ids)
         (out / "segments.json").write_text(json.dumps({
-            "segments": [asdict(s) for s in pan.segments]
+            "segments": [asdict(s) for s in pred.segments]
         }, sort_keys=True, indent=1))
     elif mode == "instance":
-        instances = binarize_instances(final, cfg.model)
         index = []
-        for i, (class_id, score, mask) in enumerate(instances):
+        for i, (class_id, score, mask) in enumerate(pred):
             name = f"instance_{i:02d}.pgm"
             write_pgm8(out / name, mask.astype(np.uint8) * 255)
             index.append({"file": name, "class_id": class_id, "score": score,
@@ -91,7 +89,7 @@ def cmd_infer(args) -> int:
         (out / "instances.json").write_text(json.dumps({"instances": index},
                                                        sort_keys=True, indent=1))
     else:
-        write_pgm16(out / "semantic.pgm", semantic_raster(final, cfg.model))
+        write_pgm16(out / "semantic.pgm", pred)
     _echo(f"wrote predictions to {out}")
     return 0
 
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(fn=cmd_eval)
 

@@ -9,11 +9,12 @@ rasters, packed instance bitmasks) plus a manifest with SHA-256 checksums.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +64,28 @@ def _has_type(value, tp) -> bool:
     return isinstance(value, tp)
 
 
+# resolving the string annotations takes ~70 us, and every segment of a
+# dataset read goes through dataclass_from_dict
+_field_types = functools.cache(typing.get_type_hints)
+
+
 def dataclass_from_dict(cls, d: dict):
     """Build config dataclass ``cls`` from its ``asdict`` form.
 
     Restores from the field types what JSON loses: tuples and nested
-    dataclasses.  Unknown keys and values of the wrong type raise
-    ``ConfigError``.
+    dataclasses.  Unknown keys, missing keys of fields without a default
+    and values of the wrong type raise ``ConfigError``.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} config must be an object, got {d!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} keys: {', '.join(missing)}")
     kwargs = {}
     for key, value in d.items():
         tp = hints[key]
@@ -344,25 +354,41 @@ def _write_sample(root: Path, index: int, sample: GroundTruthSample) -> list[Pat
     return [d / name for name in SAMPLE_FILES]
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError:
+        raise FormatError(f"{path}: not valid JSON") from None
+
+
 def _read_sample(root: Path, index: int) -> GroundTruthSample:
     d = _sample_dir(root, index)
     image = T.load_tensor(d / "image.tensor")
     semantic = read_pgm16(d / "semantic.pgm")
     segment_ids = read_pgm16(d / "panoptic.pgm")
-    pan = json.loads((d / "panoptic.json").read_text())
-    segments = [
-        SegmentInfo(s["id"], s["class_id"], s["is_thing"], s["score"], s["area"])
-        for s in pan["segments"]
-    ]
-    inst_meta = json.loads((d / "instances.json").read_text())
-    h, w = inst_meta["shape"]
-    classes = inst_meta["classes"]
+    h, w = semantic.shape
+    if image.shape != (3, h, w) or segment_ids.shape != (h, w):
+        raise FormatError(f"{d}: image {image.shape} and rasters {semantic.shape}, "
+                          f"{segment_ids.shape} do not match")
+    pan = _read_json(d / "panoptic.json")
+    if not isinstance(pan, dict) or not isinstance(pan.get("segments"), list):
+        raise FormatError(f"{d / 'panoptic.json'}: needs a 'segments' list")
+    try:
+        segments = [dataclass_from_dict(SegmentInfo, s) for s in pan["segments"]]
+    except ConfigError as err:
+        raise FormatError(f"{d / 'panoptic.json'}: bad segment: {err}") from None
+    meta = _read_json(d / "instances.json")
+    classes = meta.get("classes") if isinstance(meta, dict) else None
+    if not _has_type(classes, list[int]) or meta.get("shape") != [h, w]:
+        raise FormatError(f"{d / 'instances.json'}: needs an integer 'classes' list "
+                          f"and 'shape' {[h, w]}")
     raw = np.frombuffer((d / "instances.bin").read_bytes(), dtype=np.uint8)
-    instances = []
-    if classes:
-        packed = raw.reshape(len(classes), -1)
-        masks = np.unpackbits(packed, axis=1)[:, : h * w].astype(bool).reshape(len(classes), h, w)
-        instances = [(int(c), masks[i]) for i, c in enumerate(classes)]
+    row_bytes = -(-h * w // 8)
+    if raw.size != len(classes) * row_bytes:
+        raise FormatError(f"{d / 'instances.bin'}: {raw.size} bytes do not hold "
+                          f"{len(classes)} packed {h}x{w} masks")
+    masks = np.unpackbits(raw.reshape(len(classes), row_bytes), axis=1)[:, : h * w]
+    instances = list(zip(classes, masks.astype(bool).reshape(len(classes), h, w)))
     return GroundTruthSample(image, instances, semantic, PanopticMap(segment_ids, segments))
 
 
@@ -384,17 +410,24 @@ def read_dataset(in_dir) -> Dataset:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise FormatError(f"{root}: missing {MANIFEST_NAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError:
-        raise FormatError(f"{manifest_path}: not valid JSON") from None
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise FormatError(f"{root}: unknown dataset format {manifest.get('format')!r}")
     files, count = manifest.get("files"), manifest.get("count")
-    if not isinstance(files, dict) or not isinstance(count, int):
-        raise FormatError(f"{manifest_path}: needs a 'files' object and an integer 'count'")
+    if not isinstance(files, dict) or not isinstance(count, int) or count < 0:
+        raise FormatError(
+            f"{manifest_path}: needs a 'files' object and a non-negative integer 'count'")
+    # exactly the sample files are listed, so every file opened below is one
+    # of them and passes the checksum loop before it is read
+    if len(files) != count * len(SAMPLE_FILES):
+        raise FormatError(f"{manifest_path}: lists {len(files)} files for {count} samples")
+    for i in range(count):
+        for name in SAMPLE_FILES:
+            rel = str(_sample_dir(Path(), i) / name)
+            if rel not in files:
+                raise FormatError(f"{manifest_path}: counts {count} samples but does not list {rel}")
     for rel, expected in files.items():
         try:
             actual = _sha256(root / rel)
@@ -402,12 +435,6 @@ def read_dataset(in_dir) -> Dataset:
             raise FormatError(f"{rel}: listed in {MANIFEST_NAME} but missing") from None
         if actual != expected:
             raise ChecksumError(f"{rel}: checksum mismatch (corrupt file?)")
-    # every file read below must have passed the checksum loop above
-    for i in range(count):
-        for name in SAMPLE_FILES:
-            rel = str(_sample_dir(Path(), i) / name)
-            if rel not in files:
-                raise FormatError(f"{manifest_path}: counts {count} samples but does not list {rel}")
     try:
         spec = dataclass_from_dict(SceneSpec, manifest.get("spec"))
     except ConfigError as err:

@@ -343,3 +343,17 @@ def compute_mask_ap(preds_per_image: list[list[tuple[int, float, np.ndarray]]],
         ap75=per_threshold.get(0.75, 0.0),
         per_threshold=per_threshold,
     )
+
+
+class ApStats:
+    """Collects every image's instances: AP ranks them over the whole dataset."""
+
+    def __init__(self):
+        self.preds, self.gts = [], []
+
+    def update(self, preds: list, gts: list) -> None:
+        self.preds.append(preds)
+        self.gts.append(gts)
+
+    def result(self) -> ApResult:
+        return compute_mask_ap(self.preds, self.gts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass_from_dict
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError
 from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
 from .matching import LossWeights, semantic_loss, set_prediction_loss
@@ -57,6 +57,8 @@ class ModelConfig:
             raise ConfigError(
                 f"instance kernel count must be >= 0, got {self.num_instance_kernels}"
             )
+        if self.mode == "instance" and self.num_instance_kernels == 0:
+            raise ConfigError("instance mode needs at least one instance kernel")
         if self.image_size <= 0 or self.image_size % 4 != 0:
             raise ConfigError(f"image size {self.image_size} must be positive and divisible by 4")
         if self.heads < 1:
@@ -107,6 +109,8 @@ class BackboneLite(Layer):
         self._pe_cache: dict[tuple, Tensor] = {}
 
     def __call__(self, images: Tensor) -> tuple[Tensor, Tensor]:
+        if images.ndim != 4 or images.shape[1] != 3:
+            raise DimensionError(f"model input must be (B, 3, H, W), got {images.shape}")
         _, _, h, w = images.shape
         if h % 4 or w % 4:
             raise ConfigError(f"input size {(h, w)} must be divisible by 4")

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from knet import cli
+from knet import tensor as T
 from knet.data import SceneSpec, read_dataset, write_dataset, write_ppm, generate_sample
 from knet.model import ModelConfig, SegmentationModel
 from knet.training import TrainConfig, save_checkpoint
@@ -104,6 +107,30 @@ class TestTrainEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_malformed_sample_is_an_error_not_a_traceback(self, workspace, capsys):
+        config = write_config(workspace)
+        cfg = TrainConfig.from_dict(json.loads(config.read_text()))
+        ckpt = workspace / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        # a re-signed instances.json whose shape has three entries
+        rel = "sample_00000/instances.json"
+        raw = json.dumps({"classes": [], "shape": [3, 3, 3]}).encode()
+        (workspace / "val" / rel).write_bytes(raw)
+        manifest = json.loads((workspace / "val" / "manifest.json").read_text())
+        manifest["files"][rel] = hashlib.sha256(raw).hexdigest()
+        (workspace / "val" / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "val")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_instance_mode_without_kernels_is_an_error(self, workspace, capsys):
+        config = write_config(workspace)
+        rc = cli.main(["train", "--config", str(config), "--set", "model.mode=instance",
+                       "--set", "model.num_instance_kernels=0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "instance kernel" in err
+
 
 class TestInfer:
     def test_infer_writes_artifacts(self, workspace):
@@ -132,6 +159,17 @@ class TestInfer:
                        "--out", str(tmp_path / "pred")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unbatchable_tensor_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        cfg = TrainConfig.from_dict(json.loads(write_config(tmp_path).read_text()))
+        ckpt = tmp_path / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        T.save_tensor(tmp_path / "x.tensor", np.zeros((16, 16), dtype=np.float32))
+        rc = cli.main(["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "x.tensor"),
+                       "--out", str(tmp_path / "pred")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(B, 3, H, W)" in err
 
     def test_missing_image_nonzero_exit(self, workspace):
         config = write_config(workspace)
@@ -171,3 +209,33 @@ class TestAblateCommand:
         assert rc == 1
         assert "error: unknown ablation parts: bogus" in capsys.readouterr().err
         assert not (workspace / "ablate").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    """Every ``knet ...`` line of the README's fenced code blocks."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.S | re.M)
+    return [line.split("#")[0].strip() for block in blocks for line in block.splitlines()
+            if line.startswith("knet ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(line.split()[1:])  # parses only; runs nothing
+        assert callable(args.fn), line
+
+
+def test_readme_flags_exist_on_their_subcommand():
+    # every `--flag` the README names in a `knet <cmd> ...` span, prose included
+    commands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    spans = re.findall(rf"knet ({'|'.join(commands)})\b([^`\n]*)", README.read_text())
+    assert len(spans) >= 6
+    for command, rest in spans:
+        known = commands[command]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", rest):
+            assert flag in known, f"knet {command} has no {flag}"

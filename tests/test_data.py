@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +229,136 @@ class TestDatasetIo:
         with pytest.raises(FormatError, match="semantic.pgm"):
             D.read_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("name,edit", [
+        ("instances.json", lambda raw: json.dumps({**json.loads(raw), "shape": [3, 3, 3]})),
+        ("instances.json", lambda raw: json.dumps({**json.loads(raw), "classes": 2})),
+        ("instances.bin", lambda raw: raw[:-1]),
+        ("panoptic.json", lambda raw: json.dumps({"segments": [
+            {k: v for k, v in seg.items() if k != "class_id"}
+            for seg in json.loads(raw)["segments"]]})),
+        ("panoptic.json", lambda raw: json.dumps({"segments": [
+            {**seg, "area": "12"} for seg in json.loads(raw)["segments"]]})),
+    ], ids=["shape-rank-3", "classes-not-list", "bin-short", "segment-no-class-id",
+            "segment-area-str"])
+    def test_malformed_sample_file_is_format_error(self, tmp_path, name, edit):
+        # the file passes its checksum, so only the parser can catch it
+        root = tmp_path / "ds"
+        D.write_dataset(D.SceneSpec(seed=15, size=16, n_max=2, size_range=(5.0, 8.0)), 1, root)
+        rel = f"sample_00000/{name}"
+        raw = edit((root / rel).read_bytes())
+        raw = raw.encode() if isinstance(raw, str) else raw
+        (root / rel).write_bytes(raw)
+        self._edit_manifest(root, lambda m: json.dumps(
+            {**m, "files": {**m["files"], rel: hashlib.sha256(raw).hexdigest()}}))
+        with pytest.raises(FormatError, match=name):
+            D.read_dataset(root)
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FormatError):
             D.read_dataset(tmp_path / "empty")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 12) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+
+
+@dataclass
+class Snapshot:
+    """A dataset directory and the original bytes of its files."""
+
+    root: Path
+    files: dict = field(repr=False)
+
+    def restore(self) -> None:
+        for rel, raw in self.files.items():
+            (self.root / rel).write_bytes(raw)
+
+
+@pytest.fixture(scope="module")
+def one_sample_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "ds"
+    D.write_dataset(D.SceneSpec(seed=14, size=16, n_max=2, size_range=(5.0, 8.0)), 1, root)
+    return Snapshot(root, {str(p.relative_to(root)): p.read_bytes()
+                           for p in root.rglob("*") if p.is_file()})
+
+
+def _mutate_json(data, value):
+    """Drop a key, retype a field, or recurse into a container."""
+    if isinstance(value, dict) and value:
+        key = data.draw(st.sampled_from(sorted(value)))
+        action = data.draw(st.sampled_from(["drop", "replace", "recurse"]))
+        if action == "drop":
+            return {k: v for k, v in value.items() if k != key}
+        new = data.draw(JSON_VALUES) if action == "replace" else _mutate_json(data, value[key])
+        return {**value, key: new}
+    if isinstance(value, list) and value:
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_mutate_json(data, value[i])] + value[i + 1:]
+    return data.draw(JSON_VALUES)
+
+
+def _fuzz_bytes(data, raw: bytes, name: str) -> bytes:
+    kind = data.draw(st.sampled_from(["mutate", "random", "truncate"]))
+    if kind == "mutate" and name.endswith(".json"):
+        return json.dumps(_mutate_json(data, json.loads(raw))).encode()
+    if kind != "random":
+        return raw[: data.draw(st.integers(0, max(0, len(raw) - 1)))]
+    if name.endswith(".json"):
+        return json.dumps(data.draw(JSON_VALUES)).encode()
+    return data.draw(st.binary(max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_dataset_sample_files_raise_only_knet_errors(one_sample_dataset, data):
+    # sample files that pass their (re-signed) checksum but do not parse
+    snap = one_sample_dataset
+    name = data.draw(st.sampled_from(["panoptic.json", "instances.json", "instances.bin"]))
+    rel = f"sample_00000/{name}"
+    raw = _fuzz_bytes(data, snap.files[rel], name)
+    manifest = json.loads(snap.files[D.MANIFEST_NAME])
+    manifest["files"][rel] = hashlib.sha256(raw).hexdigest()
+    try:
+        (snap.root / rel).write_bytes(raw)
+        (snap.root / D.MANIFEST_NAME).write_text(json.dumps(manifest))
+        D.read_dataset(snap.root)
+    except KnetError:
+        pass
+    finally:
+        snap.restore()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_dataset_manifest_raises_only_knet_errors(one_sample_dataset, data):
+    snap = one_sample_dataset
+    raw = snap.files[D.MANIFEST_NAME]
+    manifest = json.loads(raw)
+    kind = data.draw(st.sampled_from(["value", "drop", "retype", "files", "truncate"]))
+    if kind == "value":
+        text = json.dumps(data.draw(JSON_VALUES))
+    elif kind == "truncate":
+        text = raw[: data.draw(st.integers(0, len(raw) - 1))].decode()
+    elif kind == "files":
+        path = data.draw(st.sampled_from(["", ".", "..", "/", "manifest.json", "sample_00000",
+                                          "sample_00001/image.tensor", "a\x00b"])
+                         | st.text(max_size=12))
+        text = json.dumps({**manifest, "files": {**manifest["files"],
+                                                 path: data.draw(JSON_VALUES)}})
+    else:
+        key = data.draw(st.sampled_from(["format", "count", "files", "spec"]))
+        rest = {k: v for k, v in manifest.items() if k != key}
+        text = json.dumps(rest if kind == "drop" else {**rest, key: data.draw(JSON_VALUES)})
+    try:
+        (snap.root / D.MANIFEST_NAME).write_text(text)
+        D.read_dataset(snap.root)
+    except KnetError:
+        pass
+    finally:
+        snap.restore()

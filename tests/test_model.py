@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
-from knet.errors import ConfigError, ContractError
+from knet.errors import ConfigError, ContractError, DimensionError
 from knet.head import SIGMOID, StageOutput
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
@@ -39,6 +39,17 @@ class TestModelConfig:
     def test_rejects_indivisible_size(self):
         with pytest.raises(ConfigError):
             MO.ModelConfig(image_size=30)
+
+    def test_instance_mode_needs_instance_kernels(self):
+        with pytest.raises(ConfigError, match="instance kernel"):
+            tiny_cfg("instance", num_instance_kernels=0)
+
+    @pytest.mark.parametrize("mode", ["panoptic", "semantic"])
+    def test_zero_instance_kernels_allowed_outside_instance_mode(self, mode):
+        model = MO.SegmentationModel(tiny_cfg(mode, num_instance_kernels=0))
+        with T.no_grad():
+            stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
+        assert len(stages) == 2
 
     def test_semantic_kernel_count_is_class_count(self):
         cfg = tiny_cfg("semantic")
@@ -129,6 +140,12 @@ class TestBackbone:
         bb = MO.BackboneLite(cfg, np.random.default_rng(2))
         with pytest.raises(ConfigError):
             bb(Tensor(np.zeros((1, 3, 18, 18), dtype=np.float32)))
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (16, 16), (1, 1, 3, 16, 16), (1, 1, 16, 16)])
+    def test_input_must_be_batched_rgb(self, shape):
+        bb = MO.BackboneLite(tiny_cfg(), np.random.default_rng(2))
+        with pytest.raises(DimensionError, match=r"\(B, 3, H, W\)"):
+            bb(Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_grad_through_backbone(self, f64):
         cfg = tiny_cfg(image_size=8)
