@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SceneSpec, read_dataset, read_ppm, write_dataset, write_pgm8, write_pgm16
-from .errors import KnetError
+from .errors import ConfigError, KnetError
 from .training import (
     EVAL_MODES, TrainConfig, ablate, apply_overrides, evaluate, format_report, load_checkpoint,
     train,
@@ -27,7 +27,10 @@ def _echo(msg: str) -> None:
 def _load_train_config(args) -> TrainConfig:
     d = {}
     if args.config:
-        d = json.loads(Path(args.config).read_text())
+        try:
+            d = json.loads(Path(args.config).read_bytes())
+        except ValueError as err:
+            raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
     apply_overrides(d, args.set or [])
     return TrainConfig.from_dict(d)
 

@@ -1,10 +1,11 @@
 """Synthetic scenes: two stuff bands (sky above a horizon, ground below)
-with overlapping geometric things drawn on top.  Every sample carries
-full instance, semantic, and panoptic ground truth, all derived from the
-same draw order so the three annotations are mutually consistent.
+with overlapping geometric things drawn on top.  The one annotation of a
+sample is its panoptic map (segment raster plus segment table); semantic
+and instance ground truth are derived from it, so the three cannot
+disagree.
 
 On disk a dataset is one directory per sample (image tensor, 16-bit PGM
-rasters, packed instance bitmasks) plus a manifest with SHA-256 checksums.
+segment raster, JSON segment table) plus a manifest with SHA-256 checksums.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ChecksumError, ConfigError, FormatError, GenerationError, ParameterError
+from .errors import (
+    ChecksumError, ConfigError, DataError, FormatError, GenerationError, ParameterError,
+)
 from .metrics import PanopticMap, SegmentInfo
 
 CIRCLE, RECTANGLE, TRIANGLE = 1, 2, 3
 SKY, GROUND = 101, 102
 THING_CLASS_IDS = [CIRCLE, RECTANGLE, TRIANGLE]
 STUFF_CLASS_IDS = [SKY, GROUND]
-CLASS_NAMES = {CIRCLE: "circle", RECTANGLE: "rectangle", TRIANGLE: "triangle",
-               SKY: "sky", GROUND: "ground"}
 MIN_VISIBLE_PIXELS = 8
 
 _THING_COLORS = {
@@ -110,13 +111,31 @@ class SceneSpec:
     color_jitter: float = 0.06
     noise: float = 0.05
 
+    def __post_init__(self):
+        # _sample_shape keeps a shape's extent below size - 3
+        lo, hi = self.size_range
+        if (self.size < 4 or self.n_max < 1 or not 0 < lo <= hi
+                or min(self.color_jitter, self.noise) < 0):
+            raise ConfigError(f"scene spec needs size >= 4, n_max >= 1, 0 < size_range[0] <= "
+                              f"size_range[1] and no negative noise: {self}")
+
 
 @dataclass
 class GroundTruthSample:
+    """An image and its panoptic map; semantic and instance ground truth
+    are derived from the map, so the three views cannot disagree."""
+
     image: np.ndarray                      # (3, H, W) float32 in [0, 1]
-    instances: list[tuple[int, np.ndarray]]  # (class_id, bool mask), draw order
-    semantic: np.ndarray                   # (H, W) int32 class raster
     panoptic: PanopticMap
+
+    @functools.cached_property
+    def semantic(self) -> np.ndarray:      # (H, W) int32 class raster
+        return self.panoptic.class_raster()
+
+    @functools.cached_property
+    def instances(self) -> list[tuple[int, np.ndarray]]:  # (class_id, bool mask), draw order
+        ids = self.panoptic.segment_ids
+        return [(s.class_id, ids == s.id) for s in self.panoptic.segments if s.is_thing]
 
 
 def rasterize_shape(shape: str, params: tuple, h: int, w: int) -> np.ndarray:
@@ -215,8 +234,6 @@ def generate_sample(spec: SceneSpec, index: int) -> GroundTruthSample:
     image[:, :horizon, :] = sky_color[:, None, None]
     image[:, horizon:, :] = ground_color[:, None, None]
 
-    semantic = np.full((h, w), SKY, dtype=np.int32)
-    semantic[horizon:, :] = GROUND
     segment_ids = np.full((h, w), 1, dtype=np.int32)
     segment_ids[horizon:, :] = 2
 
@@ -225,25 +242,16 @@ def generate_sample(spec: SceneSpec, index: int) -> GroundTruthSample:
             np.asarray(_THING_COLORS[class_id]) + rng.normal(0, spec.color_jitter, 3), 0, 1
         )
         image[:, vis] = color[:, None]
-        semantic[vis] = class_id
         segment_ids[vis] = 3 + i
 
     image = np.clip(image + rng.normal(0.0, spec.noise, size=image.shape), 0.0, 1.0)
 
-    segments = []
-    for sid, class_id in ((1, SKY), (2, GROUND)):
-        area = int((segment_ids == sid).sum())
-        if area:
-            segments.append(SegmentInfo(sid, class_id, False, 1.0, area))
-    for i, (class_id, vis) in enumerate(zip(classes, visible)):
-        segments.append(SegmentInfo(3 + i, class_id, True, 1.0, int(vis.sum())))
-
-    return GroundTruthSample(
-        image=image.astype(np.float32),
-        instances=list(zip(classes, visible)),
-        semantic=semantic,
-        panoptic=PanopticMap(segment_ids, segments),
-    )
+    # segment ids 1, 2 are the stuff bands, 3.. the things in draw order
+    areas = np.bincount(segment_ids.ravel(), minlength=3 + len(classes))
+    kinds = [(SKY, False), (GROUND, False)] + [(c, True) for c in classes]
+    segments = [SegmentInfo(sid, c, is_thing, 1.0, int(areas[sid]))
+                for sid, (c, is_thing) in enumerate(kinds, 1) if areas[sid]]
+    return GroundTruthSample(image.astype(np.float32), PanopticMap(segment_ids, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +315,8 @@ def write_ppm(path, image: np.ndarray) -> None:
 # dataset directory format
 
 MANIFEST_NAME = "manifest.json"
-DATASET_FORMAT = "knet-dataset-v1"
-SAMPLE_FILES = ("image.tensor", "semantic.pgm", "panoptic.pgm", "panoptic.json",
-                "instances.bin", "instances.json")
+DATASET_FORMAT = "knet-dataset-v2"
+SAMPLE_FILES = ("image.tensor", "panoptic.pgm", "panoptic.json")
 
 
 @dataclass
@@ -335,21 +342,9 @@ def _write_sample(root: Path, index: int, sample: GroundTruthSample) -> list[Pat
     d = _sample_dir(root, index)
     d.mkdir(parents=True, exist_ok=True)
     T.save_tensor(d / "image.tensor", sample.image)
-    write_pgm16(d / "semantic.pgm", sample.semantic)
     write_pgm16(d / "panoptic.pgm", sample.panoptic.segment_ids)
     (d / "panoptic.json").write_text(json.dumps({
         "segments": [asdict(s) for s in sample.panoptic.segments]
-    }, sort_keys=True))
-    h, w = sample.semantic.shape
-    if sample.instances:
-        stacked = np.stack([m for _, m in sample.instances]).reshape(len(sample.instances), -1)
-        packed = np.packbits(stacked, axis=1)
-    else:
-        packed = np.zeros((0, 0), dtype=np.uint8)
-    (d / "instances.bin").write_bytes(packed.tobytes())
-    (d / "instances.json").write_text(json.dumps({
-        "classes": [int(c) for c, _ in sample.instances],
-        "shape": [h, w],
     }, sort_keys=True))
     return [d / name for name in SAMPLE_FILES]
 
@@ -364,12 +359,12 @@ def _read_json(path: Path):
 def _read_sample(root: Path, index: int) -> GroundTruthSample:
     d = _sample_dir(root, index)
     image = T.load_tensor(d / "image.tensor")
-    semantic = read_pgm16(d / "semantic.pgm")
     segment_ids = read_pgm16(d / "panoptic.pgm")
-    h, w = semantic.shape
-    if image.shape != (3, h, w) or segment_ids.shape != (h, w):
-        raise FormatError(f"{d}: image {image.shape} and rasters {semantic.shape}, "
-                          f"{segment_ids.shape} do not match")
+    if image.shape != (3, *segment_ids.shape):
+        raise FormatError(f"{d / 'panoptic.pgm'}: raster {segment_ids.shape} does not match "
+                          f"image {image.shape}")
+    if image.dtype != np.float32 or not (image.min() >= 0.0 and image.max() <= 1.0):
+        raise FormatError(f"{d / 'image.tensor'}: needs float32 values in [0, 1]")
     pan = _read_json(d / "panoptic.json")
     if not isinstance(pan, dict) or not isinstance(pan.get("segments"), list):
         raise FormatError(f"{d / 'panoptic.json'}: needs a 'segments' list")
@@ -377,22 +372,19 @@ def _read_sample(root: Path, index: int) -> GroundTruthSample:
         segments = [dataclass_from_dict(SegmentInfo, s) for s in pan["segments"]]
     except ConfigError as err:
         raise FormatError(f"{d / 'panoptic.json'}: bad segment: {err}") from None
-    meta = _read_json(d / "instances.json")
-    classes = meta.get("classes") if isinstance(meta, dict) else None
-    if not _has_type(classes, list[int]) or meta.get("shape") != [h, w]:
-        raise FormatError(f"{d / 'instances.json'}: needs an integer 'classes' list "
-                          f"and 'shape' {[h, w]}")
-    raw = np.frombuffer((d / "instances.bin").read_bytes(), dtype=np.uint8)
-    row_bytes = -(-h * w // 8)
-    if raw.size != len(classes) * row_bytes:
-        raise FormatError(f"{d / 'instances.bin'}: {raw.size} bytes do not hold "
-                          f"{len(classes)} packed {h}x{w} masks")
-    masks = np.unpackbits(raw.reshape(len(classes), row_bytes), axis=1)[:, : h * w]
-    instances = list(zip(classes, masks.astype(bool).reshape(len(classes), h, w)))
-    return GroundTruthSample(image, instances, semantic, PanopticMap(segment_ids, segments))
+    if not all(0 <= s.class_id < 2 ** 16 for s in segments):
+        raise FormatError(f"{d / 'panoptic.json'}: class ids must fit a 16-bit class raster")
+    panoptic = PanopticMap(segment_ids, segments)
+    try:
+        panoptic.validate()
+    except DataError as err:
+        raise FormatError(f"{d / 'panoptic.pgm'} and panoptic.json disagree: {err}") from None
+    return GroundTruthSample(image, panoptic)
 
 
 def write_dataset(spec: SceneSpec, count: int, out_dir) -> None:
+    if count < 0:
+        raise ConfigError(f"sample count must be >= 0, got {count}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     checksums: dict[str, str] = {}

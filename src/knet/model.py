@@ -59,6 +59,13 @@ class ModelConfig:
             )
         if self.mode == "instance" and self.num_instance_kernels == 0:
             raise ConfigError("instance mode needs at least one instance kernel")
+        if self.mode != "semantic" and not self.thing_class_ids:
+            raise ConfigError(f"{self.mode} mode needs at least one thing class")
+        ids = [*self.thing_class_ids, *self.stuff_class_ids]
+        if not ids:
+            raise ConfigError("the model needs at least one class")
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"thing and stuff class ids must be distinct, got {ids}")
         if self.image_size <= 0 or self.image_size % 4 != 0:
             raise ConfigError(f"image size {self.image_size} must be positive and divisible by 4")
         if self.heads < 1:

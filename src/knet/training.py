@@ -50,6 +50,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError(f"batch size {self.batch_size} must be >= 1 "
+                              f"and epochs {self.epochs} >= 0")
 
     def resolved_weight_decay(self) -> float:
         if self.weight_decay is not None:
@@ -71,6 +74,8 @@ class TrainConfig:
 
 def apply_overrides(d: dict, overrides: list[str]) -> dict:
     """Apply ``a.b.c=value`` assignments to a nested config dict."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {d!r}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -83,6 +88,8 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
         keys = path.split(".")
         for k in keys[:-1]:
             node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r}: {k!r} is not an object")
         node[keys[-1]] = value
     return d
 
@@ -227,6 +234,24 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _read_fitting(path: str, cfg: ModelConfig) -> Dataset:
+    """Read a non-empty dataset whose rasters are ``image_size`` square and
+    whose segments all have a thing or stuff class of the model, as flagged."""
+    dataset = read_dataset(path)
+    if not dataset.samples:
+        raise ConfigError(f"{path}: no samples to train or validate on")
+    for i, pan in enumerate(s.panoptic for s in dataset.samples):
+        if pan.segment_ids.shape != (cfg.image_size, cfg.image_size):
+            raise ConfigError(f"{path} sample {i}: raster {pan.segment_ids.shape} does not "
+                              f"match model.image_size {cfg.image_size}")
+        for seg in pan.segments:
+            kind = "thing" if seg.is_thing else "stuff"
+            if seg.class_id not in getattr(cfg, f"{kind}_class_ids"):
+                raise ConfigError(f"{path} sample {i}: {kind} class {seg.class_id} is not "
+                                  f"in model.{kind}_class_ids")
+    return dataset
+
+
 def _resume_compatible(a: TrainConfig, b: TrainConfig) -> bool:
     da, db = a.to_dict(), b.to_dict()
     da.pop("out_dir")
@@ -243,8 +268,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
     ``cfg.out_dir``.  ``max_epochs`` caps how many epochs this invocation
     runs (time-sliced training); resume from ``last.ckpt`` to continue.
     """
-    train_set = read_dataset(cfg.train_dir)
-    val_set = read_dataset(cfg.val_dir)
+    train_set = _read_fitting(cfg.train_dir, cfg.model)
+    val_set = _read_fitting(cfg.val_dir, cfg.model)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

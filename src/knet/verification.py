@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .head import (
     SIGMOID, AdaptiveKernelUpdate, KernelMlp, KernelInteraction, KernelUpdateStage,
     PlainKernelUpdate,
@@ -29,32 +30,23 @@ def _readout(rng, shape):
     return lambda out: T.reduce_sum(T.mul(out, coef))
 
 
-def _check_linear(rng):
-    layer = Linear(5, 4, rng)
-    read = _readout(rng, (2, 3, 4))
-    x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
+def _input_check(build, in_shape, out_shape):
+    """Check the gradient of a readout of ``build(rng)(x)`` with respect to x."""
+    def check(rng):
+        layer = build(rng)
+        read = _readout(rng, out_shape)
+        x = Tensor(rng.standard_normal(in_shape), requires_grad=True)
+        return T.grad_check(lambda t: read(layer(t)), x)
+    return check
 
 
-def _check_linear_weight(rng):
-    layer = Linear(5, 4, rng)
-    read = _readout(rng, (2, 3, 4))
-    x = Tensor(rng.standard_normal((2, 3, 5)))
-    return T.grad_check(lambda _: read(layer(x)), layer.weight)
-
-
-def _check_linear_bias(rng):
-    layer = Linear(5, 4, rng)
-    read = _readout(rng, (2, 3, 4))
-    x = Tensor(rng.standard_normal((2, 3, 5)))
-    return T.grad_check(lambda _: read(layer(x)), layer.bias)
-
-
-def _check_layer_norm(rng):
-    layer = LayerNorm(6)
-    read = _readout(rng, (3, 6))
-    x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
+def _linear_param_check(name):
+    def check(rng):
+        layer = Linear(5, 4, rng)
+        read = _readout(rng, (2, 3, 4))
+        x = Tensor(rng.standard_normal((2, 3, 5)))
+        return T.grad_check(lambda _: read(layer(x)), getattr(layer, name))
+    return check
 
 
 def _check_attention(rng):
@@ -62,20 +54,6 @@ def _check_attention(rng):
     read = _readout(rng, (1, 3, 8))
     x = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
     return T.grad_check(lambda t: read(layer(t, t, t)), x)
-
-
-def _check_feed_forward(rng):
-    layer = FeedForward(6, rng)
-    read = _readout(rng, (2, 6))
-    x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
-
-
-def _check_conv(rng):
-    layer = Conv2d(2, 3, 3, rng, stride=2, padding=1)
-    read = _readout(rng, (1, 3, 3, 3))
-    x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
 
 
 def _check_adaptive_update(rng):
@@ -95,27 +73,6 @@ def _check_plain_update(rng):
     gf = Tensor(rng.standard_normal((1, 2, 6)), requires_grad=True)
     kk = Tensor(rng.standard_normal((1, 2, 6)))
     return T.grad_check(lambda t: read(layer(t, kk)), gf)
-
-
-def _check_kernel_interaction(rng):
-    layer = KernelInteraction(8, 2, rng)
-    read = _readout(rng, (1, 3, 8))
-    x = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
-
-
-def _check_mask_branch(rng):
-    layer = KernelMlp(8, 8, rng)
-    read = _readout(rng, (1, 2, 8))
-    x = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
-
-
-def _check_class_branch(rng):
-    layer = KernelMlp(8, 3, rng)
-    read = _readout(rng, (1, 2, 3))
-    x = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
 
 
 def _check_backbone(rng):
@@ -164,19 +121,24 @@ def _check_full_stage_duplicate_row(rng):
 
 
 CHECKS = {
-    "linear": (_check_linear, LAYER_TOLERANCE),
-    "linear_weight": (_check_linear_weight, LAYER_TOLERANCE),
-    "linear_bias": (_check_linear_bias, LAYER_TOLERANCE),
-    "layer_norm": (_check_layer_norm, LAYER_TOLERANCE),
+    "linear": (_input_check(lambda rng: Linear(5, 4, rng), (2, 3, 5), (2, 3, 4)), LAYER_TOLERANCE),
+    "linear_weight": (_linear_param_check("weight"), LAYER_TOLERANCE),
+    "linear_bias": (_linear_param_check("bias"), LAYER_TOLERANCE),
+    "layer_norm": (_input_check(lambda _: LayerNorm(6), (3, 6), (3, 6)), LAYER_TOLERANCE),
     "multi_head_attention": (_check_attention, LAYER_TOLERANCE),
-    "feed_forward": (_check_feed_forward, LAYER_TOLERANCE),
-    "conv2d": (_check_conv, LAYER_TOLERANCE),
+    "feed_forward": (_input_check(lambda rng: FeedForward(6, rng), (2, 6), (2, 6)),
+                     LAYER_TOLERANCE),
+    "conv2d": (_input_check(lambda rng: Conv2d(2, 3, 3, rng, stride=2, padding=1),
+                            (1, 2, 5, 5), (1, 3, 3, 3)), LAYER_TOLERANCE),
     "backbone": (_check_backbone, LAYER_TOLERANCE),
     "adaptive_kernel_update": (_check_adaptive_update, LAYER_TOLERANCE),
     "plain_kernel_update": (_check_plain_update, LAYER_TOLERANCE),
-    "kernel_interaction": (_check_kernel_interaction, LAYER_TOLERANCE),
-    "mask_branch": (_check_mask_branch, LAYER_TOLERANCE),
-    "class_branch": (_check_class_branch, LAYER_TOLERANCE),
+    "kernel_interaction": (_input_check(lambda rng: KernelInteraction(8, 2, rng),
+                                        (1, 3, 8), (1, 3, 8)), LAYER_TOLERANCE),
+    "mask_branch": (_input_check(lambda rng: KernelMlp(8, 8, rng), (1, 2, 8), (1, 2, 8)),
+                    LAYER_TOLERANCE),
+    "class_branch": (_input_check(lambda rng: KernelMlp(8, 3, rng), (1, 2, 8), (1, 2, 3)),
+                     LAYER_TOLERANCE),
     "full_stage": (_check_full_stage, FULL_STAGE_TOLERANCE),
     "full_stage_duplicate_row": (_check_full_stage_duplicate_row, FULL_STAGE_TOLERANCE),
 }
@@ -184,6 +146,8 @@ CHECKS = {
 
 def gradient_suite(seeds: int = 10) -> dict[str, tuple[float, float]]:
     """Run every check over ``seeds`` seeds; returns name -> (max err, tol)."""
+    if seeds < 1:
+        raise ConfigError(f"gradient checks need at least one seed, got {seeds}")
     results = {}
     with T.precision("f64"):
         for name, (fn, tol) in CHECKS.items():

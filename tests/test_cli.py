@@ -44,6 +44,13 @@ class TestGenData:
         assert len(ds) == 4
         assert ds.spec.seed == 3
 
+    @pytest.mark.parametrize("flags", [["--n-max", "0"], ["--size", "2"], ["--count", "-1"]])
+    def test_out_of_range_is_an_error(self, tmp_path, capsys, flags):
+        argv = ["gen-data", "--count", "2", "--out", str(tmp_path / "ds"), *flags]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "ds").exists()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, workspace, capsys):
@@ -87,6 +94,27 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f".{key} must be " in err
 
+    @pytest.mark.parametrize("text, overrides", [
+        ("{", []), ("[]", ["epochs=1"]), ("{}", ["model=3", "model.stages=2"]),
+    ], ids=["invalid-json", "array-with-set", "set-into-scalar"])
+    def test_bad_config_is_an_error_not_a_traceback(self, tmp_path, capsys, text, overrides):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = ["train", "--config", str(path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("override", [
+        "batch_size=0", "epochs=-1", "model.image_size=32", "model.thing_class_ids=[1]",
+    ])
+    def test_out_of_range_or_unfit_is_an_error(self, workspace, capsys, override):
+        config = write_config(workspace)
+        assert cli.main(["train", "--config", str(config), "--set", override]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workspace / "run").exists()
+
     def test_resume_without_optimizer_is_an_error(self, workspace, capsys):
         config = write_config(workspace)
         cfg = TrainConfig.from_dict(json.loads(config.read_text()))
@@ -112,16 +140,17 @@ class TestTrainEval:
         cfg = TrainConfig.from_dict(json.loads(config.read_text()))
         ckpt = workspace / "weights.ckpt"
         save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
-        # a re-signed instances.json whose shape has three entries
-        rel = "sample_00000/instances.json"
-        raw = json.dumps({"classes": [], "shape": [3, 3, 3]}).encode()
+        # a re-signed segment table that no longer covers the raster
+        rel = "sample_00000/panoptic.json"
+        raw = json.dumps({"segments": []}).encode()
         (workspace / "val" / rel).write_bytes(raw)
         manifest = json.loads((workspace / "val" / "manifest.json").read_text())
         manifest["files"][rel] = hashlib.sha256(raw).hexdigest()
         (workspace / "val" / "manifest.json").write_text(json.dumps(manifest))
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "val")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disagree" in err
 
     def test_instance_mode_without_kernels_is_an_error(self, workspace, capsys):
         config = write_config(workspace)
@@ -187,6 +216,11 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "full_stage" in out
+
+    def test_zero_seeds_is_an_error(self, capsys):
+        assert cli.main(["grad-check", "--seeds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "PASS" not in captured.out
 
 
 class TestAblateCommand:

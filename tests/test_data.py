@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from knet import data as D
 from knet import metrics as ME
-from knet.errors import ChecksumError, FormatError, GenerationError, KnetError, ParameterError
+from knet import tensor as T
+from knet.errors import (
+    ChecksumError, ConfigError, FormatError, GenerationError, KnetError, ParameterError,
+)
 
 
 class TestRasterize:
@@ -92,6 +96,19 @@ class TestGenerateSample:
             sample = D.generate_sample(spec, i)
             assert np.array_equal(sample.semantic, sample.panoptic.class_raster())
 
+    def test_views_derived_from_panoptic_map(self):
+        # semantic truth is the class raster and instances are the thing
+        # segments in table order, whatever the draw
+        spec = D.SceneSpec(seed=16, size=32, n_max=5, size_range=(5.0, 14.0))
+        for i in range(20):
+            sample = D.generate_sample(spec, i)
+            pan = sample.panoptic
+            things = [s for s in pan.segments if s.is_thing]
+            assert [c for c, _ in sample.instances] == [s.class_id for s in things]
+            for (_, mask), seg in zip(sample.instances, things):
+                assert mask.dtype == bool and np.array_equal(mask, pan.segment_ids == seg.id)
+            assert sample.semantic.dtype == np.int32
+
     def test_crowded_spec_raises(self):
         spec = D.SceneSpec(seed=6, size=16, n_max=40, size_range=(14.0, 15.0),
                            allow_overlap=False)
@@ -103,6 +120,16 @@ class TestGenerateSample:
         sample = D.generate_sample(D.SceneSpec(seed=8), 0)
         assert sample.image.dtype == np.float32
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
+
+
+class TestSceneSpec:
+    @pytest.mark.parametrize("kw", [
+        {"n_max": 0}, {"size": 0}, {"size": 2}, {"size_range": (0.0, 5.0)},
+        {"size_range": (6.0, 5.0)}, {"noise": -0.1}, {"color_jitter": -0.1},
+    ], ids=["n-max-0", "size-0", "size-2", "range-from-0", "range-reversed", "noise", "jitter"])
+    def test_rejects_out_of_range(self, kw):
+        with pytest.raises(ConfigError):
+            D.SceneSpec(**kw)
 
 
 class TestPgm:
@@ -182,7 +209,7 @@ class TestDatasetIo:
         D.write_dataset(D.SceneSpec(seed=10, size=32), 3, tmp_path / "ds")
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert manifest["count"] == 3
-        assert len(manifest["files"]) == 3 * 6
+        assert len(manifest["files"]) == 3 * 3
 
     def test_manifest_golden(self, tmp_path):
         # pins the manifest bytes (spec serialization, checksums of every
@@ -190,7 +217,7 @@ class TestDatasetIo:
         spec = D.SceneSpec(seed=9, size=16, n_max=2, size_range=(5.0, 8.0))
         D.write_dataset(spec, 3, tmp_path / "ds")
         digest = hashlib.sha256((tmp_path / "ds" / "manifest.json").read_bytes()).hexdigest()
-        assert digest == "b297d5ed24255ea34c64924b7d1a55fa4ae9e1bb26c8e7bbdb4eb7ef57c5d346"
+        assert digest == "9d2e82f35f9147f9bbc96c011b7b81c77c9ef7023084ac2c3eabd7a7900e892c"
 
     def test_corrupt_byte_detected(self, tmp_path):
         D.write_dataset(D.SceneSpec(seed=11, size=32), 2, tmp_path / "ds")
@@ -215,31 +242,59 @@ class TestDatasetIo:
         lambda m: json.dumps({**m, "files": {}}),
         lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}}),
         lambda m: json.dumps({**m, "spec": 3}),
+        lambda m: json.dumps({**m, "spec": {**m["spec"], "n_max": 0}}),
     ], ids=["invalid-json", "array", "no-files", "no-count", "count-too-large",
-            "sample-not-listed", "unknown-spec-key", "spec-not-object"])
+            "sample-not-listed", "unknown-spec-key", "spec-not-object", "spec-out-of-range"])
     def test_bad_manifest_is_format_error(self, tmp_path, edit):
         D.write_dataset(D.SceneSpec(seed=12, size=16), 2, tmp_path / "ds")
         self._edit_manifest(tmp_path / "ds", edit)
         with pytest.raises(FormatError):
             D.read_dataset(tmp_path / "ds")
 
+    def test_v1_dataset_is_format_error(self, tmp_path):
+        # v1 stored semantic and instance copies next to the panoptic map;
+        # there is no reader for it
+        D.write_dataset(D.SceneSpec(seed=12, size=16), 1, tmp_path / "ds")
+        self._edit_manifest(tmp_path / "ds", lambda m: json.dumps({**m, "format": "knet-dataset-v1"}))
+        with pytest.raises(FormatError, match="unknown dataset format 'knet-dataset-v1'"):
+            D.read_dataset(tmp_path / "ds")
+
+    def test_sample_holds_only_the_panoptic_annotation(self, tmp_path):
+        D.write_dataset(D.SceneSpec(seed=10, size=16), 2, tmp_path / "ds")
+        for d in sorted((tmp_path / "ds").glob("sample_*")):
+            assert sorted(p.name for p in d.iterdir()) == sorted(D.SAMPLE_FILES)
+        assert sorted(D.SAMPLE_FILES) == ["image.tensor", "panoptic.json", "panoptic.pgm"]
+
+    def test_negative_count_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="count"):
+            D.write_dataset(D.SceneSpec(seed=10, size=16), -1, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_missing_listed_file_is_format_error(self, tmp_path):
         D.write_dataset(D.SceneSpec(seed=13, size=16), 2, tmp_path / "ds")
-        (tmp_path / "ds" / "sample_00001" / "semantic.pgm").unlink()
-        with pytest.raises(FormatError, match="semantic.pgm"):
+        (tmp_path / "ds" / "sample_00001" / "panoptic.pgm").unlink()
+        with pytest.raises(FormatError, match="panoptic.pgm"):
             D.read_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize("name,edit", [
-        ("instances.json", lambda raw: json.dumps({**json.loads(raw), "shape": [3, 3, 3]})),
-        ("instances.json", lambda raw: json.dumps({**json.loads(raw), "classes": 2})),
-        ("instances.bin", lambda raw: raw[:-1]),
+        ("panoptic.json", lambda raw: json.dumps({"segments": [
+            {**seg, "area": seg["area"] + (i == 0)}
+            for i, seg in enumerate(json.loads(raw)["segments"])]})),
+        ("panoptic.json", lambda raw: json.dumps({"segments": 2 * json.loads(raw)["segments"]})),
+        ("panoptic.pgm", lambda raw: raw[:-2] + (99).to_bytes(2, "big")),
+        ("panoptic.pgm", lambda raw: raw.replace(b"16 16", b"32 8", 1)),
         ("panoptic.json", lambda raw: json.dumps({"segments": [
             {k: v for k, v in seg.items() if k != "class_id"}
             for seg in json.loads(raw)["segments"]]})),
         ("panoptic.json", lambda raw: json.dumps({"segments": [
             {**seg, "area": "12"} for seg in json.loads(raw)["segments"]]})),
-    ], ids=["shape-rank-3", "classes-not-list", "bin-short", "segment-no-class-id",
-            "segment-area-str"])
+        ("panoptic.json", lambda raw: json.dumps({"segments": [
+            {**seg, "class_id": 10 ** 12} for seg in json.loads(raw)["segments"]]})),
+        ("image.tensor", lambda raw: _recoded_image(raw, lambda im: im * 255.0)),
+        ("image.tensor", lambda raw: _recoded_image(raw, lambda im: im.astype(np.float64))),
+    ], ids=["table-area-mismatch", "table-duplicate-id", "raster-id-not-in-table",
+            "raster-image-size", "segment-no-class-id", "segment-area-str",
+            "segment-class-id-too-large", "image-out-of-range", "image-f64"])
     def test_malformed_sample_file_is_format_error(self, tmp_path, name, edit):
         # the file passes its checksum, so only the parser can catch it
         root = tmp_path / "ds"
@@ -257,6 +312,12 @@ class TestDatasetIo:
         (tmp_path / "empty").mkdir()
         with pytest.raises(FormatError):
             D.read_dataset(tmp_path / "empty")
+
+
+def _recoded_image(raw: bytes, fn) -> bytes:
+    out = io.BytesIO()
+    T.write_tensor(out, fn(T.read_tensor(io.BytesIO(raw))))
+    return out.getvalue()
 
 
 JSON_VALUES = st.recursive(
@@ -319,7 +380,7 @@ def _fuzz_bytes(data, raw: bytes, name: str) -> bytes:
 def test_read_dataset_sample_files_raise_only_knet_errors(one_sample_dataset, data):
     # sample files that pass their (re-signed) checksum but do not parse
     snap = one_sample_dataset
-    name = data.draw(st.sampled_from(["panoptic.json", "instances.json", "instances.bin"]))
+    name = data.draw(st.sampled_from(list(D.SAMPLE_FILES)))
     rel = f"sample_00000/{name}"
     raw = _fuzz_bytes(data, snap.files[rel], name)
     manifest = json.loads(snap.files[D.MANIFEST_NAME])

@@ -51,6 +51,27 @@ class TestModelConfig:
             stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
         assert len(stages) == 2
 
+    @pytest.mark.parametrize("mode", ["panoptic", "instance"])
+    def test_thing_classes_needed_outside_semantic_mode(self, mode):
+        with pytest.raises(ConfigError, match="thing class"):
+            tiny_cfg(mode, thing_class_ids=[])
+
+    def test_semantic_mode_without_thing_classes(self):
+        assert tiny_cfg("semantic", thing_class_ids=[]).semantic_class_ids == [101, 102]
+
+    def test_semantic_mode_needs_a_class(self):
+        # zero semantic kernels would build, then fail in the first forward
+        with pytest.raises(ConfigError, match="at least one class"):
+            tiny_cfg("semantic", thing_class_ids=[], stuff_class_ids=[])
+
+    @pytest.mark.parametrize("mode", MO.MODES)
+    @pytest.mark.parametrize("things, stuff", [([1, 2, 1], [101]), ([1, 2], [101, 101]),
+                                               ([1, 2], [2, 101])],
+                             ids=["duplicate-thing", "duplicate-stuff", "shared"])
+    def test_class_ids_must_be_distinct(self, mode, things, stuff):
+        with pytest.raises(ConfigError, match="distinct"):
+            tiny_cfg(mode, thing_class_ids=things, stuff_class_ids=stuff)
+
     def test_semantic_kernel_count_is_class_count(self):
         cfg = tiny_cfg("semantic")
         assert cfg.num_semantic_kernels == len(cfg.thing_class_ids) + len(cfg.stuff_class_ids)

@@ -87,6 +87,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no_equals_sign"])
 
+    @pytest.mark.parametrize("d, overrides", [
+        ([], ["epochs=1"]), ({}, ["model=3", "model.stages=2"]), ({"loss": 1}, ["loss.lam_ce=2"]),
+    ])
+    def test_override_into_non_object_rejected(self, d, overrides):
+        with pytest.raises(ConfigError, match="object"):
+            apply_overrides(d, overrides)
+
+    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"epochs": -1}])
+    def test_rejects_out_of_range_schedule(self, kw):
+        with pytest.raises(ConfigError):
+            TrainConfig(**kw)
+
 
 class TestTrainSmoke:
     def test_one_epoch_writes_artifacts(self, tmp_path):
@@ -154,6 +166,27 @@ class TestTrainSmoke:
         calls.clear()
         TR.train(cfg, resume=str(Path(cfg.out_dir) / "last.ckpt"))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("model_kw, match", [
+        ({"image_size": 32}, "image_size 32"),
+        ({"thing_class_ids": [1]}, "thing class . is not in model.thing_class_ids"),
+        ({"stuff_class_ids": [102]}, "stuff class 101 is not in model.stuff_class_ids"),
+    ])
+    def test_data_must_fit_the_model(self, tmp_path, model_kw, match):
+        cfg = tiny_train_config(tmp_path, **model_kw)
+        with pytest.raises(ConfigError, match=match):
+            TR.train(cfg)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("which", ["train_dir", "val_dir"])
+    def test_empty_dataset_rejected(self, tmp_path, which):
+        # an empty training set used to end in a raw UnboundLocalError
+        cfg = tiny_train_config(tmp_path)
+        write_dataset(SceneSpec(seed=7, size=16), 0, tmp_path / "empty")
+        setattr(cfg, which, str(tmp_path / "empty"))
+        with pytest.raises(ConfigError, match="no samples"):
+            TR.train(cfg)
+        assert not (tmp_path / "run").exists()
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
