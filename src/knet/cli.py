@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import SceneSpec, read_dataset, read_ppm, write_dataset, write_pgm8, write_pgm16
+from .data import (
+    SceneSpec, check_image, read_dataset, read_ppm, write_dataset, write_pgm8, write_pgm16,
+)
 from .errors import ConfigError, KnetError
 from .training import (
     EVAL_MODES, TrainConfig, ablate, apply_overrides, evaluate, format_report, load_checkpoint,
@@ -70,7 +72,7 @@ def cmd_infer(args) -> int:
     if image_path.suffix == ".ppm":
         image = read_ppm(image_path)
     else:
-        image = T.load_tensor(image_path).astype(np.float32)
+        image = check_image(T.load_tensor(image_path), image_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with T.no_grad():

@@ -304,6 +304,16 @@ def read_ppm(path) -> np.ndarray:
     return (data.transpose(2, 0, 1) / 255.0).astype(np.float32)
 
 
+def check_image(image: np.ndarray, source) -> np.ndarray:
+    """Return ``image`` if it is a non-empty float32 array with values in
+    [0, 1]; otherwise raise a FormatError naming ``source``."""
+    if image.dtype != np.float32 or not (
+        image.size and image.min() >= 0.0 and image.max() <= 1.0
+    ):
+        raise FormatError(f"{source}: needs non-empty float32 values in [0, 1]")
+    return image
+
+
 def write_ppm(path, image: np.ndarray) -> None:
     arr = (np.clip(image, 0, 1) * 255).round().astype(np.uint8).transpose(1, 2, 0)
     with open(path, "wb") as fp:
@@ -363,8 +373,7 @@ def _read_sample(root: Path, index: int) -> GroundTruthSample:
     if image.shape != (3, *segment_ids.shape):
         raise FormatError(f"{d / 'panoptic.pgm'}: raster {segment_ids.shape} does not match "
                           f"image {image.shape}")
-    if image.dtype != np.float32 or not (image.min() >= 0.0 and image.max() <= 1.0):
-        raise FormatError(f"{d / 'image.tensor'}: needs float32 values in [0, 1]")
+    check_image(image, d / "image.tensor")
     pan = _read_json(d / "panoptic.json")
     if not isinstance(pan, dict) or not isinstance(pan.get("segments"), list):
         raise FormatError(f"{d / 'panoptic.json'}: needs a 'segments' list")

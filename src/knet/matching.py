@@ -6,6 +6,12 @@ negative class probability plus mask cross-entropy plus dice.  Matched
 kernels learn the instance; unmatched kernels learn "no object" through
 focal-loss negatives.  Kernels bound to semantic classes skip matching
 and are supervised directly against the semantic map.
+
+Matching and every mask loss run on the supervision grid: the mask-head
+grid upsampled x2 (stride 2 of the image), never finer than the image.
+Ground truth is area-pooled to that grid once per batch, so targets are
+soft: the covered fraction of each cell.  Decoding stays at full
+resolution.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
-from .errors import CapacityError, NumericError
+from .errors import CapacityError, ContractError, NumericError
 from .head import StageOutput
 from .tensor import Tensor
 
@@ -66,6 +72,45 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
+# the supervision grid
+
+def supervision_grid(mask_hw: tuple[int, int], image_size: int) -> tuple[int, int]:
+    """The mask-head grid x2, never finer than the image; it must divide it."""
+    grid = tuple(min(2 * n, image_size) for n in mask_hw)
+    if any(image_size % g for g in grid):
+        raise ContractError(
+            f"mask grid {tuple(mask_hw)} gives a supervision grid {grid} that does not "
+            f"divide the {image_size}-px image"
+        )
+    return grid
+
+
+def area_pool(masks: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Mean of each block of the trailing (H, W) axes on a ``grid`` of cells,
+    flattened: (..., H, W) -> (..., gh * gw) float32 in [0, 1]."""
+    *lead, h, w = masks.shape
+    gh, gw = grid
+    blocks = masks.reshape(*lead, gh, h // gh, gw, w // gw)
+    return blocks.mean(axis=(-3, -1), dtype=np.float32).reshape(*lead, gh * gw)
+
+
+def class_fractions(label_maps: np.ndarray, class_ids: list[int],
+                    grid: tuple[int, int]) -> np.ndarray:
+    """Per-cell class shares of (B, H, W) label rasters: (B, K, gh * gw)."""
+    ids = np.asarray(class_ids, dtype=label_maps.dtype).reshape(1, -1, 1, 1)
+    return area_pool(label_maps[:, None] == ids, grid)
+
+
+def grid_logits(mask_logits: Tensor, image_size: int) -> tuple[Tensor, tuple[int, int]]:
+    """(B, N, h, w) mask logits upsampled to the supervision grid, flattened
+    to (B, N, gh * gw), and that grid."""
+    b, n, mh, mw = mask_logits.shape
+    gh, gw = supervision_grid((mh, mw), image_size)
+    up = T.bilinear_upsample(mask_logits, gh, gw)
+    return T.reshape(up, (b, n, gh * gw)), (gh, gw)
+
+
+# ---------------------------------------------------------------------------
 # differentiable loss terms
 
 def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25,
@@ -111,9 +156,9 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
                   weights: LossWeights) -> CostMatrix:
     """Pairwise assignment costs for one image, mirroring the loss terms.
 
-    class_probs: (n_pred, n_cls); mask_logits: (n_pred, HW) at GT
-    resolution; gt_classes: (n_gt,) class-column indices; gt_masks:
-    (n_gt, HW) binary.
+    class_probs: (n_pred, n_cls); mask_logits: (n_pred, G) on the
+    supervision grid; gt_classes: (n_gt,) class-column indices; gt_masks:
+    (n_gt, G) soft targets in [0, 1], the area-pooled instance masks.
     """
     n_pred = mask_logits.shape[0]
     n_gt = gt_masks.shape[0]
@@ -221,21 +266,17 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
 # ---------------------------------------------------------------------------
 # full set-prediction loss
 
-def semantic_loss(mask_logits: Tensor, sem_map: np.ndarray,
-                  class_ids: list[int]) -> Tensor:
-    """Softmax cross-entropy plus per-class softmax dice vs a label raster.
+def semantic_loss(mask_logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Softmax cross-entropy plus per-class softmax dice vs class shares.
 
-    mask_logits: (B, K, HW); sem_map: (B, HW) integer classes; class_ids
-    gives the class of each of the K channels.
+    mask_logits: (B, K, G); targets: (B, K, G) per-cell class shares (the
+    pooled one-hots of :func:`class_fractions`, summing to 1 per cell).
     """
-    b, k, hw = mask_logits.shape
-    onehot = np.zeros((b, k, hw), dtype=mask_logits.data.dtype)
-    for ki, cid in enumerate(class_ids):
-        onehot[:, ki, :] = sem_map == cid
+    t = np.asarray(targets, dtype=mask_logits.data.dtype)
     logp = T.log_softmax(mask_logits, axis=1)
-    ce_pix = T.reduce_sum(logp * onehot, axes=1) * -1.0  # (B, HW)
+    ce_pix = T.reduce_sum(logp * t, axes=1) * -1.0  # (B, G)
     ce = T.reduce_mean(ce_pix)
-    dice = T.reduce_mean(dice_loss(T.softmax(mask_logits, axis=1), onehot))
+    dice = T.reduce_mean(dice_loss(T.softmax(mask_logits, axis=1), t))
     return ce + dice
 
 
@@ -252,41 +293,42 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     (image_size x image_size class raster).  Kernel rows [0, n) are the
     instance kernels, class-logit column c is ``cfg.thing_class_ids[c]``,
     and the rows after the instance kernels are ``cfg.stuff_class_ids``
-    (panoptic) or ``cfg.semantic_class_ids`` (semantic).
+    (panoptic) or ``cfg.semantic_class_ids`` (semantic).  Each stage is
+    matched and supervised on its supervision grid (:func:`grid_logits`)
+    against ground truth area-pooled to that grid.
     """
     weights = weights or LossWeights()
-    h = w = cfg.image_size
-    hw = h * w
+    size = cfg.image_size
     n_ins = cfg.num_instance_kernels
     thing_index = {cid: i for i, cid in enumerate(cfg.thing_class_ids)}
     k_cls = len(cfg.thing_class_ids)
+    # class rows supervised from the semantic raster rather than matched
+    raster_ids = {"semantic": cfg.semantic_class_ids, "panoptic": cfg.stuff_class_ids}.get(
+        cfg.mode, [])
 
     total = Tensor(0.0)
     agg = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
     per_stage: list[dict[str, float]] = []
 
-    gt_classes = []
-    gt_masks = []
-    for gt in gts:
-        cls = np.array([thing_index[c] for c, _ in gt.instances], dtype=np.int64)
-        masks = (
-            np.stack([m.reshape(-1) for _, m in gt.instances]).astype(np.float32)
-            if gt.instances
-            else np.zeros((0, hw), dtype=np.float32)
-        )
-        gt_classes.append(cls)
-        gt_masks.append(masks)
-    sem_maps = np.stack([gt.semantic.reshape(-1) for gt in gts]) if gts else None
+    gt_classes = [np.array([thing_index[c] for c, _ in gt.instances], dtype=np.int64)
+                  for gt in gts]
+    pooled: dict[tuple[int, int], tuple] = {}   # grid -> targets, pooled once per batch
 
     for stage in stages:
         b, n_total = stage.mask_logits.shape[:2]
-        up = T.bilinear_upsample(stage.mask_logits, h, w)
-        up_flat = T.reshape(up, (b, n_total, hw))
+        logits, grid = grid_logits(stage.mask_logits, size)
+        if grid not in pooled:
+            pooled[grid] = (
+                [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
+                           .reshape(-1, size, size), grid) for gt in gts],
+                class_fractions(np.stack([gt.semantic for gt in gts]), raster_ids, grid),
+            )
+        gt_masks, shares = pooled[grid]
         stage_terms = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
         stage_loss = Tensor(0.0)
 
         if cfg.mode == "semantic":
-            seg = semantic_loss(up_flat, sem_maps, cfg.semantic_class_ids)
+            seg = semantic_loss(logits, shares)
             stage_loss = stage_loss + weights.lam_seg * seg
             stage_terms["seg"] = float(seg.data)
         else:
@@ -299,7 +341,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 if gt_masks[bi].shape[0] == 0:
                     continue
                 cost = matching_cost(
-                    cls_probs[bi], up_flat.data[bi, :n_ins], gt_classes[bi],
+                    cls_probs[bi], logits.data[bi, :n_ins], gt_classes[bi],
                     gt_masks[bi], weights,
                 )
                 assign = hungarian_assign(cost)
@@ -315,7 +357,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
             stage_terms["cls"] = float(cls_term.data)
 
             if sel_rows:
-                flat_all = T.reshape(up_flat, (b * n_total, hw))
+                flat_all = T.reshape(logits, (b * n_total, logits.shape[2]))
                 pred_rows = _gather_rows(flat_all, sel_rows)
                 gt_rows = np.stack(sel_masks)
                 ce_term = T.reduce_mean(mask_ce_loss(pred_rows, gt_rows))
@@ -329,13 +371,9 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 # losses as matched instances; panoptic masks are sigmoid-read
                 # at inference, so the supervision must pin that scale and
                 # penalize bleed over thing pixels at full weight
-                stuff_rows = np.arange(n_ins, n_total)
-                stuff_logits = T.index_select(up_flat, 1, stuff_rows)
-                targets = np.stack(
-                    [(sem_maps == cid) for cid in cfg.stuff_class_ids], axis=1
-                ).astype(np.float32)
-                stuff_ce = T.reduce_mean(mask_ce_loss(stuff_logits, targets))
-                stuff_dice = T.reduce_mean(dice_loss(T.sigmoid(stuff_logits), targets))
+                stuff_logits = T.index_select(logits, 1, np.arange(n_ins, n_total))
+                stuff_ce = T.reduce_mean(mask_ce_loss(stuff_logits, shares))
+                stuff_dice = T.reduce_mean(dice_loss(T.sigmoid(stuff_logits), shares))
                 seg = stuff_ce + stuff_dice
                 stage_loss = stage_loss + weights.lam_seg * seg
                 stage_terms["seg"] = float(seg.data)

@@ -22,7 +22,9 @@ from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass
 from .errors import ConfigError, ContractError, DimensionError
 from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
-from .matching import LossWeights, semantic_loss, set_prediction_loss
+from .matching import (
+    LossWeights, class_fractions, grid_logits, semantic_loss, set_prediction_loss,
+)
 from .metrics import PanopticMap, SegmentInfo
 from .tensor import Tensor
 
@@ -224,13 +226,12 @@ class SegmentationModel(Layer):
 
     def _training_loss(self, stages, m0_sem, gts, weights):
         cfg = self.cfg
-        size = cfg.image_size
         loss, breakdown = set_prediction_loss(stages, gts, cfg, weights)
         if cfg.mode == "instance" and m0_sem is not None:
-            aux_maps = np.stack([aux_semantic_map(gt) for gt in gts]).reshape(len(gts), -1)
-            up = T.bilinear_upsample(m0_sem, size, size)
-            up = T.reshape(up, (up.shape[0], up.shape[1], size * size))
-            aux = semantic_loss(up, aux_maps, cfg.semantic_class_ids)
+            logits, grid = grid_logits(m0_sem, cfg.image_size)
+            aux_maps = np.stack([aux_semantic_map(gt) for gt in gts])
+            targets = class_fractions(aux_maps, cfg.semantic_class_ids, grid)
+            aux = semantic_loss(logits, targets)
             loss = loss + weights.lam_seg * aux
             breakdown.seg += float(aux.data)
             breakdown.total = float(loss.data)

@@ -345,11 +345,10 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    # one exp serves both branches: exp(-x) for x >= 0, exp(x) below.
+    # min(x, -x) rather than -|x|: it passes a NaN through with its sign
+    e = np.exp(np.minimum(x, -x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         a.accumulate_grad(g * data * (1.0 - data))

@@ -200,6 +200,22 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(B, 3, H, W)" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda im: im * 255.0, lambda im: im.astype(np.float64), lambda im: im[:, :0, :0],
+    ], ids=["0-255", "f64", "empty"])
+    def test_image_outside_float32_unit_range_is_an_error(self, tmp_path, capsys, edit):
+        cfg = TrainConfig.from_dict(json.loads(write_config(tmp_path).read_text()))
+        ckpt = tmp_path / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        sample = generate_sample(SceneSpec(seed=32, size=16, n_max=2, size_range=(5.0, 8.0)), 0)
+        T.save_tensor(tmp_path / "x.tensor", edit(sample.image))
+        rc = cli.main(["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "x.tensor"),
+                       "--out", str(tmp_path / "pred")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[0, 1]" in err
+        assert not (tmp_path / "pred").exists()
+
     def test_missing_image_nonzero_exit(self, workspace):
         config = write_config(workspace)
         cli.main(["train", "--config", str(config)])

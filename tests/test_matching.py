@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from knet import matching as M
 from knet import tensor as T
-from knet.errors import CapacityError
+from knet.errors import CapacityError, ContractError
 from knet.model import ModelConfig
 from knet.tensor import Tensor
 
@@ -289,6 +289,45 @@ class TestHungarian:
         assert (out.pairs, out.unmatched_preds) == lexicographic_scan(c)
 
 
+class TestSupervisionGrid:
+    def test_area_pool_hand_case(self):
+        m = np.array([[1, 1, 0, 0],
+                      [1, 0, 0, 0],
+                      [0, 0, 1, 1],
+                      [0, 1, 1, 1]], dtype=bool)
+        out = M.area_pool(m, (2, 2))
+        assert out.dtype == np.float32
+        assert out.tolist() == [0.75, 0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("mask_hw,size,grid", [
+        ((16, 16), 64, (32, 32)), ((4, 4), 8, (8, 8)), ((8, 8), 8, (8, 8)), ((2, 2), 16, (4, 4)),
+    ])
+    def test_grid_is_twice_the_mask_grid_capped_at_the_image(self, mask_hw, size, grid):
+        assert M.supervision_grid(mask_hw, size) == grid
+
+    def test_pooled_semantic_one_hots_sum_to_one(self):
+        from knet.data import SceneSpec, generate_sample
+        from knet.model import aux_semantic_map
+
+        spec = SceneSpec(seed=3, size=64, n_max=6, size_range=(5.0, 15.0))
+        for i in range(4):
+            gt = generate_sample(spec, i)
+            for mode, raster in [("panoptic", gt.semantic), ("semantic", gt.semantic),
+                                 ("instance", aux_semantic_map(gt))]:
+                ids = ModelConfig(mode=mode, image_size=64).semantic_class_ids
+                shares = M.class_fractions(raster[None], ids, (32, 32))
+                assert shares.shape == (1, len(ids), 32 * 32)
+                assert np.array_equal(shares.sum(axis=1), np.ones((1, 32 * 32)))
+                assert set(np.unique(shares * 4)) <= {0.0, 1.0, 2.0, 3.0, 4.0}
+
+    def test_grid_must_divide_the_image(self):
+        rng = np.random.default_rng(17)
+        sem = np.full((8, 8), 101, dtype=np.int64)
+        stage = _fake_stage(rng, 1, 3, 2, 3)  # 3x3 masks: a 6x6 grid on an 8-px image
+        with pytest.raises(ContractError, match="does not divide"):
+            M.set_prediction_loss([stage], [FakeGt([], sem)], _layout("panoptic", n_ins=2))
+
+
 class FakeGt:
     def __init__(self, instances, semantic):
         self.instances = instances
@@ -437,3 +476,49 @@ class TestSetPredictionLoss:
 
         x = Tensor(base, requires_grad=True)
         assert T.grad_check(loss_fn, x) < 1e-4
+
+    def test_stride_two_hand_assembly(self, f64):
+        # 64-px image, 16x16 mask grid: matching and every loss term run on
+        # the x2-upsampled 32x32 logits against 2x2 area-pooled targets
+        rng = np.random.default_rng(18)
+        size, n_ins = 64, 4
+        a = np.zeros((size, size), dtype=bool)
+        a[3:21, 5:30] = True
+        b = np.zeros((size, size), dtype=bool)
+        b[30:51, 17:44] = True
+        b &= ~a
+        sem = np.full((size, size), 101, dtype=np.int64)
+        sem[a] = 1
+        sem[b] = 2
+        gt = FakeGt([(1, a), (2, b)], sem)
+        stage = _fake_stage(rng, 1, n_ins + 1, 2, 16)
+        layout = _layout("panoptic", n_ins=n_ins, size=size)
+        w = M.LossWeights()
+        total, bd = M.set_prediction_loss([stage], [gt], layout, w)
+
+        def pool2(m):  # mean of the four phases of each 2x2 block
+            m = m.astype(np.float64)
+            return ((m[0::2, 0::2] + m[0::2, 1::2] + m[1::2, 0::2] + m[1::2, 1::2]) / 4).ravel()
+
+        up = T.bilinear_resize_array(stage.mask_logits.data[0], 32, 32).reshape(n_ins + 1, -1)
+        targets = np.stack([pool2(a), pool2(b)])
+        probs_cls = 1.0 / (1.0 + np.exp(-stage.class_logits.data[0, :n_ins]))
+        cost = M.matching_cost(probs_cls, up[:n_ins], np.array([0, 1]), targets, w)
+        pairs = M.hungarian_assign(cost).pairs
+        focal_targets = np.zeros((1, n_ins, 2))
+        for p, g in pairs:
+            focal_targets[0, p, g] = 1.0
+        cls = float(M.focal_loss(T.sigmoid(Tensor(stage.class_logits.data[:, :n_ins])),
+                                 focal_targets).data)
+        rows = Tensor(up[[p for p, _ in pairs]])
+        gts = targets[[g for _, g in pairs]]
+        ce = float(T.reduce_mean(M.mask_ce_loss(rows, gts)).data)
+        dice = float(T.reduce_mean(M.dice_loss(T.sigmoid(rows), gts)).data)
+        stuff = Tensor(up[n_ins:])
+        stuff_target = pool2(sem == 101)[None]
+        seg = float(M.mask_ce_loss(stuff, stuff_target).data[0]
+                    + M.dice_loss(T.sigmoid(stuff), stuff_target).data[0])
+        expected = w.lam_cls * cls + w.lam_ce * ce + w.lam_dice * dice + w.lam_seg * seg
+        assert len(pairs) == 2
+        assert abs(bd.total - expected) < 1e-5
+        assert abs(bd.seg - seg) < 1e-5

@@ -118,6 +118,28 @@ class TestSigmoid:
         out = T.sigmoid(T.Tensor(-math.log(3.0)))
         assert np.allclose(out.data, 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    def test_bitwise_equal_to_two_branch_form(self, mode):
+        # reference: one exp per branch, gathered by sign
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        dtype = np.float32 if mode == "f32" else np.float64
+        rng = np.random.default_rng(0)
+        extremes = [0.0, -0.0, 100.0, -100.0, 1e-30, -1e-30, 1e4, -1e4,
+                    np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([rng.standard_normal(4096) * 8, extremes]).astype(dtype)
+        with T.precision(mode), np.errstate(over="ignore"):
+            got = T.sigmoid(T.Tensor(x)).data
+            want = two_branch(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestElementwise:
     def test_mul_by_one(self):

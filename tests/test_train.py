@@ -297,12 +297,12 @@ def test_load_checkpoint_raises_only_knet_errors(checkpoint_bytes, data):
 # sha256 prefix of evaluate's sorted-JSON report, per (mode, stages), for
 # the briefly trained models of test_report_golden; it pins every float bit
 GOLDEN_REPORTS = {
-    ("panoptic", 0): "a2c34a233d88c5d7",
-    ("panoptic", 2): "2edae5f6d725d3bb",
-    ("instance", 0): "4067733ebd8ee625",
-    ("instance", 2): "25659b64118fb654",
-    ("semantic", 0): "5a67185e95f76d53",
-    ("semantic", 2): "1d2895c62897ff54",
+    ("panoptic", 0): "c5f55fa1579f41b2",
+    ("panoptic", 2): "dc17c40f8b50fbef",
+    ("instance", 0): "b86542e78d1131f8",
+    ("instance", 2): "04c9a5864bc7775e",
+    ("semantic", 0): "f123dfeeca98f8c2",
+    ("semantic", 2): "ced0dcfc00b849e8",
 }
 
 
