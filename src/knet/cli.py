@@ -12,12 +12,12 @@ import numpy as np
 
 from . import tensor as T
 from .data import (
-    SceneSpec, check_image, read_dataset, read_ppm, write_dataset, write_pgm8, write_pgm16,
+    SceneSpec, check_image, read_ppm, write_dataset, write_pgm8, write_pgm16,
 )
 from .errors import ConfigError, KnetError
 from .training import (
     EVAL_MODES, TrainConfig, ablate, apply_overrides, evaluate, format_report, load_checkpoint,
-    train,
+    read_fitting, train,
 )
 from .verification import gradient_suite
 
@@ -53,8 +53,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, model, _, _, _ = load_checkpoint(args.checkpoint)
-    dataset = read_dataset(args.data)
+    cfg, model, _, _, _ = load_checkpoint(args.checkpoint)
+    dataset = read_fitting(args.data, cfg.model)
     report = evaluate(model, dataset)
     table = format_report(report)
     _echo(table)
@@ -78,7 +78,7 @@ def cmd_infer(args) -> int:
     with T.no_grad():
         stages = model.forward(image[None])
     mode = cfg.model.mode
-    pred = EVAL_MODES[mode].decode(stages[-1], cfg.model)
+    pred = EVAL_MODES[mode].decode(stages[-1], cfg.model, 0)
     if mode == "panoptic":
         write_pgm16(out / "panoptic.pgm", pred.segment_ids)
         (out / "segments.json").write_text(json.dumps({

@@ -46,9 +46,7 @@ class Linear(Layer):
         self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        lead = x.shape[:-1]
-        out = T.linear(T.reshape(x, (-1, self.c_in)), self.weight, self.bias)
-        return T.reshape(out, (*lead, self.c_out))
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Layer):

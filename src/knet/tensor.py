@@ -466,11 +466,14 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused affine map (M, C_in) x (C_out, C_in) + (C_out,) -> (M, C_out).
+    """Fused affine map (..., C_in) x (C_out, C_in) + (C_out,) -> (..., C_out).
 
-    One graph node for ``x @ w.T + b``; every product is a BLAS GEMM.
+    One graph node for ``x @ w.T + b``.  The forward is a stacked matmul:
+    one GEMM per leading index, so each image's rows round the same
+    whatever the batch size.  The backward runs on the flattened
+    (M, C) view, one GEMM per gradient.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1] \
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1] \
             or b.data.shape != w.data.shape[:1]:
         raise DimensionError(
             f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not align"
@@ -478,12 +481,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data.T + b.data
 
     def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
+            x.accumulate_grad((g2 @ w.data).reshape(x.data.shape))
         if w.requires_grad:
-            w.accumulate_grad(g.T @ x.data)
+            w.accumulate_grad(g2.T @ x.data.reshape(-1, x.data.shape[-1]))
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g2.sum(axis=0))
 
     return _node(data, (x, w, b), bw)
 
@@ -527,11 +531,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def index_select(a: Tensor, axis: int, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
     data = np.take(a.data, indices, axis=axis)
+    axis %= a.data.ndim
 
     def bw(g):
         buf = np.zeros_like(a.data)
-        idx = [slice(None)] * a.data.ndim
-        np.add.at(buf, tuple(idx[:axis]) + (indices,), g)
+        idx = (slice(None),) * axis + (indices,)
+        if np.unique(indices % a.data.shape[axis]).size == indices.size:
+            buf[idx] += g       # same bytes as np.add.at into zeros, -0.0 -> +0.0 included
+        else:
+            np.add.at(buf, idx, g)
         a.accumulate_grad(buf)
 
     return _node(data, (a,), bw)

@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def load_checkpoint(path, with_optimizer: bool = False):
 # evaluation
 
 class EvalMode(NamedTuple):
-    decode: Callable        # (StageOutput, ModelConfig) -> one image's prediction
+    decode: Callable        # (StageOutput, ModelConfig, image index) -> that image's prediction
     stats: type             # per-stage accumulator: update(pred, truth), result()
     truth: str              # the GroundTruthSample field predictions are scored against
     report: Callable        # accumulator result -> report fields
@@ -178,32 +178,39 @@ class EvalMode(NamedTuple):
 # the decoders are looked up at call time, so a wrapper installed on the
 # module binding (as perfbench's tracer does) sees every call
 EVAL_MODES = {
-    "panoptic": EvalMode(lambda stage, cfg: merge_panoptic(stage, cfg), PqStats,
+    "panoptic": EvalMode(lambda stage, cfg, i: merge_panoptic(stage, cfg, i), PqStats,
                          "panoptic", PqResult.to_dict, "pq"),
-    "instance": EvalMode(lambda stage, cfg: binarize_instances(stage, cfg), ApStats,
+    "instance": EvalMode(lambda stage, cfg, i: binarize_instances(stage, cfg, i), ApStats,
                          "instances", ApResult.to_dict, "ap"),
-    "semantic": EvalMode(lambda stage, cfg: semantic_raster(stage, cfg), MiouStats,
+    "semantic": EvalMode(lambda stage, cfg, i: semantic_raster(stage, cfg, i), MiouStats,
                          "semantic", lambda miou: {"miou": miou}, "miou"),
 }
+
+# images per forward in evaluate; the forward is batch-invariant, so this
+# trades speed against peak memory and cannot change the report
+EVAL_CHUNK = 16
 
 
 def evaluate(model: SegmentationModel, dataset: Dataset, workers: int = 1) -> dict:
     """Per-stage metrics over a dataset; mode picked from the model config.
 
-    Each image is forwarded and decoded on its own; every stage's prediction
-    goes straight into that stage's accumulator.  ``workers`` is ignored and
-    kept only because ``perfbench/bench.py`` still passes ``workers=1``.
+    The images are forwarded ``EVAL_CHUNK`` at a time, then decoded one by
+    one; every stage's prediction goes straight into that stage's
+    accumulator.  All images must share one shape.  ``workers`` is ignored
+    and kept only because ``perfbench/bench.py`` still passes ``workers=1``.
     """
     cfg = model.cfg
     mode = EVAL_MODES[cfg.mode]
     stats = [mode.stats() for _ in range(cfg.stages + 1)]
     with T.no_grad():
-        for sample in dataset.samples:
-            # decode all stages before scoring any: interleaving the two made malloc
-            # return pages to the OS per stage, and eval ~25% slower on page faults
-            preds = [mode.decode(stage, cfg) for stage in model.forward(sample.image[None])]
-            for acc, pred in zip(stats, preds):
-                acc.update(pred, getattr(sample, mode.truth))
+        for chunk in _batches(dataset.samples, EVAL_CHUNK):
+            stages = model.forward(np.stack([sample.image for sample in chunk]))
+            for i, sample in enumerate(chunk):
+                # decode all stages before scoring any: interleaving the two made malloc
+                # return pages to the OS per stage, and eval ~25% slower on page faults
+                preds = [mode.decode(stage, cfg, i) for stage in stages]
+                for acc, pred in zip(stats, preds):
+                    acc.update(pred, getattr(sample, mode.truth))
     per_stage = [{"stage": si, **mode.report(acc.result())} for si, acc in enumerate(stats)]
     return {
         "mode": cfg.mode,
@@ -229,12 +236,12 @@ def format_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # training
 
-def _batches(order: np.ndarray, batch_size: int):
+def _batches(order: Sequence, batch_size: int):
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
 
 
-def _read_fitting(path: str, cfg: ModelConfig) -> Dataset:
+def read_fitting(path: str, cfg: ModelConfig) -> Dataset:
     """Read a non-empty dataset whose rasters are ``image_size`` square and
     whose segments all have a thing or stuff class of the model, as flagged."""
     dataset = read_dataset(path)
@@ -268,8 +275,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
     ``cfg.out_dir``.  ``max_epochs`` caps how many epochs this invocation
     runs (time-sliced training); resume from ``last.ckpt`` to continue.
     """
-    train_set = _read_fitting(cfg.train_dir, cfg.model)
-    val_set = _read_fitting(cfg.val_dir, cfg.model)
+    train_set = read_fitting(cfg.train_dir, cfg.model)
+    val_set = read_fitting(cfg.val_dir, cfg.model)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

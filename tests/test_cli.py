@@ -152,6 +152,21 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "disagree" in err
 
+    @pytest.mark.parametrize("count,size,match", [
+        (0, 16, "no samples"), (2, 32, "does not match model.image_size 16"),
+    ], ids=["empty", "wrong-size"])
+    def test_eval_on_unfit_data_is_an_error(self, workspace, capsys, count, size, match):
+        config = write_config(workspace)
+        cfg = TrainConfig.from_dict(json.loads(config.read_text()))
+        ckpt = workspace / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        write_dataset(SceneSpec(seed=32, size=size, n_max=2), count, workspace / "unfit")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "unfit")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and match in captured.err
+        assert captured.out == ""
+
     def test_instance_mode_without_kernels_is_an_error(self, workspace, capsys):
         config = write_config(workspace)
         rc = cli.main(["train", "--config", str(config), "--set", "model.mode=instance",

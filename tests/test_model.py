@@ -260,6 +260,29 @@ class TestForward:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.mask_logits.data, sb.mask_logits.data)
 
+    @pytest.mark.parametrize("stages", [0, 2])
+    @pytest.mark.parametrize("mode", ["semantic", "instance", "panoptic"])
+    def test_batch_invariant(self, mode, stages):
+        # a batch forward gives each image the bytes of its own forward, so
+        # evaluate may batch freely; the sizes are ones at which a flat
+        # (B*N, C) GEMM rounds differently from per-image GEMMs
+        model = MO.SegmentationModel(
+            tiny_cfg(mode, image_size=32, channels=32, num_instance_kernels=13, stages=stages),
+            seed=9)
+        imgs = np.random.default_rng(10).uniform(size=(5, 3, 32, 32)).astype(np.float32)
+        with T.no_grad():
+            batch = model.forward(imgs)
+            singles = [model.forward(imgs[i : i + 1]) for i in range(len(imgs))]
+        for si, stage in enumerate(batch):
+            for name in ("kernels", "mask_logits", "class_logits"):
+                got = getattr(stage, name)
+                if got is None:
+                    assert all(getattr(one[si], name) is None for one in singles)
+                    continue
+                want = np.concatenate([getattr(one[si], name).data for one in singles])
+                assert got.data.tobytes() == want.tobytes(), (si, name)
+            assert all(one[si].activation == stage.activation for one in singles)
+
     def test_semantic_has_class_count_masks(self):
         model = MO.SegmentationModel(tiny_cfg("semantic"), seed=4)
         stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))

@@ -70,6 +70,67 @@ class TestMatmul:
         assert np.allclose(got, a @ b)
 
 
+class TestLinear:
+    # (16, 13, 32) rows: a shape at which OpenBLAS rounds one flat (208, 32)
+    # GEMM differently from 16 per-image GEMMs
+    def _args(self, requires_grad=False):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((16, 13, 32)).astype(np.float32)
+        w = rng.standard_normal((24, 32)).astype(np.float32)
+        b = rng.standard_normal(24).astype(np.float32)
+        return x, T.Tensor(w, requires_grad=requires_grad), T.Tensor(b, requires_grad=requires_grad)
+
+    def test_stacked_rows_equal_per_image_calls(self):
+        x, w, b = self._args()
+        got = T.linear(T.Tensor(x), w, b).data
+        assert got.shape == (16, 13, 24)
+        for i in range(len(x)):
+            assert np.array_equal(got[i], T.linear(T.Tensor(x[i]), w, b).data)
+
+    def test_param_grads_equal_flattened_form(self):
+        x, w, b = self._args(requires_grad=True)
+        coef = np.random.default_rng(5).standard_normal((16, 13, 24)).astype(np.float32)
+        xs = T.Tensor(x, requires_grad=True)
+        T.reduce_sum(T.linear(xs, w, b) * T.Tensor(coef)).backward()
+        stacked = xs.grad, w.grad, b.grad
+        w.zero_grad()
+        b.zero_grad()
+        xf = T.Tensor(x.reshape(-1, 32), requires_grad=True)
+        T.reduce_sum(T.linear(xf, w, b) * T.Tensor(coef.reshape(-1, 24))).backward()
+        assert np.array_equal(stacked[0], xf.grad.reshape(x.shape))
+        assert np.array_equal(stacked[1], w.grad)
+        assert np.array_equal(stacked[2], b.grad)
+
+
+class TestIndexSelectBackward:
+    @staticmethod
+    def _grad(a: np.ndarray, axis: int, indices, g: np.ndarray) -> np.ndarray:
+        t = T.Tensor(a, requires_grad=True)
+        T.index_select(t, axis, indices)._backward(g)
+        return t.grad
+
+    @staticmethod
+    def _add_at(a: np.ndarray, axis: int, indices, g: np.ndarray) -> np.ndarray:
+        buf = np.zeros_like(a)
+        np.add.at(buf, (slice(None),) * axis + (np.asarray(indices),), g)
+        return buf
+
+    @pytest.mark.parametrize("axis,indices", [
+        (0, [4, 0, 2]), (1, [3, 1, 0, 2]), (1, [-1, 0]),    # unique
+        (0, [1, 1, 3]), (1, [2, 0, 2, 2]), (1, [-1, 3]),    # repeated
+    ])
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_bitwise_equal_to_add_at(self, axis, indices, signed_zeros):
+        rng = np.random.default_rng(len(indices) + axis)
+        a = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        g = rng.standard_normal(np.take(a, indices, axis=axis).shape).astype(np.float32)
+        if signed_zeros:
+            g[..., ::2] = -0.0
+        got = self._grad(a, axis, indices, g)
+        want = self._add_at(a, axis, indices, g)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(T.Tensor([0.0, 0.0]), axis=0)
@@ -203,6 +264,7 @@ def _op_cases(rng):
     coef_mn = T.Tensor(rng.standard_normal((m, n)))
     coef_cat = T.Tensor(rng.standard_normal((2 * n, m)))
     coef_b = T.Tensor(rng.standard_normal((4, n, m)))
+    coef_rep = T.Tensor(rng.standard_normal((n, 3)))
     return [
         ("add", lambda t: T.reduce_sum(T.add(t, other)), (n, m)),
         ("sub", lambda t: T.reduce_sum(T.sub(other, t)), (n, m)),
@@ -224,6 +286,8 @@ def _op_cases(rng):
         ("transpose", lambda t: T.reduce_sum(T.mul(T.transpose(t, (1, 0)), coef_mn)), (n, m)),
         ("concat", lambda t: T.reduce_sum(T.mul(T.concat([t, other], axis=0), coef_cat)), (n, m)),
         ("index_select", lambda t: T.reduce_sum(T.index_select(t, 0, idx) * 2.0), (n, m)),
+        ("index_select_repeated",
+         lambda t: T.reduce_sum(T.index_select(t, 1, [0, 1, 0]) * coef_rep), (n, m)),
         ("broadcast", lambda t: T.reduce_sum(T.mul(T.broadcast_to(t, (4, n, m)), coef_b)), (n, m)),
         ("clip", lambda t: T.reduce_sum(T.clip(t, -0.7, 0.7)), (n, m)),
     ]

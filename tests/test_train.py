@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,16 @@ def golden_data(tmp_path_factory):
     return root
 
 
+def golden_train_config(root: Path, mode: str, stages: int) -> TrainConfig:
+    return TrainConfig(
+        model=ModelConfig(mode=mode, image_size=16, channels=8, num_instance_kernels=6,
+                          stages=stages, heads=2, min_area=1, keep_fraction=0.0,
+                          score_floor=0.1),
+        epochs=20, batch_size=2, lr=3e-3, seed=1, train_dir=str(root / "train"),
+        val_dir=str(root / "val"), out_dir=str(root / f"{mode}_{stages}"),
+    )
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("mode,stages", sorted(GOLDEN_REPORTS))
     def test_report_golden(self, golden_data, mode, stages):
@@ -322,13 +333,7 @@ class TestEvaluate:
         from knet import tensor as T
         from knet.model import binarize_instances, merge_panoptic
 
-        cfg = TrainConfig(
-            model=ModelConfig(mode=mode, image_size=16, channels=8, num_instance_kernels=6,
-                              stages=stages, heads=2, min_area=1, keep_fraction=0.0,
-                              score_floor=0.1),
-            epochs=20, batch_size=2, lr=3e-3, seed=1, train_dir=str(golden_data / "train"),
-            val_dir=str(golden_data / "val"), out_dir=str(golden_data / f"{mode}_{stages}"),
-        )
+        cfg = golden_train_config(golden_data, mode, stages)
         TR.train(cfg)
         _, model, _, _, _ = load_checkpoint(Path(cfg.out_dir) / "last.ckpt")
         val = read_dataset(cfg.val_dir)
@@ -344,6 +349,23 @@ class TestEvaluate:
                 assert any(mask.any() for _, _, mask in binarize_instances(stage, cfg.model))
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
         assert digest == GOLDEN_REPORTS[(mode, stages)], (digest, report["final"])
+
+    @pytest.mark.parametrize("mode", ["semantic", "instance", "panoptic"])
+    def test_report_does_not_depend_on_chunk_size(self, golden_data, mode, monkeypatch):
+        from knet.data import Dataset, generate_sample
+
+        cfg = replace(golden_train_config(golden_data, mode, 2),
+                      out_dir=str(golden_data / f"chunk_{mode}"))
+        TR.train(cfg)
+        _, model, _, _, _ = load_checkpoint(Path(cfg.out_dir) / "last.ckpt")
+        # two full chunks and a partial one
+        spec = SceneSpec(seed=6, size=16, n_max=2, size_range=(6.0, 10.0))
+        val = Dataset(spec, [generate_sample(spec, i) for i in range(2 * TR.EVAL_CHUNK + 3)])
+        chunked = evaluate(model, val)
+        monkeypatch.setattr(TR, "EVAL_CHUNK", 1)
+        assert evaluate(model, val) == chunked
+        assert any(v > 0 for row in chunked["per_stage"] for v in row.values()
+                   if isinstance(v, float))
 
     def test_eval_keeps_grad_mode(self):
         from knet.data import Dataset, generate_sample
