@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass_from_dict
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
 from .matching import (
@@ -282,6 +282,24 @@ def binarize_instances(stage: StageOutput, cfg: ModelConfig,
     return out
 
 
+def _first_max(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of the largest ``scores[c] * rows[c]`` in each column.
+
+    The same bytes as ``argmax(axis=0)`` over the float64 products: strict
+    ``>`` keeps the first maximum.  One pass per row, no transposed copy.
+    """
+    best = np.multiply(rows[0], scores[0], dtype=np.float64)
+    index = np.zeros(rows.shape[1], dtype=np.intp)
+    w = np.empty_like(best)
+    better = np.empty(best.shape, dtype=bool)
+    for c in range(1, len(scores)):
+        np.multiply(rows[c], scores[c], out=w, dtype=np.float64)
+        np.greater(w, best, out=better)
+        np.putmask(index, better, c)
+        np.maximum(best, w, out=best)
+    return index
+
+
 def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> PanopticMap:
     """Paste thing and stuff masks in one mixed, score-sorted pass.
 
@@ -289,76 +307,85 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     Segments that keep too little of their thresholded mask (or too few
     pixels) are deleted; their pixels fall to the next-best surviving
     candidate that still claims them at mask-threshold confidence, else
-    become void.  A single cleanup pass, no cascade.
+    become void.  A single cleanup pass, no cascade.  Non-finite logits
+    raise NumericError.
     """
     if cfg.mode != "panoptic":
         raise ContractError(f"panoptic merge called in {cfg.mode!r} mode")
+    maps = stage.mask_logits.data[index]
+    cls_logits = stage.class_logits.data[index]
+    if not (np.isfinite(maps).all() and np.isfinite(cls_logits).all()):
+        raise NumericError("panoptic merge: non-finite mask or class logits")
     n_ins = cfg.num_instance_kernels
-    n_total = stage.mask_logits.shape[1]
-    cls_probs = T.sigmoid_array(stage.class_logits.data[index])
+    n_total = maps.shape[0]
+    cls_probs = T.sigmoid_array(cls_logits)
     thing_score = cls_probs.max(axis=1)
     things = np.flatnonzero(thing_score >= cfg.score_floor)
-    stuff = np.arange(n_ins, n_total)
+    n_things = things.size
     # only candidate things and the stuff rows are decoded at full size
-    logits, probs = _upsampled_probs(stage, index, np.concatenate([things, stuff]))
-    thing_probs = probs[: things.size]
-    stuff_logits, stuff_probs = logits[things.size :], probs[things.size :]
+    rows = slice(None) if n_things == n_ins else np.concatenate([things, np.arange(n_ins, n_total)])
+    logits, probs = _upsampled_probs(stage, index, rows)
+    stuff_logits = logits[n_things:]
 
     cand_class = [cfg.thing_class_ids[int(c)] for c in cls_probs[things].argmax(axis=1)]
-    cand_thing = [True] * things.size
+    cand_thing = [True] * n_things
     cand_score = [float(s) for s in thing_score[things]]
-    cand_probs = [thing_probs]
+    cand_rows = list(range(n_things))
 
     # stuff confidence: mean per-pixel softmax share over the thresholded
     # region, competing among the stuff channels (the distribution the
     # stuff supervision trains)
     exp = np.exp(stuff_logits - stuff_logits.max(axis=0, keepdims=True))
     share = exp / exp.sum(axis=0, keepdims=True)
-    for j, class_id in enumerate(cfg.stuff_class_ids[: stuff.size]):
-        region = stuff_probs[j] >= cfg.mask_threshold
+    for j, class_id in enumerate(cfg.stuff_class_ids[: n_total - n_ins]):
+        region = probs[n_things + j] >= cfg.mask_threshold
         score = float(share[j][region].mean()) if region.any() else 0.0
         if score < cfg.score_floor:
             continue
         cand_class.append(class_id)
         cand_thing.append(False)
         cand_score.append(score)
-        cand_probs.append(stuff_probs[j : j + 1])
+        cand_rows.append(n_things + j)
 
     k = len(cand_score)
     if not k:
         return PanopticMap(np.zeros(probs.shape[1:], dtype=np.int32), [])
-    cand_probs = np.concatenate(cand_probs)
-    weighted = np.asarray(cand_score)[:, None, None] * cand_probs
-    assign = weighted.argmax(axis=0)
+    cand = probs if k == len(probs) else probs[cand_rows]
+    cand = cand.reshape(k, -1)
+    scores = np.asarray(cand_score)
+    assign = _first_max(scores, cand)
 
-    thresholded = cand_probs >= cfg.mask_threshold
-    won_thresholded = np.take_along_axis(thresholded, assign[None], axis=0)[0]
+    thresholded = cand >= cfg.mask_threshold
+    hw = cand.shape[1]
+    won_thresholded = thresholded.ravel()[assign * hw + np.arange(hw)]
     surviving = np.bincount(assign[won_thresholded], minlength=k)
-    thresh_area = thresholded.sum(axis=(1, 2))
+    # one count per row: faster than count_nonzero(axis=1), which casts and sums
+    thresh_area = np.array([np.count_nonzero(row) for row in thresholded])
     frac = np.divide(surviving, thresh_area, out=np.zeros(k), where=thresh_area > 0)
     deleted = (surviving < cfg.min_area) | (frac < cfg.keep_fraction)
 
-    if deleted.any():
+    orphans = np.flatnonzero(deleted[assign])
+    if orphans.size:
         survivors = np.flatnonzero(~deleted)
-        orphan = deleted[assign]
+        new_assign = np.full(orphans.size, -1, dtype=np.intp)
         if survivors.size:
-            w_surv = weighted[survivors] * thresholded[survivors]
-            best = w_surv.argmax(axis=0)
-            has_claim = thresholded[survivors].any(axis=0)
-            new_assign = np.where(has_claim, survivors[best], -1)
-            assign = np.where(orphan, new_assign, assign)
-        else:
-            assign = np.where(orphan, -1, assign)
+            sub = cand[np.ix_(survivors, orphans)]
+            claims = sub >= cfg.mask_threshold
+            best = _first_max(scores[survivors], sub * claims)
+            has_claim = claims.any(axis=0)
+            new_assign[has_claim] = survivors[best[has_claim]]
+        assign[orphans] = new_assign
 
     # area per candidate; slot 0 counts the void pixels (assign == -1)
-    areas = np.bincount(assign.ravel() + 1, minlength=k + 1)[1:]
+    slot = assign + 1
+    areas = np.bincount(slot, minlength=k + 1)[1:]
     lut = np.zeros(k + 1, dtype=np.int32)
     segments: list[SegmentInfo] = []
     for c in np.flatnonzero(~deleted & (areas > 0)):
         lut[c + 1] = len(segments) + 1
         segments.append(SegmentInfo(len(segments) + 1, cand_class[c], cand_thing[c],
                                     cand_score[c], int(areas[c])))
-    return PanopticMap(lut[assign + 1], segments)
+    return PanopticMap(lut[slot].reshape(probs.shape[1:]), segments)
 
 
 def semantic_raster(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -332,7 +333,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
             save_checkpoint(out / "last.ckpt", cfg, model, opt, epoch + 1, iteration)
             if report["final"][primary] > best_value:
                 best_value = report["final"][primary]
-                save_checkpoint(out / "best.ckpt", cfg, model, opt, epoch + 1, iteration)
+                # the same arguments as last.ckpt, so the same bytes
+                shutil.copyfile(out / "last.ckpt", out / "best.ckpt")
 
     # the last epoch's report already covers the final model
     final_report = report if report is not None else evaluate(model, val_set)

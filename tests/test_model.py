@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
-from knet.errors import ConfigError, ContractError, DimensionError
+from knet.errors import ConfigError, ContractError, DimensionError, NumericError
 from knet.head import SIGMOID, StageOutput
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
@@ -459,6 +459,22 @@ class TestMergePanoptic:
         stuff_classes = [s.class_id for s in pan.segments if not s.is_thing]
         assert len(stuff_classes) == len(set(stuff_classes))
 
+    @pytest.mark.parametrize("where, value", [
+        ("mask", np.nan), ("mask", np.inf), ("class", np.nan), ("class", -np.inf),
+    ])
+    def test_non_finite_logits_rejected(self, where, value):
+        # thing row 1 scores far below the floor: it is never upsampled,
+        # but its low-resolution logits are still checked
+        cfg = tiny_cfg("panoptic")
+        logits = np.zeros((5, 4, 4))
+        cls = np.full((3, 3), -20.0)
+        if where == "mask":
+            logits[1, 2, 3] = value
+        else:
+            cls[1, 2] = value
+        with pytest.raises(NumericError, match="non-finite"):
+            MO.merge_panoptic(self._stage(cfg, logits, cls), cfg)
+
     def test_wrong_mode_rejected(self):
         cfg = tiny_cfg("instance")
         logits = np.zeros((3, 4, 4))
@@ -574,6 +590,38 @@ def test_merge_panoptic_matches_loop(seed, n_ins, hw, scale, step, score_floor,
     assert got.segments == want.segments
     assert [type(v) for s in got.segments for v in vars(s).values()] == \
         [type(v) for s in want.segments for v in vars(s).values()]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("score_floor, min_area, keep_fraction", [
+    (0.0, 0, 0.0), (0.3, 16, 0.5), (0.6, 24, 0.3),
+])
+def test_merge_panoptic_matches_loop_at_paper_kernels(seed, score_floor, min_area,
+                                                      keep_fraction):
+    # the paper's N=100 kernels on a 16x16 mask grid (64x64 decoded), each
+    # row a noisy box so that some segments survive the cleanup; logits on
+    # a 0.5 grid make equal scores and equal probabilities common
+    cfg = tiny_cfg("panoptic", image_size=64, num_instance_kernels=100,
+                   score_floor=score_floor, min_area=min_area, keep_fraction=keep_fraction)
+    rng = np.random.default_rng(seed)
+    n_total = 100 + len(cfg.stuff_class_ids)
+    logits = rng.standard_normal((n_total, 16, 16)) * 2 - 4
+    for row in logits:
+        (y, x), (h, w) = rng.integers(0, 14, 2), rng.integers(2, 9, 2)
+        row[y : y + h, x : x + w] += 8
+    logits = np.round(logits * 2) / 2
+    cls = np.round(rng.standard_normal((100, len(cfg.thing_class_ids))) * 4) / 2
+    stage = StageOutput(
+        kernels=Tensor(np.zeros((1, n_total, cfg.channels), dtype=np.float32)),
+        mask_logits=Tensor(logits[None].astype(np.float32)),
+        class_logits=Tensor(cls[None].astype(np.float32)),
+        activation=SIGMOID,
+    )
+    got, want = MO.merge_panoptic(stage, cfg), loop_merge_panoptic(stage, cfg)
+    assert got.segment_ids.dtype == want.segment_ids.dtype
+    assert got.segment_ids.tobytes() == want.segment_ids.tobytes()
+    assert got.segments == want.segments
+    assert len(want.segments) > 1
 
 
 class TestSemanticRaster:

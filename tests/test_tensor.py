@@ -202,6 +202,44 @@ class TestSigmoid:
         assert got.tobytes() == want.tobytes()
 
 
+class TestSigmoidArray:
+    @staticmethod
+    def edge_values(dtype):
+        info = np.finfo(dtype)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
+                 info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+                 1e-30, -1e-30, 100.0, -100.0, 1e4, -1e4]
+        edges = np.asarray(edges, dtype=dtype)
+        # random bit patterns cover every exponent, NaN payloads included
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        bits = np.random.default_rng(0).integers(0, np.iinfo(uint).max, 200_000,
+                                                 dtype=uint, endpoint=True)
+        return np.concatenate([edges, bits.view(dtype)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_reference_form(self, dtype):
+        x = self.edge_values(dtype)
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            got = T.sigmoid_array(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_input(self, dtype):
+        x = self.edge_values(dtype)[: 2 * 3 * 4000].reshape(2, 3, 4000)
+        view = x[:, ::2, 1::3].transpose(2, 0, 1)
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-view))
+            got = T.sigmoid_array(view)
+        assert got.shape == view.shape
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
+
+
 class TestElementwise:
     def test_mul_by_one(self):
         a = T.Tensor([[1.0, -2.0], [3.0, 4.0]])
@@ -335,6 +373,29 @@ def test_conv2d_matches_naive_loop(f64):
             for v in range(out.shape[3]):
                 ref[0, o, u, v] = np.sum(xp[0, :, u * stride : u * stride + 3, v * stride : v * stride + 3] * w[o])
     assert np.max(np.abs(out - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_im2col_bitwise_equal_to_padded_form(stride, padding, dtype):
+    rng = np.random.default_rng(stride * 10 + padding)
+    x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
+    x[0, 0, 0, :3] = [-0.0, np.inf, np.nan]
+    # reference: np.pad, then the strided views stacked as before
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (xp.shape[2] - 3) // stride + 1
+    w_out = (xp.shape[3] - 3) // stride + 1
+    views = [xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+             for i in range(3) for j in range(3)]
+    want = np.stack(views, axis=2).reshape(2, 3 * 9, h_out * w_out)
+    cols, got_h, got_w = T.im2col(x, 3, 3, stride, padding)
+    assert (got_h, got_w) == (h_out, w_out)
+    assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    with T.precision("f64" if dtype == np.float64 else "f32"):
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
+    assert out.tobytes() == (w.reshape(4, -1) @ want).reshape(out.shape).tobytes()
 
 
 def test_bilinear_upsample_constant_preserved(f64):

@@ -132,6 +132,17 @@ class TestTrainSmoke:
         for k in opt_a.m:
             assert np.array_equal(opt_a.m[k], opt_b.m[k])
 
+    def test_best_checkpoint_is_a_byte_copy_of_last(self, tmp_path):
+        # one epoch: its model is both the last and the best
+        cfg = tiny_train_config(tmp_path)
+        TR.train(cfg)
+        out = Path(cfg.out_dir)
+        assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes()
+        _, model, opt, epoch, it = load_checkpoint(out / "best.ckpt", with_optimizer=True)
+        assert (epoch, it) == (1, 2)
+        save_checkpoint(tmp_path / "again.ckpt", cfg, model, opt, epoch, it)
+        assert (tmp_path / "again.ckpt").read_bytes() == (out / "best.ckpt").read_bytes()
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg_full = tiny_train_config(tmp_path, epochs=2)
         cfg_full.out_dir = str(tmp_path / "full")
