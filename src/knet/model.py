@@ -322,9 +322,9 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     thing_score = cls_probs.max(axis=1)
     things = np.flatnonzero(thing_score >= cfg.score_floor)
     n_things = things.size
+    stuff = np.arange(n_ins, n_total)
     # only candidate things and the stuff rows are decoded at full size
-    rows = slice(None) if n_things == n_ins else np.concatenate([things, np.arange(n_ins, n_total)])
-    logits, probs = _upsampled_probs(stage, index, rows)
+    logits, probs = _upsampled_probs(stage, index, np.concatenate([things, stuff]))
     stuff_logits = logits[n_things:]
 
     cand_class = [cfg.thing_class_ids[int(c)] for c in cls_probs[things].argmax(axis=1)]
@@ -337,7 +337,7 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     # stuff supervision trains)
     exp = np.exp(stuff_logits - stuff_logits.max(axis=0, keepdims=True))
     share = exp / exp.sum(axis=0, keepdims=True)
-    for j, class_id in enumerate(cfg.stuff_class_ids[: n_total - n_ins]):
+    for j, class_id in enumerate(cfg.stuff_class_ids[: stuff.size]):
         region = probs[n_things + j] >= cfg.mask_threshold
         score = float(share[j][region].mean()) if region.any() else 0.0
         if score < cfg.score_floor:
@@ -350,8 +350,7 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     k = len(cand_score)
     if not k:
         return PanopticMap(np.zeros(probs.shape[1:], dtype=np.int32), [])
-    cand = probs if k == len(probs) else probs[cand_rows]
-    cand = cand.reshape(k, -1)
+    cand = probs[cand_rows].reshape(k, -1)
     scores = np.asarray(cand_score)
     assign = _first_max(scores, cand)
 

@@ -583,28 +583,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-           padding: int) -> tuple[np.ndarray, int, int]:
-    """Gather the kh*kw strided views of zero-padded NCHW input into
-    columns: returns (cols of shape (B, C*kh*kw, H_out*W_out), H_out, W_out)."""
-    B, C, H, W = x.shape
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    H_out = (Hp - kh) // stride + 1
-    W_out = (Wp - kw) // stride + 1
-    if padding:
-        # a zeroed buffer with the input copied in: the bytes of np.pad, faster
-        xp = np.zeros((B, C, Hp, Wp), dtype=x.dtype)
-        xp[:, :, padding : padding + H, padding : padding + W] = x
-    else:
-        xp = x
-    views = [
-        xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-        for i in range(kh)
-        for j in range(kw)
-    ]
-    return np.stack(views, axis=2).reshape(B, C * kh * kw, H_out * W_out), H_out, W_out
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (C_out, C_in, k, k) kernels."""
     B, C_in, H, W = x.data.shape
@@ -614,7 +592,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     Hp, Wp = H + 2 * padding, W + 2 * padding
     if Hp < kh or Wp < kw:
         raise DimensionError(f"conv2d: spatial size {(H, W)} too small for kernel {(kh, kw)} with padding {padding}")
-    cols, H_out, W_out = im2col(x.data, kh, kw, stride, padding)
+    H_out = (Hp - kh) // stride + 1
+    W_out = (Wp - kw) // stride + 1
+    if padding:
+        # a zeroed buffer with the input copied in: the bytes of np.pad, faster
+        xp = np.zeros((B, C_in, Hp, Wp), dtype=x.data.dtype)
+        xp[:, :, padding : padding + H, padding : padding + W] = x.data
+    else:
+        xp = x.data
+    # gather k*k strided views into columns: (B, C_in*k*k, L)
+    views = [
+        xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+    cols = np.stack(views, axis=2).reshape(B, C_in * kh * kw, H_out * W_out)
     w_mat = w.data.reshape(C_out, C_in * kh * kw)
     out = w_mat @ cols
     if b is not None:

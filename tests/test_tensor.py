@@ -378,24 +378,23 @@ def test_conv2d_matches_naive_loop(f64):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_im2col_bitwise_equal_to_padded_form(stride, padding, dtype):
+def test_conv2d_bitwise_equal_to_padded_form(stride, padding, dtype):
     rng = np.random.default_rng(stride * 10 + padding)
     x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
     x[0, 0, 0, :3] = [-0.0, np.inf, np.nan]
-    # reference: np.pad, then the strided views stacked as before
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    # reference: np.pad, then the strided views stacked into columns
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     h_out = (xp.shape[2] - 3) // stride + 1
     w_out = (xp.shape[3] - 3) // stride + 1
     views = [xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
              for i in range(3) for j in range(3)]
-    want = np.stack(views, axis=2).reshape(2, 3 * 9, h_out * w_out)
-    cols, got_h, got_w = T.im2col(x, 3, 3, stride, padding)
-    assert (got_h, got_w) == (h_out, w_out)
-    assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
-    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    cols = np.stack(views, axis=2).reshape(2, 3 * 9, h_out * w_out)
+    want = (w.reshape(4, -1) @ cols).reshape(2, 4, h_out, w_out)
     with T.precision("f64" if dtype == np.float64 else "f32"):
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
-    assert out.tobytes() == (w.reshape(4, -1) @ want).reshape(out.shape).tobytes()
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bilinear_upsample_constant_preserved(f64):
