@@ -35,9 +35,6 @@ class StageOutput:
     class_logits: Tensor | None  # (B, N, num_thing_classes); None in semantic mode
     activation: str            # sigmoid | softmax over the N axis
 
-    def mask_probs(self) -> Tensor:
-        return mask_activation(self.mask_logits, self.activation)
-
 
 def assemble_group_features(mask_probs: Tensor, feats: Tensor) -> Tensor:
     """Mask-weighted sums of feature vectors, one per kernel.

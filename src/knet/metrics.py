@@ -45,6 +45,8 @@ class PanopticMap:
         for seg in self.segments:
             if seg.id == VOID_ID:
                 raise DataError("segment id 0 is reserved for void")
+            if seg.area <= 0:
+                raise DataError(f"segment {seg.id}: area {seg.area} is not positive")
             area = raster.pop(seg.id, 0)
             if area != seg.area:
                 raise DataError(f"segment {seg.id}: table area {seg.area} != raster area {area}")

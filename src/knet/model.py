@@ -192,14 +192,8 @@ class SegmentationModel(Layer):
         cfg = self.cfg
         f_ins, f_sem = self.backbone(x)
 
-        k_ins = T.broadcast_to(
-            T.reshape(self.instance_kernels, (1, *self.instance_kernels.shape)),
-            (b, *self.instance_kernels.shape),
-        )
-        k_sem = T.broadcast_to(
-            T.reshape(self.semantic_kernels, (1, *self.semantic_kernels.shape)),
-            (b, *self.semantic_kernels.shape),
-        )
+        k_ins = T.broadcast_to(self.instance_kernels, (b, *self.instance_kernels.shape))
+        k_sem = T.broadcast_to(self.semantic_kernels, (b, *self.semantic_kernels.shape))
 
         m0_sem = None
         if cfg.mode == "semantic":
@@ -249,14 +243,21 @@ def aux_semantic_map(gt: GroundTruthSample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inference decoding
 
-def _upsampled_probs(stage: StageOutput, index: int,
-                     rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _finite_logits(stage: StageOutput, index: int,
+                   decoder: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mask and class logits of image ``index``; NumericError unless all finite."""
+    maps = stage.mask_logits.data[index]
+    cls = None if stage.class_logits is None else stage.class_logits.data[index]
+    if not (np.isfinite(maps).all() and (cls is None or np.isfinite(cls).all())):
+        raise NumericError(f"{decoder}: non-finite mask or class logits")
+    return maps, cls
+
+
+def _full_size(maps: np.ndarray) -> np.ndarray:
     # mask logits live at stride 4; decode at full resolution.  Each row is
     # resized on its own, so a subset of rows gives the same bytes.
-    maps = stage.mask_logits.data[index][rows]
     _, h, w = maps.shape
-    logits = T.bilinear_resize_array(maps, 4 * h, 4 * w)
-    return logits, T.sigmoid_array(logits)
+    return T.bilinear_resize_array(maps, 4 * h, 4 * w)
 
 
 def binarize_instances(stage: StageOutput, cfg: ModelConfig,
@@ -266,12 +267,13 @@ def binarize_instances(stage: StageOutput, cfg: ModelConfig,
     Every kernel yields at most one instance: class = argmax class
     probability, score = that probability, mask = activated probability
     >= cfg.mask_threshold (inclusive).  Kernels scoring below
-    cfg.score_floor are dropped.
+    cfg.score_floor are dropped.  Non-finite logits raise NumericError.
     """
     if stage.class_logits is None:
         raise ContractError("instance decoding needs class predictions")
-    _, probs = _upsampled_probs(stage, index)
-    cls_probs = T.sigmoid_array(stage.class_logits.data[index])
+    maps, cls_logits = _finite_logits(stage, index, "instance decoding")
+    probs = T.sigmoid_array(_full_size(maps))
+    cls_probs = T.sigmoid_array(cls_logits)
     out = []
     for n in range(cfg.num_instance_kernels):
         score = float(cls_probs[n].max())
@@ -312,10 +314,7 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     """
     if cfg.mode != "panoptic":
         raise ContractError(f"panoptic merge called in {cfg.mode!r} mode")
-    maps = stage.mask_logits.data[index]
-    cls_logits = stage.class_logits.data[index]
-    if not (np.isfinite(maps).all() and np.isfinite(cls_logits).all()):
-        raise NumericError("panoptic merge: non-finite mask or class logits")
+    maps, cls_logits = _finite_logits(stage, index, "panoptic merge")
     n_ins = cfg.num_instance_kernels
     n_total = maps.shape[0]
     cls_probs = T.sigmoid_array(cls_logits)
@@ -324,7 +323,8 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     n_things = things.size
     stuff = np.arange(n_ins, n_total)
     # only candidate things and the stuff rows are decoded at full size
-    logits, probs = _upsampled_probs(stage, index, np.concatenate([things, stuff]))
+    logits = _full_size(maps[np.concatenate([things, stuff])])
+    probs = T.sigmoid_array(logits)
     stuff_logits = logits[n_things:]
 
     cand_class = [cfg.thing_class_ids[int(c)] for c in cls_probs[things].argmax(axis=1)]
@@ -388,7 +388,11 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
 
 
 def semantic_raster(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> np.ndarray:
-    """Per-pixel argmax class over the upsampled mask channels."""
-    logits, _ = _upsampled_probs(stage, index)
+    """Per-pixel argmax class over the upsampled mask channels.
+
+    Non-finite logits raise NumericError.
+    """
+    maps, _ = _finite_logits(stage, index, "semantic decoding")
+    logits = _full_size(maps)
     ids = np.asarray(cfg.semantic_class_ids, dtype=np.int32)
     return ids[logits.argmax(axis=0)]

@@ -193,7 +193,7 @@ def _wrap(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Assemble an op output; record the edge only when grads can flow.
+    """Assemble an op output; record edges only to parents that take grads.
 
     The output must be in the working precision: a float64 scalar inside
     an f32 op would otherwise turn it, and every gradient upstream, into
@@ -210,7 +210,8 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out._backward = None
     out._parents = ()
     out.requires_grad = False
-    if _state["grad_enabled"] and any(p.requires_grad for p in parents):
+    parents = tuple(p for p in parents if p.requires_grad) if _state["grad_enabled"] else ()
+    if parents:
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -404,10 +405,14 @@ def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes_t = _norm_axes(axes, a.data.ndim)
-    n = 1
-    for ax in axes_t:
-        n *= a.data.shape[ax]
-    return mul(reduce_sum(a, axes_t, keepdims), Tensor(1.0 / n))
+    scale = np.asarray(1.0 / math.prod(a.data.shape[ax] for ax in axes_t)).astype(_state["dtype"])
+    data = a.data.sum(axis=axes_t, keepdims=keepdims) * scale
+
+    def bw(g):
+        gg = g * scale if keepdims else np.expand_dims(g * scale, axes_t)
+        a.accumulate_grad(np.broadcast_to(gg, a.data.shape))
+
+    return _node(data, (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -656,17 +661,18 @@ def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
 
 
 def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinearly resize the trailing two axes; built from two matmuls."""
-    *lead, h, w = x.data.shape
-    a = Tensor(_interp_matrix(out_h, h, x.data.dtype))
-    bmat = Tensor(_interp_matrix(out_w, w, x.data.dtype).T)
-    flat = reshape(x, (-1, h, w))
-    out = matmul(matmul(a, flat), bmat)
-    return reshape(out, (*lead, out_h, out_w))
+    """Bilinearly resize the trailing two axes: ``A @ x @ M_w.T`` per map."""
+    a = _interp_matrix(out_h, x.data.shape[-2], x.data.dtype)
+    m_w = _interp_matrix(out_w, x.data.shape[-1], x.data.dtype)
+
+    def bw(g):
+        x.accumulate_grad((a.T @ (g.reshape(-1, out_h, out_w) @ m_w)).reshape(x.data.shape))
+
+    return _node(bilinear_resize_array(x.data, out_h, out_w), (x,), bw)
 
 
 def bilinear_resize_array(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pure-array counterpart of :func:`bilinear_upsample` for inference paths."""
+    """Bilinear resize of the trailing two axes of a plain array."""
     *lead, h, w = x.shape
     a = _interp_matrix(out_h, h, x.dtype)
     bmat = _interp_matrix(out_w, w, x.dtype).T

@@ -290,11 +290,15 @@ class TestDatasetIo:
             {**seg, "area": "12"} for seg in json.loads(raw)["segments"]]})),
         ("panoptic.json", lambda raw: json.dumps({"segments": [
             {**seg, "class_id": 10 ** 12} for seg in json.loads(raw)["segments"]]})),
+        ("panoptic.json", lambda raw: json.dumps({"segments": json.loads(raw)["segments"] + [
+            {"id": 99, "class_id": D.THING_CLASS_IDS[0], "is_thing": True, "score": 1.0,
+             "area": 0}]})),
         ("image.tensor", lambda raw: _recoded_image(raw, lambda im: im * 255.0)),
         ("image.tensor", lambda raw: _recoded_image(raw, lambda im: im.astype(np.float64))),
     ], ids=["table-area-mismatch", "table-duplicate-id", "raster-id-not-in-table",
             "raster-image-size", "segment-no-class-id", "segment-area-str",
-            "segment-class-id-too-large", "image-out-of-range", "image-f64"])
+            "segment-class-id-too-large", "segment-zero-area", "image-out-of-range",
+            "image-f64"])
     def test_malformed_sample_file_is_format_error(self, tmp_path, name, edit):
         # the file passes its checksum, so only the parser can catch it
         root = tmp_path / "ds"

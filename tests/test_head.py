@@ -321,12 +321,12 @@ class TestStage:
             H.SOFTMAX,
         )
         assert out.class_logits is None
-        probs = out.mask_probs().data
+        probs = H.mask_activation(out.mask_logits, out.activation).data
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
     def test_unknown_activation_rejected(self):
-        # the stage and StageOutput.mask_probs share one dispatch
+        # the stage dispatches through mask_activation
         rng = np.random.default_rng(13)
         stage = self._tiny_stage(rng)
         m = T.Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
@@ -334,7 +334,7 @@ class TestStage:
         with pytest.raises(ContractError):
             stage(m, k, T.Tensor(np.zeros((1, 8, 3, 3), np.float32)), "relu")
         with pytest.raises(ContractError):
-            H.StageOutput(k, m, None, "relu").mask_probs()
+            H.mask_activation(m, "relu")
 
 
 class TestIterative:

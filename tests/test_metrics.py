@@ -176,6 +176,15 @@ class TestComputePq:
         with pytest.raises(DataError):
             ME.compute_pq(bad, bad)
 
+    def test_zero_area_segment_raises(self):
+        # an unmatched zero-area prediction used to divide by its area
+        raster = np.ones((4, 4), dtype=np.int32)
+        gt = PanopticMap(raster, [SegmentInfo(1, 5, True, 1.0, 16)])
+        pred = PanopticMap(raster, [SegmentInfo(1, 5, True, 1.0, 16),
+                                    SegmentInfo(2, 6, True, 0.9, 0)])
+        with pytest.raises(DataError, match="area"):
+            ME.compute_pq(pred, gt)
+
     def test_class_thing_stuff_conflict_raises(self):
         raster = np.ones((2, 2), dtype=np.int32)
         a = PanopticMap(raster, [SegmentInfo(1, 5, True, 1.0, 4)])

@@ -9,7 +9,7 @@ from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
 from knet.errors import ConfigError, ContractError, DimensionError, NumericError
-from knet.head import SIGMOID, StageOutput
+from knet.head import SIGMOID, StageOutput, mask_activation
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
 
@@ -194,7 +194,7 @@ class TestInitialPredictions:
         model = MO.SegmentationModel(tiny_cfg("semantic"), seed=1)
         rng = np.random.default_rng(0)
         stages = model.forward(rng.uniform(size=(1, 3, 16, 16)).astype(np.float32))
-        probs = stages[0].mask_probs().data
+        probs = mask_activation(stages[0].mask_logits, stages[0].activation).data
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_matches_predict_masks_oracle(self):
@@ -327,6 +327,35 @@ class TestForward:
         populated = sum(g is not None for g in grads)
         assert populated >= len(grads) - 2  # thing rows of semantic kernels may idle
 
+    def _loss_graph(self, mode):
+        spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
+        gts = [generate_sample(spec, i) for i in range(2)]
+        model = MO.SegmentationModel(tiny_cfg(mode), seed=8)
+        _, loss, _ = model.forward(np.stack([g.image for g in gts]), gts)
+        seen, stack = {id(loss): loss}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen[id(parent)] = parent
+                    stack.append(parent)
+        return model, list(seen.values())
+
+    @pytest.mark.parametrize("mode", MO.MODES)
+    def test_loss_graph_leaves_are_parameters(self, mode):
+        # constants never enter the graph: every leaf is a trainable parameter
+        model, nodes = self._loss_graph(mode)
+        leaves = [t for t in nodes if not t._parents]
+        assert leaves and all(t.requires_grad for t in leaves)
+        assert {id(t) for t in leaves} <= {id(p) for p in model.params().values()}
+
+    @pytest.mark.parametrize("mode, count", [
+        ("semantic", 218), ("instance", 354), ("panoptic", 395),
+    ])
+    def test_loss_graph_node_count(self, mode, count):
+        # pins the graph size: a change here adds or removes autograd nodes per step
+        _, nodes = self._loss_graph(mode)
+        assert len(nodes) == count
+
 
 class TestBinarizeInstances:
     def _stage(self, cfg, logits, cls_logits):
@@ -367,6 +396,19 @@ class TestBinarizeInstances:
         expected = np.zeros((16, 16), dtype=bool)
         expected[4:12, 4:12] = True
         assert mask.sum() > 0
+
+    @pytest.mark.parametrize("where", ["mask", "class"])
+    def test_non_finite_logits_rejected(self, where):
+        # a NaN class logit used to give an instance scored nan
+        cfg = tiny_cfg("instance")
+        logits = np.zeros((3, 4, 4))
+        cls = np.full((3, 3), 5.0)
+        if where == "mask":
+            logits[1, 2, 0] = np.nan
+        else:
+            cls[1, 2] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            MO.binarize_instances(self._stage(cfg, logits, cls), cfg)
 
     def test_threshold_sweep_monotone(self):
         cfg = tiny_cfg("instance")
@@ -639,3 +681,17 @@ class TestSemanticRaster:
         sem = MO.semantic_raster(stage, cfg)
         assert (sem[:8] == cfg.semantic_class_ids[4]).all()
         assert (sem[8:] == cfg.semantic_class_ids[0]).all()
+
+    def test_non_finite_logits_rejected(self):
+        # a NaN mask row used to win the argmax
+        cfg = tiny_cfg("semantic")
+        logits = np.zeros((5, 4, 4))
+        logits[2, 1, 1] = np.nan
+        stage = StageOutput(
+            kernels=Tensor(np.zeros((1, 5, 8), dtype=np.float32)),
+            mask_logits=Tensor(logits[None].astype(np.float32)),
+            class_logits=None,
+            activation="softmax",
+        )
+        with pytest.raises(NumericError, match="non-finite"):
+            MO.semantic_raster(stage, cfg)

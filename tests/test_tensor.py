@@ -303,6 +303,8 @@ def _op_cases(rng):
     coef_cat = T.Tensor(rng.standard_normal((2 * n, m)))
     coef_b = T.Tensor(rng.standard_normal((4, n, m)))
     coef_rep = T.Tensor(rng.standard_normal((n, 3)))
+    coef_row = T.Tensor(rng.standard_normal((1, m)))
+    coef_up = T.Tensor(rng.standard_normal((2, 7, 5)))
     return [
         ("add", lambda t: T.reduce_sum(T.add(t, other)), (n, m)),
         ("sub", lambda t: T.reduce_sum(T.sub(other, t)), (n, m)),
@@ -320,6 +322,11 @@ def _op_cases(rng):
         ("softmax", lambda t: T.reduce_sum(T.mul(T.softmax(t, axis=1), other)), (n, m)),
         ("log_softmax", lambda t: T.reduce_sum(T.mul(T.log_softmax(t, axis=1), other)), (n, m)),
         ("reduce_mean", lambda t: T.reduce_sum(T.reduce_mean(t, axes=1) * 3.0), (n, m)),
+        ("reduce_mean_keepdims",
+         lambda t: T.reduce_sum(T.mul(T.reduce_mean(t, axes=0, keepdims=True), coef_row)), (n, m)),
+        ("reduce_mean_all", lambda t: T.reduce_mean(T.mul(t, other)), (n, m)),
+        ("bilinear_upsample", lambda t: T.reduce_sum(T.mul(T.bilinear_upsample(t, 7, 5), coef_up)),
+         (2, n, m)),
         ("reshape", lambda t: T.reduce_sum(T.mul(T.reshape(t, (m, n)), coef_mn)), (n, m)),
         ("transpose", lambda t: T.reduce_sum(T.mul(T.transpose(t, (1, 0)), coef_mn)), (n, m)),
         ("concat", lambda t: T.reduce_sum(T.mul(T.concat([t, other], axis=0), coef_cat)), (n, m)),
@@ -395,6 +402,68 @@ def test_conv2d_bitwise_equal_to_padded_form(stride, padding, dtype):
         got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def composite_reduce_mean(a, axes=None, keepdims=False):
+    """The reduce_sum * 1/n graph that reduce_mean replaced, kept as a reference."""
+    axes_t = T._norm_axes(axes, a.data.ndim)
+    n = 1
+    for ax in axes_t:
+        n *= a.data.shape[ax]
+    return T.mul(T.reduce_sum(a, axes_t, keepdims), T.Tensor(1.0 / n))
+
+
+def composite_bilinear_upsample(x, out_h, out_w):
+    """The reshape -> matmul -> matmul -> reshape chain that bilinear_upsample
+    replaced, kept as a reference."""
+    *lead, h, w = x.data.shape
+    a = T.Tensor(T._interp_matrix(out_h, h, x.data.dtype))
+    bmat = T.Tensor(T._interp_matrix(out_w, w, x.data.dtype).T)
+    out = T.matmul(T.matmul(a, T.reshape(x, (-1, h, w))), bmat)
+    return T.reshape(out, (*lead, out_h, out_w))
+
+
+def _forward_and_input_grad(op, x_data, coef):
+    x = T.Tensor(x_data, requires_grad=True)
+    out = op(x)
+    T.reduce_sum(T.mul(out, T.Tensor(coef))).backward()
+    return np.asarray(out.data), x.grad
+
+
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("axes, keepdims", [
+    (-1, True), (1, False), ((0, 2), False), ((0, 2), True), (None, False), (None, True),
+])
+def test_reduce_mean_bitwise_equal_to_composite(mode, axes, keepdims):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 5, 7)) * 10.0
+    x[0, 0, :3] = [-0.0, 1e-30, -1e30]
+    with T.precision(mode):
+        shape = composite_reduce_mean(T.Tensor(x), axes, keepdims).data.shape
+        coef = rng.standard_normal(shape)
+        got = _forward_and_input_grad(lambda t: T.reduce_mean(t, axes, keepdims), x, coef)
+        want = _forward_and_input_grad(lambda t: composite_reduce_mean(t, axes, keepdims), x, coef)
+    _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("shape, out_hw", [
+    ((2, 3, 4, 4), (8, 8)), ((5, 6), (12, 9)), ((1, 2, 3, 8, 8), (16, 16)), ((4, 16, 16), (32, 32)),
+])
+def test_bilinear_upsample_bitwise_equal_to_composite(mode, shape, out_hw):
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) * 4.0
+    with T.precision(mode):
+        coef = rng.standard_normal((*shape[:-2], *out_hw))
+        got = _forward_and_input_grad(lambda t: T.bilinear_upsample(t, *out_hw), x, coef)
+        want = _forward_and_input_grad(lambda t: composite_bilinear_upsample(t, *out_hw), x, coef)
+    _assert_same_bytes(got, want)
 
 
 def test_bilinear_upsample_constant_preserved(f64):
