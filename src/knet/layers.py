@@ -59,11 +59,7 @@ class LayerNorm(Layer):
         self.beta = Tensor(np.zeros(c), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = T.reduce_mean(x, axes=-1, keepdims=True)
-        centered = x - mu
-        var = T.reduce_mean(centered * centered, axes=-1, keepdims=True)
-        normed = centered / T.sqrt(var + LN_EPS)
-        return normed * self.gamma + self.beta
+        return T.layer_norm(x, self.gamma, self.beta, LN_EPS)
 
 
 def canonical_frame(fn, *rows: Tensor) -> tuple[Tensor | None, ...]:

@@ -16,6 +16,7 @@ resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
-from .errors import CapacityError, ContractError, NumericError
+from .errors import CapacityError, ContractError, DimensionError, NumericError
 from .head import StageOutput
 from .tensor import Tensor
 
@@ -115,37 +116,116 @@ def grid_logits(mask_logits: Tensor, image_size: int) -> tuple[Tensor, tuple[int
 
 def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25,
                gamma: float = 2.0) -> Tensor:
-    """Focal binary classification loss.
+    """Focal binary classification loss, as one graph node.
 
     ``probs`` are per-class probabilities in (0, 1); ``targets`` a {0,1}
     array of the same shape.  Sum over the class axis (last), mean over
-    everything else.
+    everything else.  The numpy ops and their order are those of the
+    composite ``clip``, ``pow_const``, ``log``, ``mul``, ``add``,
+    ``reduce_sum`` and ``reduce_mean`` graph, forward and backward, so the
+    bytes are the same; ``probs`` gets one accumulation.
     """
-    p = T.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    t = np.asarray(targets, dtype=p.data.dtype)
-    pos = T.pow_const(1.0 - p, gamma) * T.log(p) * (-alpha)
-    neg = T.pow_const(p, gamma) * T.log(1.0 - p) * (alpha - 1.0)
-    per = pos * t + neg * (1.0 - t)
-    summed = T.reduce_sum(per, axes=-1)
-    return T.reduce_mean(summed) if summed.ndim > 0 else summed
+    x = probs.data
+    dtype = x.dtype
+    t = _targets_like(targets, x, "focal_loss")
+    one = np.asarray(1.0).astype(dtype)
+    neg_alpha = np.asarray(-alpha).astype(dtype)
+    alpha_m1 = np.asarray(alpha - 1.0).astype(dtype)
+    p = np.clip(x, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    q = one - p
+    log_p, log_q = np.log(p), np.log(q)
+    pow_q, pow_p = q ** gamma, p ** gamma
+    not_t = 1.0 - t
+    per = pow_q * log_p * neg_alpha * t + pow_p * log_q * alpha_m1 * not_t
+    last = (per.ndim - 1,)
+    summed = per.sum(axis=last)
+    every = tuple(range(summed.ndim))
+    scale = np.asarray(1.0 / math.prod(summed.shape)).astype(dtype)
+    data = summed.sum(axis=every) * scale if summed.ndim else summed
+
+    def bw(g):
+        if summed.ndim:
+            g = np.broadcast_to(np.expand_dims(g * scale, every), summed.shape)
+        g_per = np.broadcast_to(np.expand_dims(g, last), per.shape)
+        g_pos = g_per * t * neg_alpha
+        g_neg = g_per * not_t * alpha_m1
+        g_p = -(g_pos * log_p * gamma * q ** (gamma - 1.0))
+        g_p = g_p + g_pos * pow_q / p
+        g_p = g_p + g_neg * log_q * gamma * p ** (gamma - 1.0)
+        g_p = g_p + -(g_neg * pow_p / q)
+        probs.accumulate_grad(g_p * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)))
+
+    return T._node(data, (probs,), bw)
 
 
 def dice_loss(pred_probs: Tensor, gt: np.ndarray) -> Tensor:
-    """Per-mask dice loss over the last axis; returns one value per mask."""
-    g = np.asarray(gt, dtype=pred_probs.data.dtype)
-    inter = T.reduce_sum(pred_probs * g, axes=-1)
-    denom = T.reduce_sum(pred_probs, axes=-1) + Tensor(g.sum(axis=-1))
-    return 1.0 - (2.0 * inter + DICE_EPS) / (denom + DICE_EPS)
+    """Per-mask dice loss over the last axis; returns one value per mask.
+
+    One graph node with the numpy ops, in order, of the composite ``mul``,
+    ``reduce_sum``, ``add``, ``div`` and ``sub`` graph, forward and
+    backward, so the bytes are the same.  ``pred_probs`` takes the
+    intersection's gradient term, then the denominator's, as two
+    accumulations.
+    """
+    x = pred_probs.data
+    dtype = x.dtype
+    g_arr = _targets_like(gt, x, "dice_loss")
+    two = np.asarray(2.0).astype(dtype)
+    eps = np.asarray(DICE_EPS).astype(dtype)
+    last = (x.ndim - 1,)
+    num = two * (x * g_arr).sum(axis=last) + eps
+    den = x.sum(axis=last) + g_arr.sum(axis=-1) + eps
+    data = np.asarray(1.0).astype(dtype) - num / den
+
+    def bw(g):
+        g_q = -g
+        g_inter = g_q / den * two
+        g_den = -g_q * num / (den * den)
+        pred_probs.accumulate_grad(np.broadcast_to(np.expand_dims(g_inter, last), x.shape) * g_arr)
+        pred_probs.accumulate_grad(np.broadcast_to(np.expand_dims(g_den, last), x.shape))
+
+    return T._node(data, (pred_probs,), bw)
 
 
 def mask_ce_loss(pred_logits: Tensor, gt: np.ndarray) -> Tensor:
-    """Binary cross-entropy with logits, mean over the last (pixel) axis."""
-    g = np.asarray(gt, dtype=pred_logits.data.dtype)
-    z = pred_logits
-    # stable form: max(z,0) - z*g + log(1 + exp(-|z|))
-    absz = T.relu(z) + T.relu(-z)
-    per_pixel = T.relu(z) - z * g + T.log(1.0 + T.exp(-absz))
-    return T.reduce_mean(per_pixel, axes=-1)
+    """Binary cross-entropy with logits, mean over the last (pixel) axis.
+
+    Stable form ``max(z, 0) - z * g + log(1 + exp(-|z|))``, with
+    ``|z| = relu(z) + relu(-z)``, as one graph node.  It runs the numpy
+    ops of that composite graph in order, forward and backward, and the
+    logits take the composite's four gradient terms as four accumulations
+    in its walk order.  So the bytes are the same even where the logits
+    feed other nodes too, as they feed the dice sigmoid in training.
+    """
+    z = pred_logits.data
+    dtype = z.dtype
+    g_arr = _targets_like(gt, z, "mask_ce_loss")
+    relu_z = np.maximum(z, 0)
+    neg_z = -z
+    ex = np.exp(-(relu_z + np.maximum(neg_z, 0)))
+    one_ex = np.asarray(1.0).astype(dtype) + ex
+    per = relu_z - z * g_arr + np.log(one_ex)
+    last = (z.ndim - 1,)
+    scale = np.asarray(1.0 / z.shape[-1]).astype(dtype)
+    data = per.sum(axis=last) * scale
+
+    def bw(g):
+        g_per = np.broadcast_to(np.expand_dims(g * scale, last), z.shape)
+        pos = z > 0
+        pred_logits.accumulate_grad(g_per * pos)
+        pred_logits.accumulate_grad(-g_per * g_arr)
+        g_abs = -(g_per / one_ex * ex)
+        pred_logits.accumulate_grad(g_abs * pos)
+        pred_logits.accumulate_grad(-(g_abs * (neg_z > 0)))
+
+    return T._node(data, (pred_logits,), bw)
+
+
+def _targets_like(targets, x: np.ndarray, op: str) -> np.ndarray:
+    t = np.asarray(targets, dtype=x.dtype)
+    if t.shape != x.shape:
+        raise DimensionError(f"{op}: targets {t.shape} do not match predictions {x.shape}")
+    return t
 
 
 # ---------------------------------------------------------------------------

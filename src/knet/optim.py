@@ -37,24 +37,56 @@ class AdamW:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float | None = None) -> None:
+        """One AdamW update of every parameter, as one ``adamw_step`` call.
+
+        Parameters, gradients and moments are concatenated, updated once
+        and handed back as per-key views.  The update is elementwise with
+        correctly rounded ops, so each element gets the bytes a
+        per-parameter update would give it.
+        """
         lr = self.lr if lr is None else lr
         self.t += 1
+        params = self.params
+        theta = np.concatenate([p.data for p in params.values()], axis=None)
+        try:
+            # decoupled decay still applies to idle parameters
+            grad = np.concatenate(
+                [np.zeros_like(p.data) if p.grad is None else p.grad for p in params.values()],
+                axis=None, dtype=theta.dtype, casting="no",
+            )
+        except TypeError:                    # a gradient of another dtype
+            raise self._bad_gradient() from None
+        if not np.isfinite(grad).all():
+            raise self._bad_gradient()
+        theta, m, v = adamw_step(
+            theta, grad, np.concatenate([self.m[k] for k in params], axis=None),
+            np.concatenate([self.v[k] for k in params], axis=None), self.t,
+            lr, self.weight_decay, self.betas, self.eps,
+        )
+        end = 0
+        for key, p in params.items():
+            start, end = end, end + p.data.size
+            shape = p.data.shape
+            p.data = theta[start:end].reshape(shape)
+            self.m[key] = m[start:end].reshape(shape)
+            self.v[key] = v[start:end].reshape(shape)
+
+    def _bad_gradient(self) -> TrainingError:
+        """The error naming the first parameter, in key order, whose gradient
+        has another dtype or a non-finite value."""
         for key, p in self.params.items():
             grad = p.grad
             if grad is None:
-                # decoupled decay still applies to idle parameters
-                grad = np.zeros_like(p.data)
-            elif grad.dtype != p.data.dtype:
+                continue
+            if grad.dtype != p.data.dtype:
                 # AdamW would silently promote the parameter and its moments
-                raise TrainingError(
+                return TrainingError(
                     f"gradient of parameter {key!r} is {grad.dtype}, the parameter {p.data.dtype}"
                 )
-            elif not np.isfinite(grad).all():
-                raise TrainingError(f"non-finite gradient in parameter {key!r}")
-            p.data, self.m[key], self.v[key] = adamw_step(
-                p.data, grad, self.m[key], self.v[key], self.t,
-                lr, self.weight_decay, self.betas, self.eps,
-            )
+            if not np.isfinite(grad).all():
+                return TrainingError(f"non-finite gradient in parameter {key!r}")
+        dtypes = sorted({str(p.data.dtype) for p in self.params.values()})
+        return TrainingError(f"parameters must share one dtype, got {', '.join(dtypes)}")
 
     def zero_grad(self) -> None:
         for p in self.params.values():

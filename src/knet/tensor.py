@@ -447,6 +447,50 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(data, (a,), bw)
 
 
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis.
+
+    One node that runs the numpy ops of the composite built from
+    ``reduce_mean``, ``sub``, ``mul``, ``add``, ``sqrt`` and ``div``, in
+    the order its forward and its backward walk would, so the bytes are
+    the same.  ``x`` takes its two gradient terms (the centering's, then
+    the mean's) as two accumulations, as the composite's ``sub`` and
+    ``reduce_mean`` nodes do.
+    """
+    c = x.data.shape[-1]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise DimensionError(
+            f"layer_norm: gamma {gamma.data.shape} and beta {beta.data.shape} "
+            f"do not match {c} channels"
+        )
+    axes = (x.data.ndim - 1,)
+    dtype = _state["dtype"]
+    scale = np.asarray(1.0 / c).astype(dtype)
+    centered = x.data - x.data.sum(axis=axes, keepdims=True) * scale
+    sd = np.sqrt((centered * centered).sum(axis=axes, keepdims=True) * scale
+                 + np.asarray(eps).astype(dtype))
+    normed = centered / sd
+    data = normed * gamma.data + beta.data
+
+    def bw(g):
+        if beta.requires_grad:
+            beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            gamma.accumulate_grad(_unbroadcast(g * normed, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * gamma.data
+        g_sd = _unbroadcast(-g_normed * centered / (sd * sd), sd.shape)
+        g_sq = np.broadcast_to(g_sd * 0.5 / sd * scale, x.data.shape)
+        gcc = g_sq * centered
+        g_centered = g_normed / sd + gcc + gcc
+        x.accumulate_grad(g_centered)
+        g_mean = _unbroadcast(-g_centered, sd.shape)
+        x.accumulate_grad(np.broadcast_to(g_mean * scale, x.data.shape))
+
+    return _node(data, (x, gamma, beta), bw)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 

@@ -133,8 +133,12 @@ def load_checkpoint(path, with_optimizer: bool = False):
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise FormatError(f"{path}: unknown checkpoint format")
         for key in ("epoch", "iteration", "opt_t"):
-            if not isinstance(header.get(key), int):
-                raise FormatError(f"{path}: checkpoint header lacks an integer {key!r}")
+            # bool is an int subclass; a negative count breaks resume later
+            value = header.get(key)
+            if type(value) is not int or value < 0:
+                raise FormatError(
+                    f"{path}: checkpoint header {key!r} is not a non-negative integer: {value!r}"
+                )
         if not isinstance(header.get("config"), dict):
             raise FormatError(f"{path}: checkpoint header lacks a config object")
         cfg = TrainConfig.from_dict(header["config"])

@@ -1,4 +1,4 @@
-"""Finite-difference verification of every trainable block.
+"""Finite-difference verification of every trainable block and loss term.
 
 Each check builds a small randomly-initialized layer in f64 mode, wires a
 scalar readout with fixed random coefficients, and compares backward()
@@ -18,6 +18,7 @@ from .head import (
     PlainKernelUpdate,
 )
 from .layers import Conv2d, FeedForward, LayerNorm, Linear, MultiHeadAttention
+from .matching import dice_loss, focal_loss, mask_ce_loss
 from .model import BackboneLite, ModelConfig
 from .tensor import Tensor
 
@@ -46,6 +47,28 @@ def _linear_param_check(name):
         read = _readout(rng, (2, 3, 4))
         x = Tensor(rng.standard_normal((2, 3, 5)))
         return T.grad_check(lambda _: read(layer(x)), getattr(layer, name))
+    return check
+
+
+def _layer_norm_param_check(name):
+    def check(rng):
+        layer = LayerNorm(6)
+        layer.gamma.data = rng.standard_normal(6)
+        layer.beta.data = rng.standard_normal(6)
+        read = _readout(rng, (2, 3, 6))
+        x = Tensor(rng.standard_normal((2, 3, 6)))
+        return T.grad_check(lambda _: read(layer(x)), getattr(layer, name))
+    return check
+
+
+def _loss_check(loss, logits_to_input, out_shape):
+    """Check a loss term's gradient with respect to (4, 9) logits against
+    soft targets; ``logits_to_input`` maps the logits to its input."""
+    def check(rng):
+        targets = rng.uniform(size=(4, 9))
+        read = _readout(rng, out_shape)
+        x = Tensor(rng.standard_normal((4, 9)), requires_grad=True)
+        return T.grad_check(lambda t: read(loss(logits_to_input(t), targets)), x)
     return check
 
 
@@ -125,6 +148,8 @@ CHECKS = {
     "linear_weight": (_linear_param_check("weight"), LAYER_TOLERANCE),
     "linear_bias": (_linear_param_check("bias"), LAYER_TOLERANCE),
     "layer_norm": (_input_check(lambda _: LayerNorm(6), (3, 6), (3, 6)), LAYER_TOLERANCE),
+    "layer_norm_gamma": (_layer_norm_param_check("gamma"), LAYER_TOLERANCE),
+    "layer_norm_beta": (_layer_norm_param_check("beta"), LAYER_TOLERANCE),
     "multi_head_attention": (_check_attention, LAYER_TOLERANCE),
     "feed_forward": (_input_check(lambda rng: FeedForward(6, rng), (2, 6), (2, 6)),
                      LAYER_TOLERANCE),
@@ -139,6 +164,9 @@ CHECKS = {
                     LAYER_TOLERANCE),
     "class_branch": (_input_check(lambda rng: KernelMlp(8, 3, rng), (1, 2, 8), (1, 2, 3)),
                      LAYER_TOLERANCE),
+    "focal_loss": (_loss_check(focal_loss, T.sigmoid, ()), LAYER_TOLERANCE),
+    "dice_loss": (_loss_check(dice_loss, T.sigmoid, (4,)), LAYER_TOLERANCE),
+    "mask_ce_loss": (_loss_check(mask_ce_loss, lambda t: t, (4,)), LAYER_TOLERANCE),
     "full_stage": (_check_full_stage, FULL_STAGE_TOLERANCE),
     "full_stage_duplicate_row": (_check_full_stage_duplicate_row, FULL_STAGE_TOLERANCE),
 }

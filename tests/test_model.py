@@ -349,7 +349,7 @@ class TestForward:
         assert {id(t) for t in leaves} <= {id(p) for p in model.params().values()}
 
     @pytest.mark.parametrize("mode, count", [
-        ("semantic", 218), ("instance", 354), ("panoptic", 395),
+        ("semantic", 146), ("instance", 204), ("panoptic", 213),
     ])
     def test_loss_graph_node_count(self, mode, count):
         # pins the graph size: a change here adds or removes autograd nodes per step

@@ -20,6 +20,12 @@ def scalar_reference(theta, grads, lr, wd, betas=(0.9, 0.999), eps=1e-8):
     return theta
 
 
+@pytest.fixture
+def f64():
+    with T.precision("f64"):
+        yield
+
+
 class TestAdamwStep:
     def test_zero_grad_zero_decay_fixed_point(self):
         theta = np.array([1.0, -2.0])
@@ -98,6 +104,75 @@ class TestAdamWClass:
         assert opt2.t == 1
         assert np.array_equal(opt2.m["w"], opt.m["w"])
         assert np.array_equal(opt2.v["w"], opt.v["w"])
+
+
+def per_parameter_reference(init, grad_steps, lrs, wd):
+    """AdamW as one ``adamw_step`` call per parameter; idle ones decay."""
+    theta = {k: a.copy() for k, a in init.items()}
+    m = {k: np.zeros_like(a) for k, a in init.items()}
+    v = {k: np.zeros_like(a) for k, a in init.items()}
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        for key in theta:
+            g = grads.get(key, np.zeros_like(theta[key]))
+            theta[key], m[key], v[key] = adamw_step(theta[key], g, m[key], v[key], t, lr, wd)
+    return theta, m, v
+
+
+class TestOneCallStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_per_parameter_loop(self, dtype):
+        rng = np.random.default_rng(9)
+        shapes = {"conv": (4, 3, 3, 3), "bias": (4,), "mat": (5, 6), "scalar": (1,), "idle": (2, 3)}
+        init = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        grad_steps = []
+        for step in range(4):
+            grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+                     for k, s in shapes.items() if k != "idle"}
+            grads["mat"] = np.ascontiguousarray(grads["mat"].T).T     # a strided gradient
+            if step == 2:
+                del grads["bias"]                                     # idle for one step
+            grad_steps.append(grads)
+        lrs = [lr_at(1e-2, it, [2]) for it in range(4)]               # drops before step 3
+        with T.precision("f64" if dtype == np.float64 else "f32"):
+            params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+            opt = AdamW(params, lr=1e-2, weight_decay=0.05)
+            for grads, lr in zip(grad_steps, lrs):
+                for key, p in params.items():
+                    p.grad = grads.get(key)
+                opt.step(lr)
+        theta, m, v = per_parameter_reference(init, grad_steps, lrs, 0.05)
+        for key in shapes:
+            for got, want in ((params[key].data, theta[key]), (opt.m[key], m[key]),
+                              (opt.v[key], v[key])):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), key
+        assert not np.array_equal(theta["idle"], init["idle"])
+
+    def test_error_names_first_bad_parameter_and_leaves_state(self):
+        params = {k: Tensor(np.ones(2, dtype=np.float32), requires_grad=True) for k in "abc"}
+        opt = AdamW(params, lr=1e-2)
+        params["a"].grad = np.ones(2, dtype=np.float32)
+        params["b"].grad = np.array([np.inf, 0.0], dtype=np.float32)
+        params["c"].grad = np.ones(2, dtype=np.float64)
+        with pytest.raises(TrainingError, match="non-finite gradient in parameter 'b'"):
+            opt.step()
+        assert all(np.array_equal(p.data, np.ones(2)) for p in params.values())
+
+    def test_parameters_of_mixed_dtypes_rejected(self):
+        p32 = Tensor(np.ones(2), requires_grad=True)
+        with T.precision("f64"):
+            p64 = Tensor(np.ones(2), requires_grad=True)
+        opt = AdamW({"a": p32, "b": p64}, lr=1e-2)
+        p32.grad, p64.grad = np.ones(2, dtype=np.float32), np.ones(2)
+        with pytest.raises(TrainingError, match="share one dtype"):
+            opt.step()
+
+    def test_float32_gradient_of_float64_parameter_rejected(self, f64):
+        p = Tensor(np.ones(2), requires_grad=True)
+        opt = AdamW({"w": p}, lr=1e-2)
+        p.grad = np.ones(2, dtype=np.float32)
+        with pytest.raises(TrainingError, match="'w' is float32"):
+            opt.step()
 
 
 class TestSchedule:

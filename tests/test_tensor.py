@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knet import matching as M
 from knet import tensor as T
 from knet.errors import ContractError, DimensionError, FormatError, KnetError, NumericError
 
@@ -305,6 +306,11 @@ def _op_cases(rng):
     coef_rep = T.Tensor(rng.standard_normal((n, 3)))
     coef_row = T.Tensor(rng.standard_normal((1, m)))
     coef_up = T.Tensor(rng.standard_normal((2, 7, 5)))
+    coef_n = T.Tensor(rng.standard_normal(n))
+    # five channels: over two, a normalized row is +-1 and its gradient ~0
+    gamma, beta = T.Tensor(rng.standard_normal(5)), T.Tensor(rng.standard_normal(5))
+    coef_ln = T.Tensor(rng.standard_normal((n, 5)))
+    soft = rng.uniform(size=(n, m))
     return [
         ("add", lambda t: T.reduce_sum(T.add(t, other)), (n, m)),
         ("sub", lambda t: T.reduce_sum(T.sub(other, t)), (n, m)),
@@ -335,6 +341,12 @@ def _op_cases(rng):
          lambda t: T.reduce_sum(T.index_select(t, 1, [0, 1, 0]) * coef_rep), (n, m)),
         ("broadcast", lambda t: T.reduce_sum(T.mul(T.broadcast_to(t, (4, n, m)), coef_b)), (n, m)),
         ("clip", lambda t: T.reduce_sum(T.clip(t, -0.7, 0.7)), (n, m)),
+        ("layer_norm",
+         lambda t: T.reduce_sum(T.mul(T.layer_norm(t, gamma, beta, 1e-6), coef_ln)), (n, 5)),
+        ("focal_loss", lambda t: M.focal_loss(T.sigmoid(t), soft), (n, m)),
+        ("dice_loss", lambda t: T.reduce_sum(T.mul(M.dice_loss(T.sigmoid(t), soft), coef_n)),
+         (n, m)),
+        ("mask_ce_loss", lambda t: T.reduce_sum(T.mul(M.mask_ce_loss(t, soft), coef_n)), (n, m)),
     ]
 
 

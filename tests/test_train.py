@@ -156,11 +156,16 @@ class TestTrainSmoke:
         cfg_resumed.out_dir = str(tmp_path / "resumed")
         TR.train(cfg_resumed, resume=str(Path(cfg_half.out_dir) / "last.ckpt"))
 
-        _, m_full, _, _, _ = load_checkpoint(Path(cfg_full.out_dir) / "last.ckpt")
-        _, m_res, _, _, _ = load_checkpoint(Path(cfg_resumed.out_dir) / "last.ckpt")
+        _, m_full, o_full, _, _ = load_checkpoint(Path(cfg_full.out_dir) / "last.ckpt",
+                                                  with_optimizer=True)
+        _, m_res, o_res, _, _ = load_checkpoint(Path(cfg_resumed.out_dir) / "last.ckpt",
+                                                with_optimizer=True)
         for (ka, pa), (kb, pb) in zip(m_full.params().items(), m_res.params().items()):
             assert ka == kb
-            assert np.array_equal(pa.data, pb.data), ka
+            assert pa.data.tobytes() == pb.data.tobytes(), ka
+        assert o_full.t == o_res.t
+        for (ka, a), (kb, b) in zip(o_full.state_arrays().items(), o_res.state_arrays().items()):
+            assert ka == kb and a.tobytes() == b.tobytes(), ka
 
     def test_validates_each_model_once(self, tmp_path, monkeypatch):
         calls = []
@@ -265,6 +270,19 @@ class TestCheckpointErrors:
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("epoch", -1), ("epoch", True), ("iteration", -5), ("iteration", 2.0),
+        ("opt_t", -1), ("opt_t", False),
+    ])
+    def test_out_of_range_counter_is_format_error(self, tmp_path, key, value):
+        path = self._save(tmp_path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path, with_optimizer=True)
 
     def test_optimizer_shape_mismatch(self, tmp_path):
         def shrink(opt):
