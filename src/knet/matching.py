@@ -360,8 +360,10 @@ def semantic_loss(mask_logits: Tensor, targets: np.ndarray) -> Tensor:
     return ce + dice
 
 
-def _gather_rows(flat_logits: Tensor, rows: list[int]) -> Tensor:
-    return T.index_select(flat_logits, 0, np.asarray(rows, dtype=np.int64))
+def _mask_terms(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Mean binary cross-entropy and mean dice of mask rows against soft targets."""
+    return (T.reduce_mean(mask_ce_loss(logits, targets)),
+            T.reduce_mean(dice_loss(T.sigmoid(logits), targets)))
 
 
 def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
@@ -372,44 +374,40 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     ``instances`` (list of (class_id, bool mask)) and ``semantic``
     (image_size x image_size class raster).  Kernel rows [0, n) are the
     instance kernels, class-logit column c is ``cfg.thing_class_ids[c]``,
-    and the rows after the instance kernels are ``cfg.stuff_class_ids``
-    (panoptic) or ``cfg.semantic_class_ids`` (semantic).  Each stage is
-    matched and supervised on its supervision grid (:func:`grid_logits`)
-    against ground truth area-pooled to that grid.
+    and the rows after the instance kernels are ``cfg.semantic_class_ids``
+    (semantic and panoptic mode).  Every stage predicts on the same mask
+    grid, so the ground truth is area-pooled to its supervision grid
+    (:func:`grid_logits`) once, and each stage is matched and supervised
+    there.
     """
     weights = weights or LossWeights()
     size = cfg.image_size
     n_ins = cfg.num_instance_kernels
     thing_index = {cid: i for i, cid in enumerate(cfg.thing_class_ids)}
     k_cls = len(cfg.thing_class_ids)
-    # class rows supervised from the semantic raster rather than matched
-    raster_ids = {"semantic": cfg.semantic_class_ids, "panoptic": cfg.stuff_class_ids}.get(
-        cfg.mode, [])
 
-    total = Tensor(0.0)
     agg = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
     per_stage: list[dict[str, float]] = []
+    stage_losses: list[Tensor] = []
 
     gt_classes = [np.array([thing_index[c] for c, _ in gt.instances], dtype=np.int64)
                   for gt in gts]
-    pooled: dict[tuple[int, int], tuple] = {}   # grid -> targets, pooled once per batch
+    grid = supervision_grid(stages[0].mask_logits.shape[2:], size)
+    gt_masks = [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
+                          .reshape(-1, size, size), grid) for gt in gts]
+    # instance mode supervises no row from the raster: its auxiliary
+    # semantic loss is built from the instance masks
+    shares = None if cfg.mode == "instance" else class_fractions(
+        np.stack([gt.semantic for gt in gts]), cfg.semantic_class_ids, grid)
 
     for stage in stages:
         b, n_total = stage.mask_logits.shape[:2]
-        logits, grid = grid_logits(stage.mask_logits, size)
-        if grid not in pooled:
-            pooled[grid] = (
-                [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
-                           .reshape(-1, size, size), grid) for gt in gts],
-                class_fractions(np.stack([gt.semantic for gt in gts]), raster_ids, grid),
-            )
-        gt_masks, shares = pooled[grid]
+        logits, _ = grid_logits(stage.mask_logits, size)
         stage_terms = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
-        stage_loss = Tensor(0.0)
 
         if cfg.mode == "semantic":
             seg = semantic_loss(logits, shares)
-            stage_loss = stage_loss + weights.lam_seg * seg
+            terms = [weights.lam_seg * seg]
             stage_terms["seg"] = float(seg.data)
         else:
             # instance kernels: match, then classify + segment
@@ -433,16 +431,14 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 T.sigmoid(T.index_select(stage.class_logits, 1, np.arange(n_ins))),
                 focal_targets, weights.focal_alpha, weights.focal_gamma,
             )
-            stage_loss = stage_loss + weights.lam_cls * cls_term
+            terms = [weights.lam_cls * cls_term]
             stage_terms["cls"] = float(cls_term.data)
 
             if sel_rows:
                 flat_all = T.reshape(logits, (b * n_total, logits.shape[2]))
-                pred_rows = _gather_rows(flat_all, sel_rows)
-                gt_rows = np.stack(sel_masks)
-                ce_term = T.reduce_mean(mask_ce_loss(pred_rows, gt_rows))
-                dice_term = T.reduce_mean(dice_loss(T.sigmoid(pred_rows), gt_rows))
-                stage_loss = stage_loss + weights.lam_ce * ce_term + weights.lam_dice * dice_term
+                ce_term, dice_term = _mask_terms(T.index_select(flat_all, 0, sel_rows),
+                                                 np.stack(sel_masks))
+                terms += [weights.lam_ce * ce_term, weights.lam_dice * dice_term]
                 stage_terms["ce"] = float(ce_term.data)
                 stage_terms["dice"] = float(dice_term.data)
 
@@ -451,18 +447,19 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 # losses as matched instances; panoptic masks are sigmoid-read
                 # at inference, so the supervision must pin that scale and
                 # penalize bleed over thing pixels at full weight
-                stuff_logits = T.index_select(logits, 1, np.arange(n_ins, n_total))
-                stuff_ce = T.reduce_mean(mask_ce_loss(stuff_logits, shares))
-                stuff_dice = T.reduce_mean(dice_loss(T.sigmoid(stuff_logits), shares))
+                stuff_ce, stuff_dice = _mask_terms(
+                    T.index_select(logits, 1, np.arange(n_ins, n_total)), shares)
                 seg = stuff_ce + stuff_dice
-                stage_loss = stage_loss + weights.lam_seg * seg
+                terms.append(weights.lam_seg * seg)
                 stage_terms["seg"] = float(seg.data)
 
-        total = total + stage_loss
+        # the first term starts the sum: one node fewer, and the additions keep their order
+        stage_losses.append(sum(terms[1:], terms[0]))
         for key in agg:
             agg[key] += stage_terms[key]
         per_stage.append(dict(stage_terms))
 
+    total = sum(stage_losses[1:], stage_losses[0])
     breakdown = LossBreakdown(
         total=float(total.data), cls=agg["cls"], ce=agg["ce"],
         dice=agg["dice"], seg=agg["seg"], per_stage=per_stage,

@@ -7,8 +7,8 @@ One model class covers the three modes:
 * semantic: one kernel per class, masks compete through a softmax.
 * instance: matched instance kernels; a semantic branch provides
   auxiliary supervision built from the instance masks themselves.
-* panoptic: instance kernels concatenated with the stuff rows of the
-  semantic kernels; merged to a segment raster by score-weighted pasting.
+* panoptic: instance kernels concatenated with one semantic kernel per
+  stuff class; merged to a segment raster by score-weighted pasting.
 """
 
 from __future__ import annotations
@@ -84,16 +84,14 @@ class ModelConfig:
             # auxiliary branch: background + thing classes, targets derived
             # from the instance masks
             return [BACKGROUND_ID] + list(self.thing_class_ids)
+        if self.mode == "panoptic":
+            # instance kernels cover the things
+            return list(self.stuff_class_ids)
         return list(self.thing_class_ids) + list(self.stuff_class_ids)
 
     @property
     def num_semantic_kernels(self) -> int:
         return len(self.semantic_class_ids)
-
-    @property
-    def stuff_rows(self) -> list[int]:
-        ids = self.semantic_class_ids
-        return [ids.index(c) for c in self.stuff_class_ids]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -138,17 +136,16 @@ class BackboneLite(Layer):
 
 
 def build_panoptic_inputs(m0_ins: Tensor, m0_sem: Tensor, k0_ins: Tensor,
-                          k0_sem: Tensor, f_ins: Tensor, f_sem: Tensor,
-                          stuff_rows: list[int]) -> tuple[Tensor, Tensor, Tensor]:
-    """Concatenate instance rows with the stuff rows of the semantic set.
+                          k0_sem: Tensor, f_ins: Tensor,
+                          f_sem: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Concatenate the instance rows with the stuff rows, masks and kernels.
 
-    Thing rows of the semantic prediction are dropped: instances already
-    cover them.  The two feature branches are summed into the single map
-    the update head refines against.
+    The panoptic semantic set holds one kernel per stuff class: instances
+    cover the things.  The two feature branches are summed into the single
+    map the update head refines against.
     """
-    rows = np.asarray(stuff_rows, dtype=np.int64)
-    m0 = T.concat([m0_ins, T.index_select(m0_sem, 1, rows)], axis=1)
-    k0 = T.concat([k0_ins, T.index_select(k0_sem, 1, rows)], axis=1)
+    m0 = T.concat([m0_ins, m0_sem], axis=1)
+    k0 = T.concat([k0_ins, k0_sem], axis=1)
     return m0, k0, f_ins + f_sem
 
 
@@ -162,8 +159,11 @@ class SegmentationModel(Layer):
         self.instance_kernels = Tensor(
             rng.standard_normal((cfg.num_instance_kernels, c)) * kscale, requires_grad=True,
         )
+        n_sem = cfg.num_semantic_kernels
+        n_drawn = n_sem + (len(cfg.thing_class_ids) if cfg.mode == "panoptic" else 0)
+        # panoptic draws the thing rows too, then drops them: every later init keeps its bytes
         self.semantic_kernels = Tensor(
-            rng.standard_normal((cfg.num_semantic_kernels, c)) * kscale, requires_grad=True,
+            (rng.standard_normal((n_drawn, c)) * kscale)[n_drawn - n_sem:], requires_grad=True,
         )
         num_classes = len(cfg.thing_class_ids) if cfg.mode != "semantic" else None
         # start class probabilities below chance: focal negatives dominate
@@ -207,9 +207,7 @@ class SegmentationModel(Layer):
         else:
             m0_ins = predict_masks(k_ins, f_ins)
             m0_sem = predict_masks(k_sem, f_sem)
-            m0, k0, feats = build_panoptic_inputs(
-                m0_ins, m0_sem, k_ins, k_sem, f_ins, f_sem, cfg.stuff_rows,
-            )
+            m0, k0, feats = build_panoptic_inputs(m0_ins, m0_sem, k_ins, k_sem, f_ins, f_sem)
             activation = SIGMOID
 
         stages = self.head.run_iterative(k0, m0, feats, activation)
@@ -317,7 +315,8 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     maps, cls_logits = _finite_logits(stage, index, "panoptic merge")
     n_ins = cfg.num_instance_kernels
     n_total = maps.shape[0]
-    cls_probs = T.sigmoid_array(cls_logits)
+    # only the instance rows are thing candidates; stuff rows' classes are unsupervised
+    cls_probs = T.sigmoid_array(cls_logits[:n_ins])
     thing_score = cls_probs.max(axis=1)
     things = np.flatnonzero(thing_score >= cfg.score_floor)
     n_things = things.size

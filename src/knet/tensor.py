@@ -91,11 +91,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() requires a single element, got shape {self.data.shape}")
-        return float(self.data.reshape(-1)[0])
-
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
@@ -166,26 +161,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axes=None, keepdims=False):
-        return reduce_sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return reduce_mean(self, axes, keepdims)
 
 
 def _wrap(x) -> Tensor:

@@ -312,12 +312,16 @@ class TestSupervisionGrid:
         spec = SceneSpec(seed=3, size=64, n_max=6, size_range=(5.0, 15.0))
         for i in range(4):
             gt = generate_sample(spec, i)
-            for mode, raster in [("panoptic", gt.semantic), ("semantic", gt.semantic),
-                                 ("instance", aux_semantic_map(gt))]:
+            # panoptic mode pools only the stuff classes: the instance
+            # masks cover the rest of each cell
+            things = M.area_pool(np.any([m for _, m in gt.instances], axis=0), (32, 32))
+            for mode, raster, covered in [("panoptic", gt.semantic, things),
+                                          ("semantic", gt.semantic, 0.0),
+                                          ("instance", aux_semantic_map(gt), 0.0)]:
                 ids = ModelConfig(mode=mode, image_size=64).semantic_class_ids
                 shares = M.class_fractions(raster[None], ids, (32, 32))
                 assert shares.shape == (1, len(ids), 32 * 32)
-                assert np.array_equal(shares.sum(axis=1), np.ones((1, 32 * 32)))
+                assert np.array_equal(shares.sum(axis=1) + covered, np.ones((1, 32 * 32)))
                 assert set(np.unique(shares * 4)) <= {0.0, 1.0, 2.0, 3.0, 4.0}
 
     def test_grid_must_divide_the_image(self):

@@ -214,21 +214,20 @@ class TestPanopticConcat:
     def test_row_bookkeeping(self):
         rng = np.random.default_rng(0)
         m_ins = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
-        m_sem = Tensor(rng.standard_normal((1, 5, 4, 4)).astype(np.float32))
+        m_sem = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         k_ins = Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
-        k_sem = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
+        k_sem = Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
         f_i = Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
         f_s = Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        m0, k0, feats = MO.build_panoptic_inputs(m_ins, m_sem, k_ins, k_sem, f_i, f_s, [3, 4])
+        m0, k0, feats = MO.build_panoptic_inputs(m_ins, m_sem, k_ins, k_sem, f_i, f_s)
         assert m0.shape == (1, 4, 4, 4)
         assert k0.shape == (1, 4, 8)
-        # instance rows and the selected stuff rows are copied bitwise
+        # instance rows, then the stuff rows, are copied bitwise
         assert np.array_equal(m0.data[:, :2], m_ins.data)
-        assert np.array_equal(m0.data[:, 2], m_sem.data[:, 3])
-        assert np.array_equal(m0.data[:, 3], m_sem.data[:, 4])
-        # thing rows of the semantic prediction are excluded
-        for row in range(3):
-            assert not np.array_equal(m0.data[:, 2], m_sem.data[:, row])
+        assert np.array_equal(m0.data[:, 2], m_sem.data[:, 0])
+        assert np.array_equal(m0.data[:, 3], m_sem.data[:, 1])
+        assert np.array_equal(k0.data[:, :2], k_ins.data)
+        assert np.array_equal(k0.data[:, 2:], k_sem.data)
         assert np.allclose(feats.data, f_i.data + f_s.data, atol=1e-6)
 
     def test_feature_sum_matches_loop(self):
@@ -237,10 +236,10 @@ class TestPanopticConcat:
         b = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
         _, _, feats = MO.build_panoptic_inputs(
             Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32)),
-            Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)),
+            Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32)),
             Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
-            Tensor(np.zeros((1, 2, 4), dtype=np.float32)),
-            Tensor(a), Tensor(b), [1],
+            Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
+            Tensor(a), Tensor(b),
         )
         ref = np.empty_like(a)
         for i in np.ndindex(a.shape):
@@ -323,9 +322,19 @@ class TestForward:
         model = MO.SegmentationModel(tiny_cfg("panoptic"), seed=8)
         _, loss, _ = model.forward(gts[0].image[None], gts)
         loss.backward()
-        grads = [p.grad for p in model.params().values()]
-        populated = sum(g is not None for g in grads)
-        assert populated >= len(grads) - 2  # thing rows of semantic kernels may idle
+        assert all(p.grad is not None for p in model.params().values())
+
+    def test_every_panoptic_semantic_kernel_row_learns(self):
+        # the panoptic semantic set holds only stuff rows, and the stuff
+        # loss reaches each of them
+        spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
+        gts = [generate_sample(spec, i) for i in range(2)]
+        model = MO.SegmentationModel(tiny_cfg("panoptic"), seed=8)
+        _, loss, _ = model.forward(np.stack([g.image for g in gts]), gts)
+        loss.backward()
+        grad = model.params()["kernels.semantic"].grad
+        assert (np.abs(grad).sum(axis=1) > 0).all()
+        assert grad.shape == (len(model.cfg.stuff_class_ids), model.cfg.channels)
 
     def _loss_graph(self, mode):
         spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
@@ -349,7 +358,7 @@ class TestForward:
         assert {id(t) for t in leaves} <= {id(p) for p in model.params().values()}
 
     @pytest.mark.parametrize("mode, count", [
-        ("semantic", 146), ("instance", 204), ("panoptic", 213),
+        ("semantic", 143), ("instance", 201), ("panoptic", 208),
     ])
     def test_loss_graph_node_count(self, mode, count):
         # pins the graph size: a change here adds or removes autograd nodes per step
@@ -617,7 +626,8 @@ def test_merge_panoptic_matches_loop(seed, n_ins, hw, scale, step, score_floor,
     rng = np.random.default_rng(seed)
     n_total = n_ins + len(cfg.stuff_class_ids)
     logits = rng.standard_normal((n_total, *hw)) * scale
-    cls = rng.standard_normal((n_ins, len(cfg.thing_class_ids))) * scale
+    # class logits for every row, as the model emits them
+    cls = rng.standard_normal((n_total, len(cfg.thing_class_ids))) * scale
     if step:
         logits, cls = np.round(logits / step) * step, np.round(cls / step) * step
     stage = StageOutput(
@@ -652,7 +662,7 @@ def test_merge_panoptic_matches_loop_at_paper_kernels(seed, score_floor, min_are
         (y, x), (h, w) = rng.integers(0, 14, 2), rng.integers(2, 9, 2)
         row[y : y + h, x : x + w] += 8
     logits = np.round(logits * 2) / 2
-    cls = np.round(rng.standard_normal((100, len(cfg.thing_class_ids))) * 4) / 2
+    cls = np.round(rng.standard_normal((n_total, len(cfg.thing_class_ids))) * 4) / 2
     stage = StageOutput(
         kernels=Tensor(np.zeros((1, n_total, cfg.channels), dtype=np.float32)),
         mask_logits=Tensor(logits[None].astype(np.float32)),
