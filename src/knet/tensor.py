@@ -6,6 +6,12 @@ remembers its parents and a closure computing their gradients.  Calling
 topological order.  Graphs are rebuilt on every forward pass, so the
 iterative refinement head can vary in depth without any bookkeeping.
 
+Only leaves (tensors without a closure, such as parameters) keep their
+``grad`` after a walk; an interior node's gradient is dropped as soon as
+its closure has used it.  The closures and parent links stay, so a graph
+can be walked again, and the second walk adds the same gradients onto the
+leaves once more.
+
 A global precision mode (f32 or f64) fixes the dtype of the arrays a
 Tensor is built from.  Training runs in f32; gradient checking needs f64
 because central differences are unreliable in single precision.
@@ -104,6 +110,10 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``; on a leaf it stays there until cleared.
+
+        An interior node holds its gradient only during ``backward()``.
+        """
         if self.grad is None:
             # no copy: gradients are never updated in place
             self.grad = np.asarray(g)
@@ -113,7 +123,9 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``self`` must be a scalar (size 1).
+        ``self`` must be a scalar (size 1).  Each interior node's ``grad``,
+        ``self``'s included, is released once its closure has run, so only
+        leaves keep one and a repeated walk adds onto the leaves alone.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -138,6 +150,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # Operator sugar; scalars are wrapped as constant tensors.
     def __add__(self, other):

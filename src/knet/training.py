@@ -279,6 +279,9 @@ def train(cfg: TrainConfig, resume: str | None = None,
     (per-epoch validation history), and best/last checkpoints under
     ``cfg.out_dir``.  ``max_epochs`` caps how many epochs this invocation
     runs (time-sliced training); resume from ``last.ckpt`` to continue.
+
+    A step holds one autograd graph: its loss, and with it every stage
+    output and activation, is dropped after the optimizer step.
     """
     train_set = read_fitting(cfg.train_dir, cfg.model)
     val_set = read_fitting(cfg.val_dir, cfg.model)
@@ -314,7 +317,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
                 gts = [train_set.samples[i] for i in batch_idx]
                 images = np.stack([g.image for g in gts])
                 lr = lr_at(cfg.lr, iteration, milestones, cfg.lr_decay_factor)
-                _, loss, breakdown = model.forward(images, gts, cfg.loss)
+                loss, breakdown = model.forward(images, gts, cfg.loss)[1:]
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"non-finite loss at iteration {iteration}: {breakdown.to_dict()}"
@@ -322,6 +325,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
                 opt.zero_grad()
                 loss.backward()
                 opt.step(lr)
+                # free this step's graph before the next forward or evaluate
+                del loss
                 record = {"iter": iteration, "epoch": epoch, "lr": lr}
                 record.update(breakdown.to_dict())
                 log.write(json.dumps(record, sort_keys=True) + "\n")

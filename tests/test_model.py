@@ -350,6 +350,21 @@ class TestForward:
         return model, list(seen.values())
 
     @pytest.mark.parametrize("mode", MO.MODES)
+    def test_backward_keeps_gradients_on_leaves_only(self, mode):
+        _, nodes = self._loss_graph(mode)
+        loss = nodes[0]  # the walk starts at the loss
+        loss.backward()
+        assert all(t.grad is None for t in nodes if t._backward is not None)
+        leaves = [t for t in nodes if t._backward is None]
+        assert leaves and all(t.grad is not None for t in leaves)
+        # a second walk of the same graph adds the same gradient once more
+        first = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, first):
+            scale = float(np.abs(g).max())
+            np.testing.assert_allclose(t.grad, 2.0 * g, rtol=0, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("mode", MO.MODES)
     def test_loss_graph_leaves_are_parameters(self, mode):
         # constants never enter the graph: every leaf is a trainable parameter
         model, nodes = self._loss_graph(mode)

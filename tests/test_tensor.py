@@ -498,10 +498,29 @@ def test_backward_through_shared_subexpression(f64):
     y = x * 2.0
     s = y + y
     T.reduce_sum(s).backward()
-    assert np.array_equal(y.grad, [2.0, 2.0])
     assert np.array_equal(x.grad, [4.0, 4.0])
-    # y's first gradient is s's own buffer; accumulating must not change it
-    assert np.array_equal(s.grad, [1.0, 1.0])
+    # only leaves keep a gradient
+    assert y.grad is None and s.grad is None
+    a = T.Tensor([1.0, 1.0], requires_grad=True)
+    b = T.Tensor([3.0, 3.0], requires_grad=True)
+    t = a + b
+    u = t + a
+    T.reduce_sum(u).backward()
+    # b's gradient is the buffer a accumulated onto; that must not change it
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    assert np.array_equal(a.grad, [2.0, 2.0])
+
+
+def test_repeated_backward_adds_the_same_gradient(f64):
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
+    y = x * 3.0
+    z = T.reduce_sum(y * y)
+    z.backward()
+    assert np.array_equal(x.grad, [18.0, -36.0])
+    # a second walk must not build on the interior gradients of the first
+    z.backward()
+    assert np.array_equal(x.grad, [36.0, -72.0])
+    assert z.grad is None and y.grad is None
 
 
 def test_forward_determinism():

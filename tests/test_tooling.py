@@ -2,8 +2,11 @@
 
 import importlib
 import importlib.util
+import json
+import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,3 +33,32 @@ def test_tracer_target_resolves(metric):
         assert callable(vars(getattr(module, owner_name)).get(attr)), f"{module_name}.{path}"
     else:
         assert callable(getattr(module, attr, None)), f"{module_name}.{path}"
+
+
+ROOT = TRACER.parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_bench_record_is_self_consistent(path):
+    # a committed record measures the declared benchmark, and its summary
+    # statistics are those of its own runs
+    record = json.loads(path.read_text())
+    declared = {m["name"]: {k: m[k] for k in ("unit", "better", "bound")}
+                for m in BENCHMARK["end_to_end"]}
+    assert set(record["workloads"]) == {w["name"] for w in BENCHMARK["workloads"]}
+    for name, workload in record["workloads"].items():
+        assert set(workload["metrics"]) == set(declared), name
+        for metric, entry in workload["metrics"].items():
+            where = f"{name}/{metric}"
+            assert {k: entry[k] for k in ("unit", "better", "bound")} == declared[metric], where
+            for side in ("parent", "change"):
+                stats = entry[side]
+                runs = stats["runs"]
+                assert len(runs) == len(workload["seeds"]), (where, side)
+                q1, q3 = np.percentile(runs, [25, 75])
+                assert stats["median"] == pytest.approx(statistics.median(runs), rel=1e-5)
+                assert stats["q1"] == pytest.approx(q1, rel=1e-5), (where, side)
+                assert stats["q3"] == pytest.approx(q3, rel=1e-5), (where, side)
+                assert stats["iqr"] == pytest.approx(stats["q3"] - stats["q1"], rel=1e-5, abs=1e-6)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +118,25 @@ class TestTrainSmoke:
         assert {"iter", "epoch", "lr", "total", "cls", "ce", "dice", "seg"} <= set(record)
         assert len(metrics["history"]) == 1
         assert metrics["final"]["per_stage"][0]["stage"] == 0
+
+    def test_a_step_holds_one_graph(self, tmp_path, monkeypatch):
+        # each forward, the next training step's and evaluate's alike, must
+        # start after the previous step's graph is gone
+        cfg = replace(tiny_train_config(tmp_path), batch_size=2)
+        forward = SegmentationModel.forward
+        graphs, alive_at_forward = [], []
+
+        def tracking_forward(self, images, gts=None, weights=None):
+            alive_at_forward.append(sum(ref() is not None for ref in graphs))
+            out = forward(self, images, gts, weights)
+            if gts is not None:
+                graphs.append(weakref.ref(out[0][-1].mask_logits.data))
+            return out
+
+        monkeypatch.setattr(SegmentationModel, "forward", tracking_forward)
+        TR.train(cfg)
+        assert len(graphs) == 3 and len(alive_at_forward) > 3  # evaluate forwards too
+        assert alive_at_forward == [0] * len(alive_at_forward)
 
     def test_checkpoint_round_trip_bitwise(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
