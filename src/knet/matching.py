@@ -366,8 +366,17 @@ def _mask_terms(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, Tensor]:
             T.reduce_mean(dice_loss(T.sigmoid(logits), targets)))
 
 
+def aux_semantic_map(gt) -> np.ndarray:
+    """Semantic targets from instance masks alone: things on background."""
+    out = np.zeros_like(gt.semantic)
+    for class_id, mask in gt.instances:
+        out[mask] = class_id
+    return out
+
+
 def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
-                        weights: LossWeights | None = None) -> tuple[Tensor, LossBreakdown]:
+                        weights: LossWeights | None = None,
+                        semantic_logits: Tensor | None = None) -> tuple[Tensor, LossBreakdown]:
     """Deep-supervised loss over all stages; matching is redone per stage.
 
     ``gts`` is one GroundTruthSample-like object per batch item, exposing
@@ -378,7 +387,10 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     (semantic and panoptic mode).  Every stage predicts on the same mask
     grid, so the ground truth is area-pooled to its supervision grid
     (:func:`grid_logits`) once, and each stage is matched and supervised
-    there.
+    there.  In instance mode, ``semantic_logits`` (the static semantic
+    kernels' masks) add one auxiliary :func:`semantic_loss` against
+    :func:`aux_semantic_map`, at ``lam_seg`` and counted in ``seg``; the
+    other modes ignore them.
     """
     weights = weights or LossWeights()
     size = cfg.image_size
@@ -395,10 +407,9 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     grid = supervision_grid(stages[0].mask_logits.shape[2:], size)
     gt_masks = [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
                           .reshape(-1, size, size), grid) for gt in gts]
-    # instance mode supervises no row from the raster: its auxiliary
-    # semantic loss is built from the instance masks
-    shares = None if cfg.mode == "instance" else class_fractions(
-        np.stack([gt.semantic for gt in gts]), cfg.semantic_class_ids, grid)
+    # instance mode's auxiliary targets are built from the instance masks alone
+    rasters = [aux_semantic_map(gt) if cfg.mode == "instance" else gt.semantic for gt in gts]
+    shares = class_fractions(np.stack(rasters), cfg.semantic_class_ids, grid)
 
     for stage in stages:
         b, n_total = stage.mask_logits.shape[:2]
@@ -460,6 +471,10 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
         per_stage.append(dict(stage_terms))
 
     total = sum(stage_losses[1:], stage_losses[0])
+    if cfg.mode == "instance" and semantic_logits is not None:
+        aux = semantic_loss(grid_logits(semantic_logits, size)[0], shares)
+        total = total + weights.lam_seg * aux
+        agg["seg"] += float(aux.data)
     breakdown = LossBreakdown(
         total=float(total.data), cls=agg["cls"], ce=agg["ce"],
         dice=agg["dice"], seg=agg["seg"], per_stage=per_stage,

@@ -4,11 +4,16 @@ kernels, the iterative refinement head, and the inference-side decoding
 
 One model class covers the three modes:
 
-* semantic: one kernel per class, masks compete through a softmax.
+* semantic: one kernel per class, masks compete through a softmax; no
+  instance branch or instance kernels are built.
 * instance: matched instance kernels; a semantic branch provides
-  auxiliary supervision built from the instance masks themselves.
+  auxiliary supervision built from the instance masks themselves, so
+  only a training forward runs the semantic kernels.
 * panoptic: instance kernels concatenated with one semantic kernel per
   stuff class; merged to a segment raster by score-weighted pasting.
+
+Each mode builds and runs only what it trains, and
+:func:`set_prediction_loss` owns all of the supervision.
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
-from .matching import (
-    LossWeights, class_fractions, grid_logits, semantic_loss, set_prediction_loss,
-)
+from .matching import LossWeights, set_prediction_loss
 from .metrics import PanopticMap, SegmentInfo
 from .tensor import Tensor
 
@@ -102,20 +105,23 @@ class ModelConfig:
 
 
 class BackboneLite(Layer):
-    """Two stride-2 stem convs, then two small branches at stride 4."""
+    """Two stride-2 stem convs, then two small branches at stride 4; the
+    instance branch only where there are instance kernels, else ``None``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         c = cfg.channels
         self.stem1 = Conv2d(3, c, 3, rng, stride=2, padding=1)
         self.stem2 = Conv2d(c, c, 3, rng, stride=2, padding=1)
-        self.ins1 = Conv2d(c, c, 3, rng, stride=1, padding=1)
-        self.ins2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
+        self.has_instance_branch = cfg.mode != "semantic"
+        if self.has_instance_branch:
+            self.ins1 = Conv2d(c, c, 3, rng, stride=1, padding=1)
+            self.ins2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.sem1 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.sem2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.use_pe = cfg.positional_encoding
         self._pe_cache: dict[tuple, Tensor] = {}
 
-    def __call__(self, images: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, images: Tensor) -> tuple[Tensor | None, Tensor]:
         if images.ndim != 4 or images.shape[1] != 3:
             raise DimensionError(f"model input must be (B, 3, H, W), got {images.shape}")
         _, _, h, w = images.shape
@@ -130,7 +136,7 @@ class BackboneLite(Layer):
                 pe = positional_encoding_2d(x.shape[2], x.shape[3], x.shape[1])
                 self._pe_cache[key] = pe
             x = x + pe
-        f_ins = T.relu(self.ins2(T.relu(self.ins1(x))))
+        f_ins = T.relu(self.ins2(T.relu(self.ins1(x)))) if self.has_instance_branch else None
         f_sem = T.relu(self.sem2(T.relu(self.sem1(x))))
         return f_ins, f_sem
 
@@ -156,9 +162,10 @@ class SegmentationModel(Layer):
         self.backbone = BackboneLite(cfg, rng)
         c = cfg.channels
         kscale = 1.0 / np.sqrt(c)
-        self.instance_kernels = Tensor(
-            rng.standard_normal((cfg.num_instance_kernels, c)) * kscale, requires_grad=True,
-        )
+        if cfg.mode != "semantic":
+            self.instance_kernels = Tensor(
+                rng.standard_normal((cfg.num_instance_kernels, c)) * kscale, requires_grad=True,
+            )
         n_sem = cfg.num_semantic_kernels
         n_drawn = n_sem + (len(cfg.thing_class_ids) if cfg.mode == "panoptic" else 0)
         # panoptic draws the thing rows too, then drops them: every later init keeps its bytes
@@ -192,50 +199,25 @@ class SegmentationModel(Layer):
         cfg = self.cfg
         f_ins, f_sem = self.backbone(x)
 
-        k_ins = T.broadcast_to(self.instance_kernels, (b, *self.instance_kernels.shape))
-        k_sem = T.broadcast_to(self.semantic_kernels, (b, *self.semantic_kernels.shape))
-
-        m0_sem = None
+        m_sem = k_sem = None
+        if cfg.mode != "instance" or gts is not None:
+            k_sem = T.broadcast_to(self.semantic_kernels, (b, *self.semantic_kernels.shape))
+            m_sem = predict_masks(k_sem, f_sem)
         if cfg.mode == "semantic":
-            m0 = predict_masks(k_sem, f_sem)
-            k0, feats, activation = k_sem, f_sem, SOFTMAX
-        elif cfg.mode == "instance":
-            m0 = predict_masks(k_ins, f_ins)
-            k0, feats, activation = k_ins, f_ins + f_sem, SIGMOID
-            if gts is not None:
-                m0_sem = predict_masks(k_sem, f_sem)
+            m0, k0, feats, activation = m_sem, k_sem, f_sem, SOFTMAX
         else:
-            m0_ins = predict_masks(k_ins, f_ins)
-            m0_sem = predict_masks(k_sem, f_sem)
-            m0, k0, feats = build_panoptic_inputs(m0_ins, m0_sem, k_ins, k_sem, f_ins, f_sem)
-            activation = SIGMOID
+            k0 = T.broadcast_to(self.instance_kernels, (b, *self.instance_kernels.shape))
+            m0, activation = predict_masks(k0, f_ins), SIGMOID
+            if cfg.mode == "instance":
+                feats = f_ins + f_sem
+            else:
+                m0, k0, feats = build_panoptic_inputs(m0, m_sem, k0, k_sem, f_ins, f_sem)
 
         stages = self.head.run_iterative(k0, m0, feats, activation)
 
         if gts is None:
             return stages
-        return self._training_loss(stages, m0_sem, gts, weights or LossWeights())
-
-    def _training_loss(self, stages, m0_sem, gts, weights):
-        cfg = self.cfg
-        loss, breakdown = set_prediction_loss(stages, gts, cfg, weights)
-        if cfg.mode == "instance" and m0_sem is not None:
-            logits, grid = grid_logits(m0_sem, cfg.image_size)
-            aux_maps = np.stack([aux_semantic_map(gt) for gt in gts])
-            targets = class_fractions(aux_maps, cfg.semantic_class_ids, grid)
-            aux = semantic_loss(logits, targets)
-            loss = loss + weights.lam_seg * aux
-            breakdown.seg += float(aux.data)
-            breakdown.total = float(loss.data)
-        return stages, loss, breakdown
-
-
-def aux_semantic_map(gt: GroundTruthSample) -> np.ndarray:
-    """Semantic targets from instance masks alone: things on background."""
-    out = np.zeros_like(gt.semantic)
-    for class_id, mask in gt.instances:
-        out[mask] = class_id
-    return out
+        return (stages, *set_prediction_loss(stages, gts, cfg, weights, m_sem))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .model import (
 from .optim import AdamW, lr_at, milestone_iterations
 
 CHECKPOINT_FORMAT = "knet-checkpoint-v1"
+# the best validation value before any epoch; every metric is >= 0
+NO_BEST = -1.0
 
 
 @dataclass
@@ -99,7 +101,12 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
 # checkpoints
 
 def save_checkpoint(path, cfg: TrainConfig, model: SegmentationModel,
-                    opt: AdamW | None, epoch: int, iteration: int) -> None:
+                    opt: AdamW | None, epoch: int, iteration: int,
+                    best: float = NO_BEST) -> None:
+    """Write the header line, then the parameters and optimizer state.
+
+    ``best`` is the best validation value so far, so a resumed run keeps it.
+    """
     params = model.params()
     opt_arrays = opt.state_arrays() if opt is not None else {}
     header = {
@@ -109,6 +116,7 @@ def save_checkpoint(path, cfg: TrainConfig, model: SegmentationModel,
         "epoch": epoch,
         "iteration": iteration,
         "opt_t": opt.t if opt is not None else 0,
+        "best": best,
         "param_keys": list(params.keys()),
         "opt_keys": list(opt_arrays.keys()),
     }
@@ -124,6 +132,13 @@ def save_checkpoint(path, cfg: TrainConfig, model: SegmentationModel,
 
 def load_checkpoint(path, with_optimizer: bool = False):
     """Returns (cfg, model, opt | None, epoch, iteration)."""
+    header, cfg, model, opt = _load_checkpoint(path, with_optimizer)
+    return cfg, model, opt, header["epoch"], header["iteration"]
+
+
+def _load_checkpoint(path, with_optimizer: bool):
+    """Returns (header, cfg, model, opt | None); the header's ``best`` is
+    filled in as NO_BEST when a checkpoint predates it."""
     with open(path, "rb") as fp:
         line = fp.readline()
         try:
@@ -139,6 +154,10 @@ def load_checkpoint(path, with_optimizer: bool = False):
                 raise FormatError(
                     f"{path}: checkpoint header {key!r} is not a non-negative integer: {value!r}"
                 )
+        best = header.setdefault("best", NO_BEST)
+        # an int is finite however large; bool is an int subclass, so compare types
+        if not (type(best) is int or (type(best) is float and math.isfinite(best))):
+            raise FormatError(f"{path}: checkpoint header 'best' is not a finite number: {best!r}")
         if not isinstance(header.get("config"), dict):
             raise FormatError(f"{path}: checkpoint header lacks a config object")
         cfg = TrainConfig.from_dict(header["config"])
@@ -166,7 +185,7 @@ def load_checkpoint(path, with_optimizer: bool = False):
                 if arrays[key].shape != expected[key].shape:
                     raise FormatError(f"{path}: shape mismatch for {key}")
             opt.load_state_arrays(arrays, header["opt_t"])
-    return cfg, model, opt, header["epoch"], header["iteration"]
+    return header, cfg, model, opt
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +298,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
     (per-epoch validation history), and best/last checkpoints under
     ``cfg.out_dir``.  ``max_epochs`` caps how many epochs this invocation
     runs (time-sliced training); resume from ``last.ckpt`` to continue.
+    A resumed run keeps the checkpoint's best value, while its
+    ``metrics.json`` history holds only the epochs of this call.
 
     A step holds one autograd graph: its loss, and with it every stage
     output and activation, is dropped after the optimizer step.
@@ -289,14 +310,15 @@ def train(cfg: TrainConfig, resume: str | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     if resume:
-        loaded_cfg, model, opt, start_epoch, iteration = load_checkpoint(resume, with_optimizer=True)
+        header, loaded_cfg, model, opt = _load_checkpoint(resume, with_optimizer=True)
         if not _resume_compatible(loaded_cfg, cfg):
             raise ConfigError("checkpoint config does not match the requested config")
+        start_epoch, iteration, best_value = header["epoch"], header["iteration"], header["best"]
     else:
         model = SegmentationModel(cfg.model, seed=cfg.seed)
         opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.resolved_weight_decay(),
                     betas=cfg.betas)
-        start_epoch, iteration = 0, 0
+        start_epoch, iteration, best_value = 0, 0, NO_BEST
 
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     total_iters = cfg.epochs * iters_per_epoch
@@ -305,7 +327,6 @@ def train(cfg: TrainConfig, resume: str | None = None,
 
     primary = EVAL_MODES[cfg.model.mode].primary
     history: list[dict] = []
-    best_value = -1.0
     log_mode = "a" if resume else "w"
     t0 = time.time()
     report = None
@@ -339,9 +360,11 @@ def train(cfg: TrainConfig, resume: str | None = None,
             if log_fn:
                 log_fn(f"epoch {epoch}: {primary}={report['final'][primary]:.4f} "
                        f"loss={breakdown.total:.4f} ({time.time() - t0:.0f}s)")
-            save_checkpoint(out / "last.ckpt", cfg, model, opt, epoch + 1, iteration)
-            if report["final"][primary] > best_value:
+            improved = report["final"][primary] > best_value
+            if improved:
                 best_value = report["final"][primary]
+            save_checkpoint(out / "last.ckpt", cfg, model, opt, epoch + 1, iteration, best_value)
+            if improved:
                 # the same arguments as last.ckpt, so the same bytes
                 shutil.copyfile(out / "last.ckpt", out / "best.ckpt")
 
@@ -380,6 +403,10 @@ def ablate(cfg: TrainConfig, parts: tuple[str, ...] = tuple(ABLATIONS),
     if unknown:
         raise ConfigError(f"unknown ablation parts: {', '.join(unknown)} "
                           f"(choose from {', '.join(ABLATIONS)})")
+    if cfg.model.mode == "semantic" and "kernels" in parts:
+        # semantic mode has no instance kernels: the cells would be identical
+        raise ConfigError("the kernels sweep has no effect in semantic mode (choose from "
+                          f"{', '.join(p for p in ABLATIONS if p != 'kernels')})")
     base_out = Path(cfg.out_dir)
     results: dict[str, list[dict]] = {}
     for part, cells in ABLATIONS.items():

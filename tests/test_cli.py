@@ -275,6 +275,16 @@ class TestAblateCommand:
         assert "error: unknown ablation parts: bogus" in capsys.readouterr().err
         assert not (workspace / "ablate").exists()
 
+    def test_semantic_kernels_sweep_is_an_error(self, workspace, capsys):
+        # the default parts include the kernels sweep, which semantic mode lacks
+        config = write_config(workspace, model={"mode": "semantic"})
+        rc = cli.main(["ablate", "--config", str(config),
+                       "--set", f"out_dir={workspace / 'ablate'}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kernels sweep" in err
+        assert not (workspace / "ablate").exists()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -307,7 +307,6 @@ class TestSupervisionGrid:
 
     def test_pooled_semantic_one_hots_sum_to_one(self):
         from knet.data import SceneSpec, generate_sample
-        from knet.model import aux_semantic_map
 
         spec = SceneSpec(seed=3, size=64, n_max=6, size_range=(5.0, 15.0))
         for i in range(4):
@@ -317,7 +316,7 @@ class TestSupervisionGrid:
             things = M.area_pool(np.any([m for _, m in gt.instances], axis=0), (32, 32))
             for mode, raster, covered in [("panoptic", gt.semantic, things),
                                           ("semantic", gt.semantic, 0.0),
-                                          ("instance", aux_semantic_map(gt), 0.0)]:
+                                          ("instance", M.aux_semantic_map(gt), 0.0)]:
                 ids = ModelConfig(mode=mode, image_size=64).semantic_class_ids
                 shares = M.class_fractions(raster[None], ids, (32, 32))
                 assert shares.shape == (1, len(ids), 32 * 32)

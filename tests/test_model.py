@@ -88,18 +88,18 @@ class TestModelConfig:
 # sha256 prefix of the newline-joined parameter keys, in order.  The keys
 # name the tensors of a checkpoint, so a change here is a format change.
 PARAM_KEY_DIGESTS = {
-    ("semantic", 0, True, True): "154ee9e8a410dc94",
-    ("semantic", 0, True, False): "154ee9e8a410dc94",
-    ("semantic", 0, False, True): "154ee9e8a410dc94",
-    ("semantic", 0, False, False): "154ee9e8a410dc94",
-    ("semantic", 1, True, True): "369c86acd88518f6",
-    ("semantic", 1, True, False): "b62fd89d9af44720",
-    ("semantic", 1, False, True): "d5ecf370d36c4832",
-    ("semantic", 1, False, False): "ccb88e85cea46e98",
-    ("semantic", 3, True, True): "1c2b5d005a82e969",
-    ("semantic", 3, True, False): "9d282a975d960b9b",
-    ("semantic", 3, False, True): "025c6184df768c9d",
-    ("semantic", 3, False, False): "238d2090222a8252",
+    ("semantic", 0, True, True): "bc513c39ee70e8f9",
+    ("semantic", 0, True, False): "bc513c39ee70e8f9",
+    ("semantic", 0, False, True): "bc513c39ee70e8f9",
+    ("semantic", 0, False, False): "bc513c39ee70e8f9",
+    ("semantic", 1, True, True): "d0feba4c9e775b8f",
+    ("semantic", 1, True, False): "d20924570579304a",
+    ("semantic", 1, False, True): "b7a85ddff5749c43",
+    ("semantic", 1, False, False): "12f03d31013a5ba0",
+    ("semantic", 3, True, True): "9edcb22582fcdec8",
+    ("semantic", 3, True, False): "030c592aba81d242",
+    ("semantic", 3, False, True): "aa6f7d0dee753a83",
+    ("semantic", 3, False, False): "d9000a25f0eb7602",
     ("instance", 0, True, True): "6adba518ca6676a8",
     ("instance", 0, True, False): "6adba518ca6676a8",
     ("instance", 0, False, True): "6adba518ca6676a8",
@@ -316,13 +316,31 @@ class TestForward:
                      + w.lam_dice * bd.dice + w.lam_seg * bd.seg)
             assert abs(bd.total - recon) < 1e-5
 
-    def test_loss_backward_populates_grads(self):
+    @pytest.mark.parametrize("mode,stages,aku,ki", sorted(PARAM_KEY_DIGESTS))
+    def test_loss_backward_populates_grads(self, mode, stages, aku, ki):
+        # every mode builds only what its loss trains: no parameter is dead
         spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
         gts = [generate_sample(spec, 0)]
-        model = MO.SegmentationModel(tiny_cfg("panoptic"), seed=8)
+        model = MO.SegmentationModel(tiny_cfg(mode, stages=stages, aku=aku, ki=ki), seed=8)
         _, loss, _ = model.forward(gts[0].image[None], gts)
         loss.backward()
-        assert all(p.grad is not None for p in model.params().values())
+        dead = [key for key, p in model.params().items() if p.grad is None]
+        assert dead == []
+
+    def test_semantic_model_ignores_instance_kernel_count(self):
+        # semantic mode draws nothing for instance kernels, so their count
+        # changes neither the init nor the loss
+        spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
+        gts = [generate_sample(spec, i) for i in range(2)]
+        imgs = np.stack([g.image for g in gts])
+        models = [MO.SegmentationModel(tiny_cfg("semantic", num_instance_kernels=n), seed=8)
+                  for n in (5, 20)]
+        a, b = (m.params() for m in models)
+        assert list(a) == list(b)
+        assert all(a[k].data.tobytes() == b[k].data.tobytes() for k in a)
+        (_, loss_a, bd_a), (_, loss_b, bd_b) = (m.forward(imgs, gts) for m in models)
+        assert loss_a.data.tobytes() == loss_b.data.tobytes()
+        assert bd_a == bd_b
 
     def test_every_panoptic_semantic_kernel_row_learns(self):
         # the panoptic semantic set holds only stuff rows, and the stuff

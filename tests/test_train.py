@@ -155,12 +155,14 @@ class TestTrainSmoke:
     def test_best_checkpoint_is_a_byte_copy_of_last(self, tmp_path):
         # one epoch: its model is both the last and the best
         cfg = tiny_train_config(tmp_path)
-        TR.train(cfg)
+        metrics = TR.train(cfg)
         out = Path(cfg.out_dir)
         assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes()
         _, model, opt, epoch, it = load_checkpoint(out / "best.ckpt", with_optimizer=True)
         assert (epoch, it) == (1, 2)
-        save_checkpoint(tmp_path / "again.ckpt", cfg, model, opt, epoch, it)
+        best = json.loads((out / "best.ckpt").read_bytes().split(b"\n", 1)[0])["best"]
+        assert best == metrics["best"]
+        save_checkpoint(tmp_path / "again.ckpt", cfg, model, opt, epoch, it, best)
         assert (tmp_path / "again.ckpt").read_bytes() == (out / "best.ckpt").read_bytes()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -186,6 +188,44 @@ class TestTrainSmoke:
         assert o_full.t == o_res.t
         for (ka, a), (kb, b) in zip(o_full.state_arrays().items(), o_res.state_arrays().items()):
             assert ka == kb and a.tobytes() == b.tobytes(), ka
+
+    @staticmethod
+    def _score_epochs(monkeypatch, scores):
+        scores = iter(scores)
+
+        def scripted_evaluate(model, dataset, workers=1):
+            row = {"stage": 0, "pq": next(scores)}
+            return {"mode": "panoptic", "primary_metric": "pq", "per_stage": [row], "final": row}
+
+        monkeypatch.setattr(TR, "evaluate", scripted_evaluate)
+
+    def test_resume_keeps_the_best_value(self, tmp_path, monkeypatch):
+        # epoch 0 scores 0.5, the resumed epoch 1 only 0.1: best.ckpt stays
+        self._score_epochs(monkeypatch, [0.5, 0.1])
+        cfg = tiny_train_config(tmp_path, epochs=2)
+        out = Path(cfg.out_dir)
+        TR.train(cfg, max_epochs=1)
+        best = (out / "best.ckpt").read_bytes()
+        metrics = TR.train(cfg, resume=str(out / "last.ckpt"))
+        assert (out / "best.ckpt").read_bytes() == best
+        assert metrics["best"] == 0.5
+        assert [entry["pq"] for entry in metrics["history"]] == [0.1]
+        header = json.loads((out / "last.ckpt").read_bytes().split(b"\n", 1)[0])
+        assert (header["epoch"], header["best"]) == (2, 0.5)
+
+    def test_resume_from_a_header_without_best(self, tmp_path, monkeypatch):
+        # a checkpoint written before the header carried ``best`` starts from -1.0
+        self._score_epochs(monkeypatch, [0.5, 0.1])
+        cfg = tiny_train_config(tmp_path, epochs=2)
+        out = Path(cfg.out_dir)
+        TR.train(cfg, max_epochs=1)
+        header, body = (out / "last.ckpt").read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        del header["best"]
+        (out / "last.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + body)
+        metrics = TR.train(cfg, resume=str(out / "last.ckpt"))
+        assert metrics["best"] == 0.1
+        assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes()
 
     def test_validates_each_model_once(self, tmp_path, monkeypatch):
         calls = []
@@ -304,6 +344,16 @@ class TestCheckpointErrors:
         with pytest.raises(FormatError, match=key):
             load_checkpoint(path, with_optimizer=True)
 
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5], float("nan"), float("inf")])
+    def test_bad_best_is_format_error(self, tmp_path, value):
+        path = self._save(tmp_path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["best"] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(FormatError, match="'best'"):
+            load_checkpoint(path)
+
     def test_optimizer_shape_mismatch(self, tmp_path):
         def shrink(opt):
             key = next(iter(opt.v))
@@ -351,8 +401,8 @@ GOLDEN_REPORTS = {
     ("panoptic", 2): "dc17c40f8b50fbef",
     ("instance", 0): "b86542e78d1131f8",
     ("instance", 2): "04c9a5864bc7775e",
-    ("semantic", 0): "f123dfeeca98f8c2",
-    ("semantic", 2): "ced0dcfc00b849e8",
+    ("semantic", 0): "b7d687417940568b",
+    ("semantic", 2): "eda6bda1ecc2e4de",
 }
 
 
@@ -481,6 +531,19 @@ class TestAblate:
         assert digest == "811727309b8c231b"
         assert [row["cell"] for row in results["stages"]] == [f"stages={s}" for s in range(1, 6)]
         assert json.loads((tmp_path / "ab" / "ablation.json").read_text()) == results
+
+    def test_kernels_sweep_rejected_in_semantic_mode(self, tmp_path, monkeypatch):
+        # semantic mode has no instance kernels, so the three cells would be identical
+        cells = []
+        self._record_cells(monkeypatch, cells)
+        cfg = TrainConfig(model=ModelConfig(mode="semantic", image_size=16, channels=8, heads=2),
+                          out_dir=str(tmp_path / "ab"))
+        for parts in (tuple(TR.ABLATIONS), ("kernels",)):
+            with pytest.raises(ConfigError, match="choose from grid, stages"):
+                TR.ablate(cfg, parts=parts)
+        assert cells == [] and not (tmp_path / "ab").exists()
+        TR.ablate(cfg, parts=("grid", "stages"))
+        assert len(cells) == 9
 
     def test_unknown_part_rejected(self, tmp_path, monkeypatch):
         cells = []
