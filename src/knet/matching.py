@@ -12,6 +12,15 @@ grid upsampled x2 (stride 2 of the image), never finer than the image.
 Ground truth is area-pooled to that grid once per batch, so targets are
 soft: the covered fraction of each cell.  Decoding stays at full
 resolution.
+
+Only the rows a loss reads are upsampled inside the autograd graph.  In
+instance and panoptic mode the matched instance rows and the stuff rows
+are gathered from the stride-4 mask logits first and upsampled second, so
+no node holds, and no backward scatters into, all N rows on the grid.
+Matching reads the instance rows through a plain-array resize, outside
+the graph.  Each map is resized on its own, so either order gives the
+same bytes.  Semantic losses supervise every row and upsample them all
+(:func:`grid_logits`).
 """
 
 from __future__ import annotations
@@ -102,13 +111,13 @@ def class_fractions(label_maps: np.ndarray, class_ids: list[int],
     return area_pool(label_maps[:, None] == ids, grid)
 
 
-def grid_logits(mask_logits: Tensor, image_size: int) -> tuple[Tensor, tuple[int, int]]:
+def grid_logits(mask_logits: Tensor, image_size: int) -> Tensor:
     """(B, N, h, w) mask logits upsampled to the supervision grid, flattened
-    to (B, N, gh * gw), and that grid."""
+    to (B, N, gh * gw)."""
     b, n, mh, mw = mask_logits.shape
     gh, gw = supervision_grid((mh, mw), image_size)
     up = T.bilinear_upsample(mask_logits, gh, gw)
-    return T.reshape(up, (b, n, gh * gw)), (gh, gw)
+    return T.reshape(up, (b, n, gh * gw))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +395,9 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     and the rows after the instance kernels are ``cfg.semantic_class_ids``
     (semantic and panoptic mode).  Every stage predicts on the same mask
     grid, so the ground truth is area-pooled to its supervision grid
-    (:func:`grid_logits`) once, and each stage is matched and supervised
-    there.  In instance mode, ``semantic_logits`` (the static semantic
+    (:func:`supervision_grid`) once, and each stage is matched and
+    supervised there; the matched and stuff rows are upsampled after they
+    are gathered.  In instance mode, ``semantic_logits`` (the static semantic
     kernels' masks) add one auxiliary :func:`semantic_loss` against
     :func:`aux_semantic_map`, at ``lam_seg`` and counted in ``seg``; the
     other modes ignore them.
@@ -411,13 +421,13 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     rasters = [aux_semantic_map(gt) if cfg.mode == "instance" else gt.semantic for gt in gts]
     shares = class_fractions(np.stack(rasters), cfg.semantic_class_ids, grid)
 
+    gh, gw = grid
     for stage in stages:
-        b, n_total = stage.mask_logits.shape[:2]
-        logits, _ = grid_logits(stage.mask_logits, size)
+        b, n_total, mh, mw = stage.mask_logits.shape
         stage_terms = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
 
         if cfg.mode == "semantic":
-            seg = semantic_loss(logits, shares)
+            seg = semantic_loss(grid_logits(stage.mask_logits, size), shares)
             terms = [weights.lam_seg * seg]
             stage_terms["seg"] = float(seg.data)
         else:
@@ -426,11 +436,14 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
             sel_rows: list[int] = []
             sel_masks: list[np.ndarray] = []
             cls_probs = T.sigmoid_array(stage.class_logits.data[:, :n_ins])
+            # matching reads the instance rows on the grid as plain arrays
+            match_logits = T.bilinear_resize_array(
+                stage.mask_logits.data[:, :n_ins], gh, gw).reshape(b, n_ins, gh * gw)
             for bi in range(b):
                 if gt_masks[bi].shape[0] == 0:
                     continue
                 cost = matching_cost(
-                    cls_probs[bi], logits.data[bi, :n_ins], gt_classes[bi],
+                    cls_probs[bi], match_logits[bi], gt_classes[bi],
                     gt_masks[bi], weights,
                 )
                 assign = hungarian_assign(cost)
@@ -446,9 +459,11 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
             stage_terms["cls"] = float(cls_term.data)
 
             if sel_rows:
-                flat_all = T.reshape(logits, (b * n_total, logits.shape[2]))
-                ce_term, dice_term = _mask_terms(T.index_select(flat_all, 0, sel_rows),
-                                                 np.stack(sel_masks))
+                # gather the matched rows first, then upsample only those
+                rows = T.index_select(T.reshape(stage.mask_logits, (b * n_total, mh, mw)),
+                                      0, sel_rows)
+                rows = T.reshape(T.bilinear_upsample(rows, gh, gw), (len(sel_rows), gh * gw))
+                ce_term, dice_term = _mask_terms(rows, np.stack(sel_masks))
                 terms += [weights.lam_ce * ce_term, weights.lam_dice * dice_term]
                 stage_terms["ce"] = float(ce_term.data)
                 stage_terms["dice"] = float(dice_term.data)
@@ -458,8 +473,10 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 # losses as matched instances; panoptic masks are sigmoid-read
                 # at inference, so the supervision must pin that scale and
                 # penalize bleed over thing pixels at full weight
-                stuff_ce, stuff_dice = _mask_terms(
-                    T.index_select(logits, 1, np.arange(n_ins, n_total)), shares)
+                rows = T.index_select(stage.mask_logits, 1, np.arange(n_ins, n_total))
+                rows = T.reshape(T.bilinear_upsample(rows, gh, gw),
+                                 (b * (n_total - n_ins), gh * gw))
+                stuff_ce, stuff_dice = _mask_terms(rows, shares.reshape(-1, gh * gw))
                 seg = stuff_ce + stuff_dice
                 terms.append(weights.lam_seg * seg)
                 stage_terms["seg"] = float(seg.data)
@@ -472,7 +489,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
 
     total = sum(stage_losses[1:], stage_losses[0])
     if cfg.mode == "instance" and semantic_logits is not None:
-        aux = semantic_loss(grid_logits(semantic_logits, size)[0], shares)
+        aux = semantic_loss(grid_logits(semantic_logits, size), shares)
         total = total + weights.lam_seg * aux
         agg["seg"] += float(aux.data)
     breakdown = LossBreakdown(

@@ -264,18 +264,20 @@ def binarize_instances(stage: StageOutput, cfg: ModelConfig,
     return out
 
 
-def _first_max(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of the largest ``scores[c] * rows[c]`` in each column.
+def _first_max(scores: np.ndarray, rows: np.ndarray, picks=None) -> np.ndarray:
+    """Index of the largest ``scores[c] * rows[picks[c]]`` in each column.
 
-    The same bytes as ``argmax(axis=0)`` over the float64 products: strict
-    ``>`` keeps the first maximum.  One pass per row, no transposed copy.
+    ``picks`` defaults to ``range(len(scores))``.  The same bytes as
+    ``argmax(axis=0)`` over the float64 products: strict ``>`` keeps the
+    first maximum.  One pass per row, no gathered or transposed copy.
     """
-    best = np.multiply(rows[0], scores[0], dtype=np.float64)
+    picks = range(len(scores)) if picks is None else picks
+    best = np.multiply(rows[picks[0]], scores[0], dtype=np.float64)
     index = np.zeros(rows.shape[1], dtype=np.intp)
     w = np.empty_like(best)
     better = np.empty(best.shape, dtype=bool)
     for c in range(1, len(scores)):
-        np.multiply(rows[c], scores[c], out=w, dtype=np.float64)
+        np.multiply(rows[picks[c]], scores[c], out=w, dtype=np.float64)
         np.greater(w, best, out=better)
         np.putmask(index, better, c)
         np.maximum(best, w, out=best)
@@ -305,7 +307,6 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     stuff = np.arange(n_ins, n_total)
     # only candidate things and the stuff rows are decoded at full size
     logits = _full_size(maps[np.concatenate([things, stuff])])
-    probs = T.sigmoid_array(logits)
     stuff_logits = logits[n_things:]
 
     cand_class = [cfg.thing_class_ids[int(c)] for c in cls_probs[things].argmax(axis=1)]
@@ -318,6 +319,8 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     # stuff supervision trains)
     exp = np.exp(stuff_logits - stuff_logits.max(axis=0, keepdims=True))
     share = exp / exp.sum(axis=0, keepdims=True)
+    # the softmax has read the logits: turn them into probabilities in place
+    probs = T.sigmoid_array(logits, out=logits)
     for j, class_id in enumerate(cfg.stuff_class_ids[: stuff.size]):
         region = probs[n_things + j] >= cfg.mask_threshold
         score = float(share[j][region].mean()) if region.any() else 0.0
@@ -331,16 +334,17 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     k = len(cand_score)
     if not k:
         return PanopticMap(np.zeros(probs.shape[1:], dtype=np.int32), [])
-    cand = probs[cand_rows].reshape(k, -1)
+    # candidates are read from ``flat`` by row index, never gathered
+    flat = probs.reshape(probs.shape[0], -1)
+    rows = np.asarray(cand_rows)
     scores = np.asarray(cand_score)
-    assign = _first_max(scores, cand)
+    assign = _first_max(scores, flat, rows)
 
-    thresholded = cand >= cfg.mask_threshold
-    hw = cand.shape[1]
-    won_thresholded = thresholded.ravel()[assign * hw + np.arange(hw)]
+    hw = flat.shape[1]
+    won_thresholded = flat[rows[assign], np.arange(hw)] >= cfg.mask_threshold
     surviving = np.bincount(assign[won_thresholded], minlength=k)
     # one count per row: faster than count_nonzero(axis=1), which casts and sums
-    thresh_area = np.array([np.count_nonzero(row) for row in thresholded])
+    thresh_area = np.array([np.count_nonzero(flat[r] >= cfg.mask_threshold) for r in rows])
     frac = np.divide(surviving, thresh_area, out=np.zeros(k), where=thresh_area > 0)
     deleted = (surviving < cfg.min_area) | (frac < cfg.keep_fraction)
 
@@ -349,7 +353,7 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
         survivors = np.flatnonzero(~deleted)
         new_assign = np.full(orphans.size, -1, dtype=np.intp)
         if survivors.size:
-            sub = cand[np.ix_(survivors, orphans)]
+            sub = flat[np.ix_(rows[survivors], orphans)]
             claims = sub >= cfg.mask_threshold
             best = _first_max(scores[survivors], sub * claims)
             has_claim = claims.any(axis=0)

@@ -347,13 +347,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
+def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function on a plain array (decoding and matching costs).
 
-    Runs the steps of ``1 / (1 + exp(-x))`` in place on one fresh buffer:
-    the same bytes, one allocation, and ``x`` is left unmodified.
+    Runs the steps of ``1 / (1 + exp(-x))`` in place on one buffer: a fresh
+    one, which leaves ``x`` unmodified, or ``out`` (``x`` itself included).
+    The bytes are the same either way.
     """
-    out = np.negative(x, dtype=np.result_type(x, 1.0))
+    out = np.negative(x, out=out, dtype=np.result_type(x, 1.0))
     np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)

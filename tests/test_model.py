@@ -10,6 +10,7 @@ from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
 from knet.errors import ConfigError, ContractError, DimensionError, NumericError
 from knet.head import SIGMOID, StageOutput, mask_activation
+from knet.matching import supervision_grid
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
 
@@ -391,12 +392,31 @@ class TestForward:
         assert {id(t) for t in leaves} <= {id(p) for p in model.params().values()}
 
     @pytest.mark.parametrize("mode, count", [
-        ("semantic", 143), ("instance", 201), ("panoptic", 208),
+        ("semantic", 143), ("instance", 201), ("panoptic", 212),
     ])
     def test_loss_graph_node_count(self, mode, count):
         # pins the graph size: a change here adds or removes autograd nodes per step
         _, nodes = self._loss_graph(mode)
         assert len(nodes) == count
+
+    @pytest.mark.parametrize("mode, nbytes", [
+        ("semantic", 83316), ("instance", 80200), ("panoptic", 85644),
+    ])
+    def test_loss_graph_bytes(self, mode, nbytes):
+        # pins the graph's memory: the bytes of every node's forward value
+        _, nodes = self._loss_graph(mode)
+        assert sum(t.data.nbytes for t in nodes) == nbytes
+
+    @pytest.mark.parametrize("mode", ["instance", "panoptic"])
+    def test_loss_graph_holds_no_full_supervision_grid(self, mode):
+        # matched and stuff rows are gathered before they are upsampled, so
+        # no node holds every kernel row on the supervision grid
+        model, nodes = self._loss_graph(mode)
+        cfg = model.cfg
+        n = cfg.num_instance_kernels + (len(cfg.stuff_class_ids) if mode == "panoptic" else 0)
+        gh, gw = supervision_grid((cfg.image_size // 4,) * 2, cfg.image_size)
+        full = {(2, n, gh * gw), (2, n, gh, gw)}
+        assert not any(t.shape in full for t in nodes)
 
 
 class TestBinarizeInstances:

@@ -240,6 +240,15 @@ class TestSigmoidArray:
         assert got.tobytes() == want.tobytes()
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place(self, dtype):
+        x = self.edge_values(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            got = T.sigmoid_array(x, out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+
 
 class TestElementwise:
     def test_mul_by_one(self):
