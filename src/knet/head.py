@@ -117,7 +117,7 @@ class KernelInteraction(Layer):
         self.ffn = FeedForward(c, rng)
 
     def __call__(self, kernels: Tensor) -> Tensor:
-        attended = self.norm(kernels + self.attn(kernels, kernels, kernels))
+        attended = self.norm(kernels + self.attn(kernels))
         return self.ffn(attended)
 
 

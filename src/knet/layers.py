@@ -91,8 +91,9 @@ def canonical_frame(fn, *rows: Tensor) -> tuple[Tensor | None, ...]:
 
 
 class MultiHeadAttention(Layer):
-    """Scaled dot-product attention over (B, N, C) token sequences, as plain
-    GEMMs; exactly permutation-equivariant only inside :func:`canonical_frame`.
+    """Scaled dot-product self-attention over (B, N, C) token sequences, as
+    plain GEMMs; exactly permutation-equivariant only inside
+    :func:`canonical_frame`.
     """
 
     def __init__(self, c: int, heads: int, rng: np.random.Generator):
@@ -109,12 +110,11 @@ class MultiHeadAttention(Layer):
     def _split(self, x: Tensor, b: int, n: int) -> Tensor:
         return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        b, n, _ = q.shape
-        nk = k.shape[1]
-        qh = self._split(self.q(q), b, n)
-        kt = T.transpose(T.reshape(self.k(k), (b, nk, self.heads, self.head_dim)), (0, 2, 3, 1))
-        vh = self._split(self.v(v), b, nk)
+    def __call__(self, x: Tensor) -> Tensor:
+        b, n, _ = x.shape
+        qh = self._split(self.q(x), b, n)
+        kt = T.transpose(T.reshape(self.k(x), (b, n, self.heads, self.head_dim)), (0, 2, 3, 1))
+        vh = self._split(self.v(x), b, n)
         scores = T.matmul(qh * (1.0 / math.sqrt(self.head_dim)), kt)
         ctx = T.matmul(T.softmax(scores, axis=-1), vh)
         return self.out(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c)))

@@ -131,8 +131,9 @@ def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25,
     array of the same shape.  Sum over the class axis (last), mean over
     everything else.  The numpy ops and their order are those of the
     composite ``clip``, ``pow_const``, ``log``, ``mul``, ``add``,
-    ``reduce_sum`` and ``reduce_mean`` graph, forward and backward, so the
-    bytes are the same; ``probs`` gets one accumulation.
+    ``reduce_sum`` and ``reduce_mean`` graph (the reference in
+    ``tests/test_fused.py``), forward and backward, so the bytes are the
+    same; ``probs`` gets one accumulation.
     """
     x = probs.data
     dtype = x.dtype
@@ -402,6 +403,11 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     :func:`aux_semantic_map`, at ``lam_seg`` and counted in ``seg``; the
     other modes ignore them.
     """
+    batch = stages[0].mask_logits.shape[0]
+    if len(gts) != batch:
+        raise DimensionError(
+            f"set_prediction_loss: {len(gts)} ground truths for a batch of {batch} images"
+        )
     weights = weights or LossWeights()
     size = cfg.image_size
     n_ins = cfg.num_instance_kernels

@@ -47,7 +47,6 @@ class ModelConfig:
     stuff_class_ids: list[int] = field(default_factory=lambda: list(STUFF_CLASS_IDS))
     aku: bool = True
     ki: bool = True
-    positional_encoding: bool = True
     score_floor: float = 0.3
     mask_threshold: float = 0.5
     min_area: int = 16
@@ -105,8 +104,9 @@ class ModelConfig:
 
 
 class BackboneLite(Layer):
-    """Two stride-2 stem convs, then two small branches at stride 4; the
-    instance branch only where there are instance kernels, else ``None``."""
+    """Two stride-2 stem convs and a sinusoidal position code, then two
+    small branches at stride 4; the instance branch only where there are
+    instance kernels, else ``None``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         c = cfg.channels
@@ -118,7 +118,6 @@ class BackboneLite(Layer):
             self.ins2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.sem1 = Conv2d(c, c, 3, rng, stride=1, padding=1)
         self.sem2 = Conv2d(c, c, 3, rng, stride=1, padding=1)
-        self.use_pe = cfg.positional_encoding
         self._pe_cache: dict[tuple, Tensor] = {}
 
     def __call__(self, images: Tensor) -> tuple[Tensor | None, Tensor]:
@@ -129,13 +128,12 @@ class BackboneLite(Layer):
             raise ConfigError(f"input size {(h, w)} must be divisible by 4")
         x = T.relu(self.stem1(images))
         x = T.relu(self.stem2(x))
-        if self.use_pe:
-            key = (x.shape[1], x.shape[2], x.shape[3], T.get_precision())
-            pe = self._pe_cache.get(key)
-            if pe is None:
-                pe = positional_encoding_2d(x.shape[2], x.shape[3], x.shape[1])
-                self._pe_cache[key] = pe
-            x = x + pe
+        key = (x.shape[1], x.shape[2], x.shape[3], T.get_precision())
+        pe = self._pe_cache.get(key)
+        if pe is None:
+            pe = positional_encoding_2d(x.shape[2], x.shape[3], x.shape[1])
+            self._pe_cache[key] = pe
+        x = x + pe
         f_ins = T.relu(self.ins2(T.relu(self.ins1(x)))) if self.has_instance_branch else None
         f_sem = T.relu(self.sem2(T.relu(self.sem1(x))))
         return f_ins, f_sem

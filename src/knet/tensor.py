@@ -97,15 +97,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -156,26 +147,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _wrap(x) -> Tensor:
@@ -243,19 +219,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data, "sub")
-    data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.data, b.data, "mul")
     data = a.data * b.data
@@ -267,62 +230,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data, "div")
-    data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        a.accumulate_grad(-g)
-
-    return _node(-a.data, (a,), bw)
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    data = a.data ** p
-
-    def bw(g):
-        a.accumulate_grad(g * p * a.data ** (p - 1.0))
-
-    return _node(data, (a,), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * 0.5 / np.sqrt(a.data))
-
-    return _node(data, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * data)
-
-    return _node(data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g / a.data)
-
-    return _node(data, (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -358,16 +265,6 @@ def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp with a straight-through mask: gradient is zero where clipped."""
-    data = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        a.accumulate_grad(g * ((a.data >= lo) & (a.data <= hi)))
-
-    return _node(data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +339,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis.
 
     One node that runs the numpy ops of the composite built from
-    ``reduce_mean``, ``sub``, ``mul``, ``add``, ``sqrt`` and ``div``, in
-    the order its forward and its backward walk would, so the bytes are
-    the same.  ``x`` takes its two gradient terms (the centering's, then
-    the mean's) as two accumulations, as the composite's ``sub`` and
-    ``reduce_mean`` nodes do.
+    ``reduce_mean``, ``sub``, ``mul``, ``add``, ``sqrt`` and ``div`` (the
+    reference in ``tests/test_fused.py``), in the order its forward and
+    its backward walk would, so the bytes are the same.  ``x`` takes its
+    two gradient terms (the centering's, then the mean's) as two
+    accumulations, as the composite's ``sub`` and ``reduce_mean`` nodes do.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):

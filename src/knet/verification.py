@@ -76,7 +76,7 @@ def _check_attention(rng):
     layer = MultiHeadAttention(8, 2, rng)
     read = _readout(rng, (1, 3, 8))
     x = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t, t, t)), x)
+    return T.grad_check(lambda t: read(layer(t)), x)
 
 
 def _check_adaptive_update(rng):

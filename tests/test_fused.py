@@ -2,11 +2,15 @@
 
 ``T.layer_norm`` and the loss terms ``focal_loss``, ``dice_loss`` and
 ``mask_ce_loss`` are each one graph node.  The references below build the
-same functions from engine primitives, one node per primitive.  Each fused
-op must give the same forward bytes and the same gradient bytes for every
-input and parameter, in f32 and f64, also when its input feeds other nodes
-too.  The last test swaps the references into a full model loss and checks
-that every parameter gradient keeps its bytes.
+same functions from primitives, one node per primitive: the engine's own
+and, for the ops no model path runs (``sub``, ``div``, ``neg``,
+``pow_const``, ``sqrt``, ``exp``, ``log`` and ``clip``), those of
+``composite_ops``.  The ops are called by name; ``Tensor`` keeps only the
+``+`` and ``*`` operators that the model uses.  Each fused op must give
+the same forward bytes and the same gradient bytes for every input and
+parameter, in f32 and f64, also when its input feeds other nodes too.
+The last test swaps the references into a full model loss and checks that
+every parameter gradient keeps its bytes.
 """
 
 import numpy as np
@@ -20,24 +24,26 @@ from knet.data import SceneSpec, generate_sample
 from knet.errors import DimensionError
 from knet.tensor import Tensor
 
+from composite_ops import clip, div, exp, log, neg, pow_const, sqrt, sub
+
 
 # ---------------------------------------------------------------------------
 # reference composites
 
 def layer_norm_ref(x, gamma, beta, eps=L.LN_EPS):
     mu = T.reduce_mean(x, axes=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, mu)
     var = T.reduce_mean(centered * centered, axes=-1, keepdims=True)
-    normed = centered / T.sqrt(var + eps)
+    normed = div(centered, sqrt(var + eps))
     return normed * gamma + beta
 
 
 def focal_loss_ref(probs, targets, alpha=0.25, gamma=2.0):
-    p = T.clip(probs, M.PROB_CLAMP, 1.0 - M.PROB_CLAMP)
+    p = clip(probs, M.PROB_CLAMP, 1.0 - M.PROB_CLAMP)
     t = np.asarray(targets, dtype=p.data.dtype)
-    pos = T.pow_const(1.0 - p, gamma) * T.log(p) * (-alpha)
-    neg = T.pow_const(p, gamma) * T.log(1.0 - p) * (alpha - 1.0)
-    per = pos * t + neg * (1.0 - t)
+    pos = pow_const(sub(Tensor(1.0), p), gamma) * log(p) * (-alpha)
+    negative = pow_const(p, gamma) * log(sub(Tensor(1.0), p)) * (alpha - 1.0)
+    per = pos * t + negative * (1.0 - t)
     summed = T.reduce_sum(per, axes=-1)
     return T.reduce_mean(summed) if summed.ndim > 0 else summed
 
@@ -46,14 +52,14 @@ def dice_loss_ref(pred_probs, gt):
     g = np.asarray(gt, dtype=pred_probs.data.dtype)
     inter = T.reduce_sum(pred_probs * g, axes=-1)
     denom = T.reduce_sum(pred_probs, axes=-1) + Tensor(g.sum(axis=-1))
-    return 1.0 - (2.0 * inter + M.DICE_EPS) / (denom + M.DICE_EPS)
+    return sub(Tensor(1.0), div(2.0 * inter + M.DICE_EPS, denom + M.DICE_EPS))
 
 
 def mask_ce_loss_ref(pred_logits, gt):
     g = np.asarray(gt, dtype=pred_logits.data.dtype)
     z = pred_logits
-    absz = T.relu(z) + T.relu(-z)
-    per_pixel = T.relu(z) - z * g + T.log(1.0 + T.exp(-absz))
+    absz = T.relu(z) + T.relu(neg(z))
+    per_pixel = sub(T.relu(z), z * g) + log(T.add(Tensor(1.0), exp(neg(absz))))
     return T.reduce_mean(per_pixel, axes=-1)
 
 

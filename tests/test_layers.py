@@ -88,7 +88,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(3)
         mha = L.MultiHeadAttention(4, 2, rng)
         x = T.Tensor(rng.standard_normal((1, 1, 4)))
-        out = mha(x, x, x)
+        out = mha(x)
         expected = mha.out(mha.v(x))
         assert np.allclose(out.data, expected.data, atol=1e-12)
 
@@ -97,7 +97,7 @@ class TestMultiHeadAttention:
         mha = L.MultiHeadAttention(8, 4, rng)
         row = rng.standard_normal(8)
         x = T.Tensor(np.stack([row, row])[None])
-        out = mha(x, x, x).data
+        out = mha(x).data
         assert np.array_equal(out[0, 0], out[0, 1])
 
     def test_hand_computed_single_head(self, f64):
@@ -116,28 +116,35 @@ class TestMultiHeadAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = (attn @ v) @ wo.T
-        out = mha(T.Tensor(x[None]), T.Tensor(x[None]), T.Tensor(x[None]))
+        out = mha(T.Tensor(x[None]))
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
     def test_rows_sum_to_one_via_constant_values(self, f64):
-        # with identity value/output paths, a constant value vector must
-        # survive any attention weighting exactly iff each row sums to 1
+        # every token shares channels 2-3 and the value path reads only
+        # those, so with an identity output path one value vector must
+        # survive the attention weighting exactly iff each row sums to 1;
+        # channels 0-1 differ per token and keep the weights non-uniform
         rng = np.random.default_rng(6)
         mha = L.MultiHeadAttention(4, 2, rng)
-        set_identity(mha.v)
+        mha.v.weight.data[:, :2] = 0.0
         set_identity(mha.out)
-        const = np.array([0.3, -0.7, 1.1, 0.2])
-        x = T.Tensor(np.tile(const, (1, 5, 1)))
-        q = T.Tensor(rng.standard_normal((1, 5, 4)))
-        out = mha(q, q, x).data
-        assert np.max(np.abs(out - const)) < 1e-6
+        x = np.tile([0.0, 0.0, 1.1, 0.2], (1, 5, 1))
+        x[0, :, :2] = rng.standard_normal((5, 2))
+        q, k = (lin(T.Tensor(x)).data[0].reshape(5, 2, 2).transpose(1, 0, 2)
+                for lin in (mha.q, mha.k))
+        e = np.exp(q @ k.transpose(0, 2, 1) / np.sqrt(2.0))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        assert weights.min() < 0.1 and weights.max() > 0.4
+        value = mha.v(T.Tensor(x[:, :1])).data[0, 0]
+        out = mha(T.Tensor(x)).data
+        assert np.max(np.abs(out - value)) < 1e-6
 
     def test_grad(self, f64):
         rng = np.random.default_rng(7)
         mha = L.MultiHeadAttention(4, 2, rng)
         coef = T.Tensor(rng.standard_normal((1, 3, 4)))
         x = T.Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True)
-        assert T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t, t, t), coef)), x) < 1e-5
+        assert T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t), coef)), x) < 1e-5
 
     def test_grad_with_duplicate_row(self, f64):
         # the equal-row fix-up is forward only, so the gradient stays the
@@ -148,7 +155,7 @@ class TestMultiHeadAttention:
         x = rng.standard_normal((1, 4, 8))
         x[0, 3] = x[0, 1]
         x = T.Tensor(x, requires_grad=True)
-        err = T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t, t, t), coef)), x)
+        err = T.grad_check(lambda t: T.reduce_sum(T.mul(mha(t), coef)), x)
         assert err < LAYER_TOLERANCE
 
     @pytest.mark.parametrize("seed", range(6))
@@ -164,7 +171,7 @@ class TestMultiHeadAttention:
         perm = rng.permutation(102)
 
         def framed(rows):
-            (out,) = L.canonical_frame(lambda t: (mha(t, t, t),), T.Tensor(rows))
+            (out,) = L.canonical_frame(lambda t: (mha(t),), T.Tensor(rows))
             return out.data
 
         out = framed(x)

@@ -1,10 +1,12 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knet import matching as M
 from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
@@ -316,6 +318,16 @@ class TestForward:
             recon = (w.lam_cls * bd.cls + w.lam_ce * bd.ce
                      + w.lam_dice * bd.dice + w.lam_seg * bd.seg)
             assert abs(bd.total - recon) < 1e-5
+
+    @pytest.mark.parametrize("mode", MO.MODES)
+    @pytest.mark.parametrize("n_gts", [1, 3])
+    def test_ground_truth_count_must_match_batch(self, mode, n_gts):
+        spec = SceneSpec(seed=20, size=16, n_max=2, size_range=(5.0, 8.0))
+        gts = [generate_sample(spec, i) for i in range(n_gts)]
+        imgs = np.stack([generate_sample(spec, i).image for i in range(2)])
+        model = MO.SegmentationModel(tiny_cfg(mode), seed=7)
+        with pytest.raises(DimensionError, match=f"{n_gts} ground truths for a batch of 2"):
+            model.forward(imgs, gts)
 
     @pytest.mark.parametrize("mode,stages,aku,ki", sorted(PARAM_KEY_DIGESTS))
     def test_loss_backward_populates_grads(self, mode, stages, aku, ki):
@@ -758,3 +770,44 @@ class TestSemanticRaster:
         )
         with pytest.raises(NumericError, match="non-finite"):
             MO.semantic_raster(stage, cfg)
+
+
+# ---------------------------------------------------------------------------
+# no dead helpers
+
+ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pow__", "__matmul__",
+              "__rmatmul__"}
+
+
+def test_training_runs_every_graph_op_and_operator(monkeypatch):
+    # the package ships only what a training step runs: each public op of
+    # the engine and of the losses that builds a graph node, and each
+    # arithmetic operator of Tensor, is reached by some mode, aku and ki
+    ops = {name for module in (T, M) for name, fn in vars(module).items()
+           if inspect.isfunction(fn) and fn.__module__ == module.__name__
+           and not name.startswith("_") and "_node" in fn.__code__.co_names}
+    operators = ARITHMETIC & set(vars(Tensor))
+    ran = set()
+    node = T._node
+
+    def recording_node(data, parents, backward_fn):
+        ran.add(backward_fn.__qualname__.split(".")[0])
+        return node(data, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_node", recording_node)
+    for name in operators:
+        def recording(*args, _name=name, _op=vars(Tensor)[name]):
+            ran.add(_name)
+            return _op(*args)
+        monkeypatch.setattr(Tensor, name, recording)
+    spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
+    gts = [generate_sample(spec, i) for i in range(2)]
+    imgs = np.stack([g.image for g in gts])
+    for mode in MO.MODES:
+        for aku in (True, False):
+            for ki in (True, False):
+                model = MO.SegmentationModel(tiny_cfg(mode, aku=aku, ki=ki), seed=8)
+                _, loss, _ = model.forward(imgs, gts)
+                loss.backward()
+    assert (sorted(ops - ran), sorted(operators - ran)) == ([], [])

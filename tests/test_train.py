@@ -80,10 +80,10 @@ class TestConfig:
         assert d["train_dir"] == "custom/path"
 
     def test_config_hash_golden(self):
-        assert TrainConfig().config_hash() == "1c9d57362001b59c"
+        assert TrainConfig().config_hash() == "ecb206d994f03538"
         quick_start = {"model": {"mode": "panoptic"}, "epochs": 20, "train_dir": "data/train",
                        "val_dir": "data/val", "out_dir": "runs/demo"}
-        assert TrainConfig.from_dict(quick_start).config_hash() == "f02752f1ea3776c7"
+        assert TrainConfig.from_dict(quick_start).config_hash() == "39f015e219d06199"
 
     def test_bad_override(self):
         with pytest.raises(ConfigError):
@@ -528,7 +528,7 @@ class TestAblate:
             "kernels_5", "kernels_10", "kernels_20",
         ]
         digest = hashlib.sha256(json.dumps(cells, sort_keys=True).encode()).hexdigest()[:16]
-        assert digest == "811727309b8c231b"
+        assert digest == "fa5b7c8c279d7621"
         assert [row["cell"] for row in results["stages"]] == [f"stages={s}" for s in range(1, 6)]
         assert json.loads((tmp_path / "ab" / "ablation.json").read_text()) == results
 
