@@ -417,7 +417,7 @@ def read_dataset(in_dir) -> Dataset:
     if manifest.get("format") != DATASET_FORMAT:
         raise FormatError(f"{root}: unknown dataset format {manifest.get('format')!r}")
     files, count = manifest.get("files"), manifest.get("count")
-    if not isinstance(files, dict) or not isinstance(count, int) or count < 0:
+    if not isinstance(files, dict) or type(count) is not int or count < 0:
         raise FormatError(
             f"{manifest_path}: needs a 'files' object and a non-negative integer 'count'")
     # exactly the sample files are listed, so every file opened below is one

@@ -21,6 +21,14 @@ Matching reads the instance rows through a plain-array resize, outside
 the graph.  Each map is resized on its own, so either order gives the
 same bytes.  Semantic losses supervise every row and upsample them all
 (:func:`grid_logits`).
+
+The assignment solver is in this module and needs numpy only: a
+shortest-augmenting-path solve (:func:`solve_assignment`) that also
+returns its dual variables, from which :func:`dual_certificate` proves
+the optimum unique without a second solve.  It runs in Python on each
+ground truth's few cheapest predictions, which suits the few ground
+truths per image of this data; a solve over tens of ground truths costs
+milliseconds.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .errors import CapacityError, ContractError, DimensionError, NumericError
@@ -267,27 +274,170 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     return CostMatrix(total, cls, ce, dice)
 
 
-def _lsap_min(costs: np.ndarray) -> float:
-    if costs.shape[1] == 0:
-        return 0.0
-    r, c = linear_sum_assignment(costs)
-    return float(costs[r, c].sum())
+@dataclass
+class DualSolution:
+    """An optimal assignment on the kept predictions, with its duals.
+
+    ``cost[g][k]`` is ``c[keep[k], g]``; ground truth ``g`` is matched to
+    kept column ``cols[g]``.  ``u`` (per ground truth) and ``v`` (per kept
+    prediction, every other prediction has v = 0) satisfy
+    ``cost[g][k] >= u[g] + v[k]`` with equality on the assignment, ``v <= 0``
+    and ``v == 0`` on every unmatched prediction.  ``keep`` holds each
+    ground truth's n_gt + 1 cheapest predictions, so ``u`` and ``v`` = 0 are
+    feasible on the dropped ones too.
+    """
+    keep: list[int]
+    cost: list[list[float]]
+    cols: list[int]
+    u: list[float]
+    v: list[float]
+
+    @property
+    def preds(self) -> list[int]:
+        """The prediction matched to each ground truth."""
+        return [self.keep[k] for k in self.cols]
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """(prediction, ground truth) pairs, sorted by prediction."""
+        return sorted(zip(self.preds, range(len(self.cols))))
+
+    def total(self) -> float:
+        return math.fsum([row[k] for row, k in zip(self.cost, self.cols)])
 
 
-def _is_strict_optimum(c: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                       limit: float) -> bool:
-    """True when every assignment other than ``(rows, cols)`` costs more than
-    ``limit``.  Any other assignment drops at least one of these pairs, so
-    one re-solve per pair with that pair forbidden covers them all."""
-    work = c.copy()
-    for r, g in zip(rows, cols):
-        work[r, g] = np.inf
-        try:
-            alt_r, alt_c = linear_sum_assignment(work)
-        except ValueError:             # no assignment avoids this pair
-            alt_r = alt_c = None
-        work[r, g] = c[r, g]
-        if alt_r is not None and float(work[alt_r, alt_c].sum()) <= limit:
+def solve_assignment(c: np.ndarray, cheapest: list[int] | None = None) -> DualSolution:
+    """Minimum-cost assignment of every column of ``c`` (n_pred, n_gt), with
+    n_pred >= n_gt >= 1 and finite entries, and the duals proving it.
+    ``cheapest`` is ``c.argmin(axis=0)`` as a list, if the caller has it.
+
+    Each ground truth keeps its n_gt + 1 cheapest predictions.  Their union
+    holds an optimum, and each ground truth keeps at least one unmatched
+    prediction (v = 0) no dearer than any dropped one, so ``v`` = 0 on the
+    dropped predictions keeps the duals feasible on the full matrix.  The
+    kept columns are solved as Python lists by the rectangular shortest
+    augmenting path algorithm (Crouse, IEEE TAES 2016), started from each
+    ground truth's cheapest prediction: when those are distinct, no search
+    runs.
+    """
+    n_pred, n_gt = c.shape
+    if cheapest is None:
+        cheapest = c.argmin(axis=0).tolist()
+    if n_pred > n_gt * (n_gt + 1):                  # else pruning could not shrink it much
+        nearest = np.argpartition(c, n_gt, axis=0)[:n_gt + 1].tolist()
+        keep = sorted(set(cheapest).union(*nearest))
+        cost = c[keep].T.tolist()
+    else:
+        keep = list(range(n_pred))
+        cost = c.T.tolist()
+    column = {p: k for k, p in enumerate(keep)}
+    cols, u, v = _shortest_augmenting_path(cost, [column[p] for p in cheapest])
+    return DualSolution(keep, cost, cols, u, v)
+
+
+def _shortest_augmenting_path(cost: list[list[float]],
+                              cheapest: list[int]) -> tuple[list[int], list[float], list[float]]:
+    """Crouse's rectangular LSAP on ``cost`` (n_rows <= n_cols, finite),
+    given each row's cheapest column.
+
+    Each row whose cheapest column is still free takes it (``u`` its cost,
+    ``v`` zero: feasible).  Every other row is joined by a Dijkstra search
+    over reduced costs ``cost[i][j] - u[i] - v[j]``, and the duals are
+    moved so that the path's reduced costs are zero.  Returns (column of
+    each row, u, v)."""
+    n_rows, n_cols = len(cost), len(cost[0])
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for i, j in enumerate(cheapest):
+        if row4col[j] < 0:
+            col4row[i], row4col[j], u[i] = j, i, cost[i][j]
+    for cur_row in range(n_rows):
+        if col4row[cur_row] >= 0:
+            continue
+        dist = [math.inf] * n_cols
+        path = [-1] * n_cols
+        remaining = list(range(n_cols))
+        scanned_rows: list[int] = []
+        scanned_cols: list[int] = []
+        min_val = 0.0
+        i, sink = cur_row, -1
+        while sink < 0:
+            scanned_rows.append(i)
+            row = cost[i]
+            shift = min_val - u[i]
+            lowest, best = math.inf, -1
+            for j in remaining:
+                r = shift + row[j] - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest, best = d, j
+            min_val = lowest
+            remaining.remove(best)
+            scanned_cols.append(best)
+            if row4col[best] < 0:
+                sink = best
+            else:
+                i = row4col[best]
+        u[cur_row] += min_val
+        for i in scanned_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in scanned_cols:
+            if dist[j] < min_val:                 # rounding must not lift v above 0
+                v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row, u, v
+
+
+def dual_certificate(sol: DualSolution, tol: float) -> bool:
+    """True when the duals prove every other assignment costs more than
+    ``sol``'s cost + ``tol``.
+
+    Another assignment costs its new pairs' reduced costs plus ``-v`` of
+    each prediction it drops more, and every term is >= 0.  It differs by
+    alternating cycles (ground truths passing their predictions round) and
+    alternating paths (a ground truth takes a free prediction, another
+    takes its old one, and so on, until one prediction is dropped).  So if
+    no chain of cheap edges, reduced cost <= 2 * tol, closes a cycle or
+    runs from a free prediction to one with ``-v <= 2 * tol``, the optimum
+    is strict.  Float noise below zero only makes more edges cheap.  The
+    kept predictions suffice: a cheap dropped one has a kept free one at
+    least as cheap.
+    """
+    tau = 2.0 * tol
+    n_gt = len(sol.cols)
+    owner = {k: g for g, k in enumerate(sol.cols)}
+    v = sol.v
+    moves: list[list[int]] = [[] for _ in range(n_gt)]   # whose prediction g can take
+    takes_free = [False] * n_gt                          # g can take a free prediction
+    for g, row in enumerate(sol.cost):
+        limit = sol.u[g] + tau
+        for k in [k for k, x in enumerate(row) if x <= limit and x - v[k] <= limit]:
+            h = owner.get(k, -1)
+            if h < 0:
+                takes_free[g] = True
+            elif h != g:
+                moves[g].append(h)
+    for g in range(n_gt):
+        seen, stack = set(), list(moves[g])
+        while stack:
+            h = stack.pop()
+            if h not in seen:
+                seen.add(h)
+                stack.extend(moves[h])
+        if g in seen:
+            return False
+        # g's prediction can go unmatched, and a chain from g ends on a free one
+        if (takes_free[g] or any(takes_free[h] for h in seen)) and -v[sol.cols[g]] <= tau:
             return False
     return True
 
@@ -309,7 +459,8 @@ def _lexicographic_pairs(c: np.ndarray, limit: float) -> list[tuple[int, int]]:
             others = [x for x in free_gt if x != g]
             if len(others) > len(rest_preds):
                 continue
-            completion = _lsap_min(c[np.ix_(rest_preds, others)])
+            sub = c[np.ix_(rest_preds, others)]
+            completion = solve_assignment(sub).total() if others else 0.0
             if locked + c[p, g] + completion <= limit:
                 matched_here = g
                 break
@@ -327,9 +478,12 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
 
     Every ground-truth column is matched (requires n_pred >= n_gt).  Among
     equal-cost optima the lexicographically smallest pair list wins, so
-    degenerate cost matrices resolve deterministically.  A strict optimum
-    is returned after n_gt + 1 solves; only ties pay for the
-    O(n_pred * n_gt) lexicographic scan.
+    degenerate cost matrices resolve deterministically.  When every ground
+    truth's cheapest prediction is a different one and no other entry is
+    within 2 * tol of its column's minimum, that is the strict optimum and
+    nothing is solved.  Otherwise one solve gives an optimum and its duals;
+    when :func:`dual_certificate` proves it strict it is returned, and only
+    ties pay for the O(n_pred * n_gt) lexicographic scan.
     """
     c = costs.costs if isinstance(costs, CostMatrix) else np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
@@ -338,19 +492,28 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
     if n_pred < n_gt:
         raise CapacityError(f"{n_pred} kernels cannot cover {n_gt} ground-truth instances")
     if n_gt == 0:
-        return Assignment([], list(range(n_pred)))
+        return _assignment([], n_pred)
     if not np.isfinite(c).all():
         raise NumericError("assignment costs must be finite")
 
-    rows, cols = linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
+    cheapest = c.argmin(axis=0).tolist()
+    if len(set(cheapest)) == n_gt:
+        # distinct cheapest predictions are the optimum (u their costs, v = 0),
+        # and strict when no other entry is within 2 * tol of its column's minimum
+        mins = c[cheapest, range(n_gt)]
+        tol = 1e-9 * max(1.0, abs(math.fsum(mins.tolist())))
+        if np.count_nonzero(c <= mins + 2.0 * tol) == n_gt:
+            return _assignment(sorted(zip(cheapest, range(n_gt))), n_pred)
+    sol = solve_assignment(c, cheapest)
+    best = sol.total()
     tol = 1e-9 * max(1.0, abs(best))
-    if _is_strict_optimum(c, rows, cols, best + tol):
-        pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    else:
-        pairs = _lexicographic_pairs(c, best + tol)
-    matched_preds = {p for p, _ in pairs}
-    return Assignment(pairs, [i for i in range(n_pred) if i not in matched_preds])
+    if dual_certificate(sol, tol):
+        return _assignment(sol.pairs(), n_pred)
+    return _assignment(_lexicographic_pairs(c, best + tol), n_pred)
+
+
+def _assignment(pairs: list[tuple[int, int]], n_pred: int) -> Assignment:
+    return Assignment(pairs, sorted(set(range(n_pred)).difference(p for p, _ in pairs)))
 
 
 # ---------------------------------------------------------------------------

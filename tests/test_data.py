@@ -251,6 +251,13 @@ class TestDatasetIo:
         with pytest.raises(FormatError):
             D.read_dataset(tmp_path / "ds")
 
+    def test_boolean_count_is_format_error(self, tmp_path):
+        # true == 1 in Python, so a one-sample dataset would read as valid
+        D.write_dataset(D.SceneSpec(seed=12, size=16), 1, tmp_path / "ds")
+        self._edit_manifest(tmp_path / "ds", lambda m: json.dumps({**m, "count": True}))
+        with pytest.raises(FormatError, match="non-negative integer 'count'"):
+            D.read_dataset(tmp_path / "ds")
+
     def test_v1_dataset_is_format_error(self, tmp_path):
         # v1 stored semantic and instance copies next to the panoptic map;
         # there is no reader for it

@@ -85,6 +85,25 @@ def tie_heavy_costs(draw):
     return np.where(rng.uniform(size=shape) < 0.5, 0.0, rng.standard_normal(shape))
 
 
+@st.composite
+def paper_kernel_costs(draw):
+    """(100, n_gt <= 6) matrices, the shape of the N=100 kernels' costs;
+    one-decimal entries tie often."""
+    n_gt = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    c = np.random.default_rng(seed).standard_normal((100, n_gt))
+    return np.round(c, 1) if draw(st.booleans()) else c
+
+
+def scipy_min(costs):
+    """scipy's optimum, or None when no assignment is finite."""
+    try:
+        r, k = linear_sum_assignment(costs)
+    except ValueError:
+        return None
+    return float(costs[r, k].sum())
+
+
 class TestFocalLoss:
     def test_perfect_prediction_vanishes(self, f64):
         loss = M.focal_loss(Tensor([[0.999999]]), np.array([[1.0]]))
@@ -277,16 +296,62 @@ class TestHungarian:
 
     def test_strict_optimum_skips_the_scan(self, monkeypatch):
         calls = []
+        solve = M.solve_assignment
 
-        def counting(cost):
+        def counting(cost, *args):
             calls.append(cost.shape)
-            return linear_sum_assignment(cost)
+            return solve(cost, *args)
 
-        monkeypatch.setattr(M, "linear_sum_assignment", counting)
-        c = np.random.default_rng(12).standard_normal((100, 6))
-        out = M.hungarian_assign(c)
-        assert len(calls) <= 6 + 1
-        assert (out.pairs, out.unmatched_preds) == lexicographic_scan(c)
+        monkeypatch.setattr(M, "solve_assignment", counting)
+        shared = np.random.default_rng(12).standard_normal((100, 6))   # two share prediction 60
+        distinct = shared.copy()
+        distinct[[3, 17, 29, 41, 58, 90], range(6)] -= 5.0
+        # distinct cheapest predictions need no solve, shared ones exactly one
+        for c, solves in [(distinct, []), (shared, [(100, 6)])]:
+            calls.clear()
+            out = M.hungarian_assign(c)
+            assert calls == solves
+            assert (out.pairs, out.unmatched_preds) == lexicographic_scan(c)
+
+
+class TestSolver:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(tie_heavy_costs(), paper_kernel_costs()))
+    def test_optimum_duals_and_certificate(self, c):
+        n_pred, n_gt = c.shape
+        if n_gt == 0:
+            return
+        sol = M.solve_assignment(c)
+        preds, u = np.array(sol.preds), np.array(sol.u)
+        v = np.zeros(n_pred)
+        v[sol.keep] = sol.v
+        assert len(set(sol.preds)) == n_gt
+        best = sol.total()
+        ref = scipy_min(c)
+        assert abs(best - ref) <= 1e-9 * max(1.0, abs(ref))
+
+        # dual feasibility on the full matrix and complementary slackness
+        scale = max(1.0, float(np.abs(c).max()))
+        reduced = c.T - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-12 * scale
+        assert np.abs(reduced[np.arange(n_gt), preds]).max() <= 1e-12 * scale
+        assert (v <= 0).all()
+        unmatched = np.ones(n_pred, dtype=bool)
+        unmatched[preds] = False
+        assert (v[unmatched] == 0).all()
+
+        # a certified optimum is strict: forbidding any one of its pairs costs more
+        tol = 1e-9 * max(1.0, abs(best))
+        if M.dual_certificate(sol, tol):
+            for g, p in enumerate(preds):
+                forbidden = c.copy()
+                forbidden[p, g] = np.inf
+                alt = scipy_min(forbidden)
+                assert alt is None or alt > best + tol
+
+    def test_tie_is_not_certified(self):
+        c = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 5.0]])
+        assert not M.dual_certificate(M.solve_assignment(c), 1e-9)
 
 
 class TestSupervisionGrid:

@@ -3,7 +3,10 @@
 import importlib
 import importlib.util
 import json
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +65,13 @@ def test_bench_record_is_self_consistent(path):
                 assert stats["q1"] == pytest.approx(q1, rel=1e-5), (where, side)
                 assert stats["q3"] == pytest.approx(q3, rel=1e-5), (where, side)
                 assert stats["iqr"] == pytest.approx(stats["q3"] - stats["q1"], rel=1e-5, abs=1e-6)
+
+
+def test_package_imports_no_scipy():
+    # the assignment solver is in the package: importing it and its command
+    # line loads numpy only, not scipy's 500-odd modules
+    code = ("import sys, knet, knet.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
