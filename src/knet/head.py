@@ -191,30 +191,25 @@ class IterativeKernelHead(Layer):
                  interaction: bool = True, class_bias_init: float = 0.0):
         if stages < 0:
             raise ConfigError(f"refinement stage count must be >= 0, got {stages}")
-        # class branch first: heads with different S then share a parameter
-        # prefix, which the stage-composability tests compare bitwise
-        self.stage0_cls = (
+        # class branch built first (random draw order): heads with different S
+        # then share a parameter prefix, which the stage-composability tests
+        # compare bitwise; assigned after the stages (parameter key order)
+        stage0_cls = (
             KernelMlp(c, num_classes, rng, out_bias_init=class_bias_init)
             if num_classes
             else None
         )
-        self.stages = [
-            KernelUpdateStage(
+        for i in range(1, stages + 1):
+            setattr(self, f"stage{i}", KernelUpdateStage(
                 c, num_classes, rng, heads=heads, adaptive_update=adaptive_update,
                 interaction=interaction, class_bias_init=class_bias_init,
-            )
-            for _ in range(stages)
-        ]
+            ))
+        self.stage0_cls = stage0_cls
 
-    def params(self):
-        # the generic walk skips the stage list; it adds only stage0_cls,
-        # whose keys come after the stages' in checkpoints
-        out = {}
-        for i, stage in enumerate(self.stages):
-            for k, v in stage.params().items():
-                out[f"stage{i + 1}.{k}"] = v
-        out.update(super().params())
-        return out
+    @property
+    def stages(self) -> list[KernelUpdateStage]:
+        """``stage1`` .. ``stageS``, in order."""
+        return [v for v in vars(self).values() if isinstance(v, KernelUpdateStage)]
 
     def run_iterative(self, kernels0: Tensor, mask_logits0: Tensor,
                       feats: Tensor, activation: str) -> list[StageOutput]:

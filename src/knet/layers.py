@@ -23,7 +23,8 @@ class Layer:
         """Trainable tensors keyed by attribute path, in assignment order.
 
         Keys are the checkpoint format: renaming an attribute renames its
-        tensors on disk.
+        tensors on disk.  No subclass overrides this walk; a layer orders
+        its keys by the order it assigns its attributes in.
         """
         out: dict[str, Tensor] = {}
         for name, value in vars(self).items():

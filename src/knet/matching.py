@@ -15,12 +15,14 @@ resolution.
 
 Only the rows a loss reads are upsampled inside the autograd graph.  In
 instance and panoptic mode the matched instance rows and the stuff rows
-are gathered from the stride-4 mask logits first and upsampled second, so
+are gathered from the stride-4 mask logits first, then both go through
+:func:`_mask_terms`, which upsamples them to the grid and scores them, so
 no node holds, and no backward scatters into, all N rows on the grid.
 Matching reads the instance rows through a plain-array resize, outside
 the graph.  Each map is resized on its own, so either order gives the
 same bytes.  Semantic losses supervise every row and upsample them all
-(:func:`grid_logits`).
+(:func:`grid_logits`).  Each stage keeps its unweighted terms in one
+table, from which its loss and every logged term are derived.
 
 The assignment solver is in this module and needs numpy only: a
 shortest-augmenting-path solve (:func:`solve_assignment`) that also
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .errors import CapacityError, ContractError, DimensionError, NumericError
+from .errors import CapacityError, ConfigError, ContractError, DimensionError, NumericError
 from .head import StageOutput
 from .tensor import Tensor
 
@@ -49,6 +51,7 @@ if TYPE_CHECKING:
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-4
+LOSS_TERMS = ("cls", "ce", "dice", "seg")   # a stage's unweighted terms, in the order it sums them
 
 
 @dataclass
@@ -118,13 +121,11 @@ def class_fractions(label_maps: np.ndarray, class_ids: list[int],
     return area_pool(label_maps[:, None] == ids, grid)
 
 
-def grid_logits(mask_logits: Tensor, image_size: int) -> Tensor:
-    """(B, N, h, w) mask logits upsampled to the supervision grid, flattened
-    to (B, N, gh * gw)."""
-    b, n, mh, mw = mask_logits.shape
-    gh, gw = supervision_grid((mh, mw), image_size)
-    up = T.bilinear_upsample(mask_logits, gh, gw)
-    return T.reshape(up, (b, n, gh * gw))
+def grid_logits(mask_logits: Tensor, grid: tuple[int, int]) -> Tensor:
+    """(..., h, w) mask logits upsampled to the supervision ``grid`` that
+    :func:`supervision_grid` gave, flattened to (..., gh * gw)."""
+    gh, gw = grid
+    return T.reshape(T.bilinear_upsample(mask_logits, gh, gw), (*mask_logits.shape[:-2], gh * gw))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +534,12 @@ def semantic_loss(mask_logits: Tensor, targets: np.ndarray) -> Tensor:
     return ce + dice
 
 
-def _mask_terms(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Mean binary cross-entropy and mean dice of mask rows against soft targets."""
+def _mask_terms(rows: Tensor, targets: np.ndarray,
+                grid: tuple[int, int]) -> tuple[Tensor, Tensor]:
+    """Mean binary cross-entropy and mean dice of stride-4 mask rows
+    (..., h, w), on the supervision ``grid`` (:func:`grid_logits`), against
+    (..., gh * gw) soft targets."""
+    logits = grid_logits(rows, grid)
     return (T.reduce_mean(mask_ce_loss(logits, targets)),
             T.reduce_mean(dice_loss(T.sigmoid(logits), targets)))
 
@@ -557,14 +562,16 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     (image_size x image_size class raster).  Kernel rows [0, n) are the
     instance kernels, class-logit column c is ``cfg.thing_class_ids[c]``,
     and the rows after the instance kernels are ``cfg.semantic_class_ids``
-    (semantic and panoptic mode).  Every stage predicts on the same mask
-    grid, so the ground truth is area-pooled to its supervision grid
-    (:func:`supervision_grid`) once, and each stage is matched and
-    supervised there; the matched and stuff rows are upsampled after they
-    are gathered.  In instance mode, ``semantic_logits`` (the static semantic
-    kernels' masks) add one auxiliary :func:`semantic_loss` against
-    :func:`aux_semantic_map`, at ``lam_seg`` and counted in ``seg``; the
-    other modes ignore them.
+    (semantic and panoptic mode); any other thing class is a ConfigError.
+    Every stage predicts on the same mask grid, so the ground truth is
+    area-pooled to its supervision grid (:func:`supervision_grid`) once,
+    and each stage is matched and supervised there.  Each stage fills one
+    table of unweighted ``LOSS_TERMS``: its weighted sum is the stage
+    loss, its values (0.0 where absent) the stage's ``per_stage`` row, and
+    each breakdown term sums its column.  In instance mode,
+    ``semantic_logits`` (the static semantic kernels' masks) add one
+    auxiliary :func:`semantic_loss` against :func:`aux_semantic_map`, at
+    ``lam_seg`` and counted in ``seg`` only; the other modes ignore them.
     """
     batch = stages[0].mask_logits.shape[0]
     if len(gts) != batch:
@@ -575,33 +582,32 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     size = cfg.image_size
     n_ins = cfg.num_instance_kernels
     thing_index = {cid: i for i, cid in enumerate(cfg.thing_class_ids)}
-    k_cls = len(cfg.thing_class_ids)
-
-    agg = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
-    per_stage: list[dict[str, float]] = []
-    stage_losses: list[Tensor] = []
+    for i, gt in enumerate(gts):
+        for c, _ in gt.instances:
+            if c not in thing_index:
+                raise ConfigError(f"sample {i}: thing class {c} is not in model.thing_class_ids")
 
     gt_classes = [np.array([thing_index[c] for c, _ in gt.instances], dtype=np.int64)
                   for gt in gts]
     grid = supervision_grid(stages[0].mask_logits.shape[2:], size)
+    gh, gw = grid
     gt_masks = [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
                           .reshape(-1, size, size), grid) for gt in gts]
     # instance mode's auxiliary targets are built from the instance masks alone
     rasters = [aux_semantic_map(gt) if cfg.mode == "instance" else gt.semantic for gt in gts]
     shares = class_fractions(np.stack(rasters), cfg.semantic_class_ids, grid)
 
-    gh, gw = grid
+    per_stage: list[dict[str, float]] = []
+    stage_losses: list[Tensor] = []
     for stage in stages:
         b, n_total, mh, mw = stage.mask_logits.shape
-        stage_terms = {"cls": 0.0, "ce": 0.0, "dice": 0.0, "seg": 0.0}
+        terms: dict[str, Tensor] = {}
 
         if cfg.mode == "semantic":
-            seg = semantic_loss(grid_logits(stage.mask_logits, size), shares)
-            terms = [weights.lam_seg * seg]
-            stage_terms["seg"] = float(seg.data)
+            terms["seg"] = semantic_loss(grid_logits(stage.mask_logits, grid), shares)
         else:
             # instance kernels: match, then classify + segment
-            focal_targets = np.zeros((b, n_ins, k_cls), dtype=np.float32)
+            focal_targets = np.zeros((b, n_ins, len(thing_index)), dtype=np.float32)
             sel_rows: list[int] = []
             sel_masks: list[np.ndarray] = []
             cls_probs = T.sigmoid_array(stage.class_logits.data[:, :n_ins])
@@ -611,31 +617,22 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
             for bi in range(b):
                 if gt_masks[bi].shape[0] == 0:
                     continue
-                cost = matching_cost(
-                    cls_probs[bi], match_logits[bi], gt_classes[bi],
-                    gt_masks[bi], weights,
-                )
-                assign = hungarian_assign(cost)
-                for p, g in assign.pairs:
+                cost = matching_cost(cls_probs[bi], match_logits[bi], gt_classes[bi],
+                                     gt_masks[bi], weights)
+                for p, g in hungarian_assign(cost).pairs:
                     focal_targets[bi, p, gt_classes[bi][g]] = 1.0
                     sel_rows.append(bi * n_total + p)
                     sel_masks.append(gt_masks[bi][g])
-            cls_term = focal_loss(
+            terms["cls"] = focal_loss(
                 T.sigmoid(T.index_select(stage.class_logits, 1, np.arange(n_ins))),
                 focal_targets, weights.focal_alpha, weights.focal_gamma,
             )
-            terms = [weights.lam_cls * cls_term]
-            stage_terms["cls"] = float(cls_term.data)
 
             if sel_rows:
                 # gather the matched rows first, then upsample only those
                 rows = T.index_select(T.reshape(stage.mask_logits, (b * n_total, mh, mw)),
                                       0, sel_rows)
-                rows = T.reshape(T.bilinear_upsample(rows, gh, gw), (len(sel_rows), gh * gw))
-                ce_term, dice_term = _mask_terms(rows, np.stack(sel_masks))
-                terms += [weights.lam_ce * ce_term, weights.lam_dice * dice_term]
-                stage_terms["ce"] = float(ce_term.data)
-                stage_terms["dice"] = float(dice_term.data)
+                terms["ce"], terms["dice"] = _mask_terms(rows, np.stack(sel_masks), grid)
 
             if cfg.mode == "panoptic" and cfg.stuff_class_ids:
                 # stuff kernels: fixed per-class assignment, same binary mask
@@ -643,26 +640,19 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 # at inference, so the supervision must pin that scale and
                 # penalize bleed over thing pixels at full weight
                 rows = T.index_select(stage.mask_logits, 1, np.arange(n_ins, n_total))
-                rows = T.reshape(T.bilinear_upsample(rows, gh, gw),
-                                 (b * (n_total - n_ins), gh * gw))
-                stuff_ce, stuff_dice = _mask_terms(rows, shares.reshape(-1, gh * gw))
-                seg = stuff_ce + stuff_dice
-                terms.append(weights.lam_seg * seg)
-                stage_terms["seg"] = float(seg.data)
+                stuff_ce, stuff_dice = _mask_terms(rows, shares, grid)
+                terms["seg"] = stuff_ce + stuff_dice
 
         # the first term starts the sum: one node fewer, and the additions keep their order
-        stage_losses.append(sum(terms[1:], terms[0]))
-        for key in agg:
-            agg[key] += stage_terms[key]
-        per_stage.append(dict(stage_terms))
+        weighted = [getattr(weights, f"lam_{key}") * term for key, term in terms.items()]
+        stage_losses.append(sum(weighted[1:], weighted[0]))
+        per_stage.append({key: float(terms[key].data) if key in terms else 0.0
+                          for key in LOSS_TERMS})
 
     total = sum(stage_losses[1:], stage_losses[0])
+    sums = {key: sum(row[key] for row in per_stage) for key in LOSS_TERMS}
     if cfg.mode == "instance" and semantic_logits is not None:
-        aux = semantic_loss(grid_logits(semantic_logits, size), shares)
+        aux = semantic_loss(grid_logits(semantic_logits, grid), shares)
         total = total + weights.lam_seg * aux
-        agg["seg"] += float(aux.data)
-    breakdown = LossBreakdown(
-        total=float(total.data), cls=agg["cls"], ce=agg["ce"],
-        dice=agg["dice"], seg=agg["seg"], per_stage=per_stage,
-    )
-    return total, breakdown
+        sums["seg"] += float(aux.data)
+    return total, LossBreakdown(float(total.data), **sums, per_stage=per_stage)

@@ -160,14 +160,15 @@ class SegmentationModel(Layer):
         self.backbone = BackboneLite(cfg, rng)
         c = cfg.channels
         kscale = 1.0 / np.sqrt(c)
+        self.kernels = Layer()      # the static kernels: kernels.{instance,semantic}
         if cfg.mode != "semantic":
-            self.instance_kernels = Tensor(
+            self.kernels.instance = Tensor(
                 rng.standard_normal((cfg.num_instance_kernels, c)) * kscale, requires_grad=True,
             )
         n_sem = cfg.num_semantic_kernels
         n_drawn = n_sem + (len(cfg.thing_class_ids) if cfg.mode == "panoptic" else 0)
         # panoptic draws the thing rows too, then drops them: every later init keeps its bytes
-        self.semantic_kernels = Tensor(
+        self.kernels.semantic = Tensor(
             (rng.standard_normal((n_drawn, c)) * kscale)[n_drawn - n_sem:], requires_grad=True,
         )
         num_classes = len(cfg.thing_class_ids) if cfg.mode != "semantic" else None
@@ -177,12 +178,6 @@ class SegmentationModel(Layer):
             c, cfg.stages, num_classes, rng, heads=cfg.heads,
             adaptive_update=cfg.aku, interaction=cfg.ki, class_bias_init=-1.0,
         )
-
-    def params(self):
-        out = super().params()
-        # the static kernels are stored as kernels.{instance,semantic}
-        rename = {"instance_kernels": "kernels.instance", "semantic_kernels": "kernels.semantic"}
-        return {rename.get(k, k): v for k, v in out.items()}
 
     def forward(self, images: np.ndarray | Tensor,
                 gts: list[GroundTruthSample] | None = None,
@@ -199,12 +194,12 @@ class SegmentationModel(Layer):
 
         m_sem = k_sem = None
         if cfg.mode != "instance" or gts is not None:
-            k_sem = T.broadcast_to(self.semantic_kernels, (b, *self.semantic_kernels.shape))
+            k_sem = T.broadcast_to(self.kernels.semantic, (b, *self.kernels.semantic.shape))
             m_sem = predict_masks(k_sem, f_sem)
         if cfg.mode == "semantic":
             m0, k0, feats, activation = m_sem, k_sem, f_sem, SOFTMAX
         else:
-            k0 = T.broadcast_to(self.instance_kernels, (b, *self.instance_kernels.shape))
+            k0 = T.broadcast_to(self.kernels.instance, (b, *self.kernels.instance.shape))
             m0, activation = predict_masks(k0, f_ins), SIGMOID
             if cfg.mode == "instance":
                 feats = f_ins + f_sem

@@ -72,13 +72,6 @@ def _loss_check(loss, logits_to_input, out_shape):
     return check
 
 
-def _check_attention(rng):
-    layer = MultiHeadAttention(8, 2, rng)
-    read = _readout(rng, (1, 3, 8))
-    x = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
-    return T.grad_check(lambda t: read(layer(t)), x)
-
-
 def _check_adaptive_update(rng):
     layer = AdaptiveKernelUpdate(6, rng)
     read = _readout(rng, (1, 2, 6))
@@ -150,7 +143,8 @@ CHECKS = {
     "layer_norm": (_input_check(lambda _: LayerNorm(6), (3, 6), (3, 6)), LAYER_TOLERANCE),
     "layer_norm_gamma": (_layer_norm_param_check("gamma"), LAYER_TOLERANCE),
     "layer_norm_beta": (_layer_norm_param_check("beta"), LAYER_TOLERANCE),
-    "multi_head_attention": (_check_attention, LAYER_TOLERANCE),
+    "multi_head_attention": (_input_check(lambda rng: MultiHeadAttention(8, 2, rng),
+                                          (1, 3, 8), (1, 3, 8)), LAYER_TOLERANCE),
     "feed_forward": (_input_check(lambda rng: FeedForward(6, rng), (2, 6), (2, 6)),
                      LAYER_TOLERANCE),
     "conv2d": (_input_check(lambda rng: Conv2d(2, 3, 3, rng, stride=2, padding=1),

@@ -422,20 +422,37 @@ def _layout(mode, n_ins, size=8):
 
 class TestSetPredictionLoss:
     def test_decomposition_identity(self):
-        rng = np.random.default_rng(10)
+        # each logged term is exactly the sum of its per-stage values (plus
+        # the auxiliary semantic loss in instance mode), and total is the graph's
         mask = np.zeros((8, 8), dtype=bool)
         mask[2:5, 2:5] = True
         sem = np.full((8, 8), 101, dtype=np.int64)
         sem[mask] = 1
         gt = FakeGt([(1, mask)], sem)
-        stages = [_fake_stage(rng, 1, 4, 2, 4) for _ in range(3)]
-        layout = _layout("panoptic", n_ins=3)
         w = M.LossWeights()
-        total, bd = M.set_prediction_loss(stages, [gt], layout, w)
-        recon = w.lam_cls * bd.cls + w.lam_ce * bd.ce + w.lam_dice * bd.dice + w.lam_seg * bd.seg
-        assert abs(bd.total - recon) < 1e-6
-        assert abs(float(total.data) - bd.total) < 1e-6
-        assert len(bd.per_stage) == 3
+        for mode in ("semantic", "instance", "panoptic"):
+            rng = np.random.default_rng(10)
+            n_rows = 4 if mode == "panoptic" else 3
+            stages = [_fake_stage(rng, 1, n_rows, 2, 4, with_classes=mode != "semantic")
+                      for _ in range(3)]
+            layout = _layout(mode, n_ins=0 if mode == "semantic" else 3)
+            sem_logits = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
+            total, bd = M.set_prediction_loss(stages, [gt], layout, w, semantic_logits=sem_logits)
+            recon = (w.lam_cls * bd.cls + w.lam_ce * bd.ce + w.lam_dice * bd.dice
+                     + w.lam_seg * bd.seg)
+            assert abs(bd.total - recon) < 1e-6, mode
+            assert bd.total == float(total.data), mode
+            assert len(bd.per_stage) == 3, mode
+            aux = 0.0
+            if mode == "instance":
+                # background + both thing classes, on the 8x8 grid of the 4x4 masks
+                shares = M.class_fractions(M.aux_semantic_map(gt)[None], [0, 1, 2], (8, 8))
+                up = T.reshape(T.bilinear_upsample(sem_logits, 8, 8), (1, 3, 64))
+                aux = float(M.semantic_loss(up, shares).data)
+                assert aux > 0.0
+            for key in ("cls", "ce", "dice"):
+                assert getattr(bd, key) == sum(row[key] for row in bd.per_stage), (mode, key)
+            assert bd.seg == sum(row["seg"] for row in bd.per_stage) + aux, mode
 
     def test_zero_gt_only_focal_negatives(self):
         rng = np.random.default_rng(11)

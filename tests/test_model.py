@@ -189,7 +189,7 @@ class TestBackbone:
 class TestInitialPredictions:
     def test_zero_kernels_uniform_masks(self):
         model = MO.SegmentationModel(tiny_cfg("instance"), seed=0)
-        model.instance_kernels.data = np.zeros_like(model.instance_kernels.data)
+        model.kernels.instance.data = np.zeros_like(model.kernels.instance.data)
         stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
         assert np.array_equal(stages[0].mask_logits.data, np.zeros_like(stages[0].mask_logits.data))
 
@@ -208,7 +208,7 @@ class TestInitialPredictions:
         img = rng.uniform(size=(1, 3, 16, 16)).astype(np.float32)
         stages = model.forward(img)
         f_ins, _ = model.backbone(Tensor(img))
-        k = T.broadcast_to(T.reshape(model.instance_kernels, (1, 3, 8)), (1, 3, 8))
+        k = T.broadcast_to(T.reshape(model.kernels.instance, (1, 3, 8)), (1, 3, 8))
         expected = predict_masks(k, f_ins)
         assert np.array_equal(stages[0].mask_logits.data, expected.data)
 
@@ -328,6 +328,16 @@ class TestForward:
         model = MO.SegmentationModel(tiny_cfg(mode), seed=7)
         with pytest.raises(DimensionError, match=f"{n_gts} ground truths for a batch of 2"):
             model.forward(imgs, gts)
+
+    @pytest.mark.parametrize("mode", ["instance", "panoptic"])
+    def test_unknown_thing_class_is_a_config_error(self, mode):
+        # the public forward reads no dataset, so no read_fitting check guards it
+        spec = SceneSpec(seed=20, size=16, n_max=2, size_range=(5.0, 8.0))
+        gts = [generate_sample(spec, i) for i in (1, 4)]    # sample 4 holds a triangle
+        model = MO.SegmentationModel(tiny_cfg(mode, thing_class_ids=[1, 2]), seed=7)
+        with pytest.raises(ConfigError, match="sample 1: thing class 3 is not in "
+                                              "model.thing_class_ids"):
+            model.forward(np.stack([g.image for g in gts]), gts)
 
     @pytest.mark.parametrize("mode,stages,aku,ki", sorted(PARAM_KEY_DIGESTS))
     def test_loss_backward_populates_grads(self, mode, stages, aku, ki):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import statistics
 import subprocess
 import sys
@@ -75,3 +76,19 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+
+def test_only_layer_defines_params():
+    # checkpoint keys are attribute paths: a layer orders them by its
+    # assignments, never by a params() of its own
+    import knet
+    from knet.layers import Layer
+
+    overrides = []
+    for info in pkgutil.iter_modules(knet.__path__):
+        module = importlib.import_module(f"knet.{info.name}")
+        overrides += [f"{module.__name__}.{name}" for name, cls in vars(module).items()
+                      if isinstance(cls, type) and issubclass(cls, Layer)
+                      and cls.__module__ == module.__name__ and "params" in vars(cls)]
+    assert overrides == ["knet.layers.Layer"]
