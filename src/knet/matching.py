@@ -107,11 +107,22 @@ def supervision_grid(mask_hw: tuple[int, int], image_size: int) -> tuple[int, in
 
 def area_pool(masks: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     """Mean of each block of the trailing (H, W) axes on a ``grid`` of cells,
-    flattened: (..., H, W) -> (..., gh * gw) float32 in [0, 1]."""
+    flattened: (..., H, W) boolean -> (..., gh * gw) float32 in [0, 1].
+
+    The bytes of ``blocks.mean(dtype=float32)``: each block's cells are
+    counted as integers, its rows in one reduction and then its columns
+    one offset at a time, which spares numpy's slow reduction over two
+    short strided axes.  Counts of 0/1 cells are exact in float32, so they
+    are mean's sums, and they are divided by the block size as mean does.
+    """
     *lead, h, w = masks.shape
     gh, gw = grid
-    blocks = masks.reshape(*lead, gh, h // gh, gw, w // gw)
-    return blocks.mean(axis=(-3, -1), dtype=np.float32).reshape(*lead, gh * gw)
+    bh, bw = h // gh, w // gw
+    rows = masks.reshape(*lead, gh, bh, w).sum(axis=-2, dtype=np.int32)
+    counts = sum((rows[..., j::bw] for j in range(1, bw)), rows[..., ::bw])
+    pooled = counts.astype(np.float32)
+    np.true_divide(pooled, np.intp(bh * bw), out=pooled, casting="unsafe")
+    return pooled.reshape(*lead, gh * gw)
 
 
 def class_fractions(label_maps: np.ndarray, class_ids: list[int],
@@ -591,8 +602,10 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                   for gt in gts]
     grid = supervision_grid(stages[0].mask_logits.shape[2:], size)
     gh, gw = grid
-    gt_masks = [area_pool(np.array([m for _, m in gt.instances], dtype=bool)
-                          .reshape(-1, size, size), grid) for gt in gts]
+    # only matching reads the pooled instance masks: semantic mode has none
+    gt_masks = [] if cfg.mode == "semantic" else [
+        area_pool(np.array([m for _, m in gt.instances], dtype=bool).reshape(-1, size, size), grid)
+        for gt in gts]
     # instance mode's auxiliary targets are built from the instance masks alone
     rasters = [aux_semantic_map(gt) if cfg.mode == "instance" else gt.semantic for gt in gts]
     shares = class_fractions(np.stack(rasters), cfg.semantic_class_ids, grid)

@@ -344,6 +344,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     its backward walk would, so the bytes are the same.  ``x`` takes its
     two gradient terms (the centering's, then the mean's) as two
     accumulations, as the composite's ``sub`` and ``reduce_mean`` nodes do.
+    The node keeps only the per-row ``sd``: its backward rebuilds the
+    centered and normalized rows from ``x`` with the forward's ops rather
+    than holding two copies of ``x`` until the walk.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -354,17 +357,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     axes = (x.data.ndim - 1,)
     dtype = _state["dtype"]
     scale = np.asarray(1.0 / c).astype(dtype)
-    centered = x.data - x.data.sum(axis=axes, keepdims=True) * scale
+
+    def center():
+        return x.data - x.data.sum(axis=axes, keepdims=True) * scale
+
+    centered = center()
     sd = np.sqrt((centered * centered).sum(axis=axes, keepdims=True) * scale
                  + np.asarray(eps).astype(dtype))
-    normed = centered / sd
-    data = normed * gamma.data + beta.data
+    data = centered / sd * gamma.data + beta.data
 
     def bw(g):
         if beta.requires_grad:
             beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
+        centered = center()
         if gamma.requires_grad:
-            gamma.accumulate_grad(_unbroadcast(g * normed, gamma.data.shape))
+            gamma.accumulate_grad(_unbroadcast(g * (centered / sd), gamma.data.shape))
         if not x.requires_grad:
             return
         g_normed = g * gamma.data
@@ -521,7 +528,14 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with (C_out, C_in, k, k) kernels."""
+    """Cross-correlation of NCHW input with (C_out, C_in, k, k) kernels.
+
+    An im2col GEMM: the input is zero-padded and its k*k strided views are
+    stacked into (B, C_in*k*k, H_out*W_out) columns.  The node keeps no
+    columns: only the weight gradient reads them, and the backward
+    gathers them again from ``x`` with the forward's code, so the graph
+    holds the input it already had rather than a k*k-fold copy of it.
+    """
     B, C_in, H, W = x.data.shape
     C_out, C_in2, kh, kw = w.data.shape
     if C_in != C_in2:
@@ -531,23 +545,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise DimensionError(f"conv2d: spatial size {(H, W)} too small for kernel {(kh, kw)} with padding {padding}")
     H_out = (Hp - kh) // stride + 1
     W_out = (Wp - kw) // stride + 1
-    if padding:
-        # a zeroed buffer with the input copied in: the bytes of np.pad, faster
-        xp = np.zeros((B, C_in, Hp, Wp), dtype=x.data.dtype)
-        xp[:, :, padding : padding + H, padding : padding + W] = x.data
-    else:
-        xp = x.data
-    # gather k*k strided views into columns: (B, C_in*k*k, L)
-    views = [
-        xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-        for i in range(kh)
-        for j in range(kw)
-    ]
-    cols = np.stack(views, axis=2).reshape(B, C_in * kh * kw, H_out * W_out)
+
+    def columns():
+        if padding:
+            # a zeroed buffer with the input copied in: the bytes of np.pad, faster
+            xp = np.zeros((B, C_in, Hp, Wp), dtype=x.data.dtype)
+            xp[:, :, padding : padding + H, padding : padding + W] = x.data
+        else:
+            xp = x.data
+        views = [
+            xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
+            for i in range(kh)
+            for j in range(kw)
+        ]
+        return np.stack(views, axis=2).reshape(B, C_in * kh * kw, H_out * W_out)
+
     w_mat = w.data.reshape(C_out, C_in * kh * kw)
-    out = w_mat @ cols
+    out = w_mat @ columns()
     if b is not None:
-        out = out + b.data[:, None]
+        out += b.data[:, None]
     out = out.reshape(B, C_out, H_out, W_out)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -555,7 +571,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     def bw(g):
         g2 = g.reshape(B, C_out, H_out * W_out)
         if w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g2, cols, optimize=True)
+            gw = np.einsum("bol,bkl->ok", g2, columns(), optimize=True)
             w.accumulate_grad(gw.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=(0, 2)))

@@ -364,6 +364,35 @@ class TestSupervisionGrid:
         assert out.dtype == np.float32
         assert out.tolist() == [0.75, 0.0, 0.25, 1.0]
 
+    @staticmethod
+    def _mean_pool(masks, grid):
+        *lead, h, w = masks.shape
+        gh, gw = grid
+        blocks = masks.reshape(*lead, gh, h // gh, gw, w // gw)
+        return blocks.mean(axis=(-3, -1), dtype=np.float32).reshape(*lead, gh * gw)
+
+    def test_area_pool_is_the_float32_mean_on_every_supervision_grid(self):
+        # every grid supervision_grid gives on a 1..64 px image, each axis
+        # on its own, plus odd shapes: the bytes of blocks.mean(dtype=float32)
+        rng = np.random.default_rng(23)
+        cases = []
+        for size in range(1, 65):
+            axes = set()
+            for n in range(1, size + 1):
+                try:
+                    axes.add(M.supervision_grid((n,), size)[0])
+                except ContractError:
+                    pass
+            cases += [((3, size, size), (gh, gw)) for gh in axes for gw in axes]
+        cases += [((2, 3, 15, 10), (5, 2)), ((7, 3), (1, 3)), ((12, 12), (4, 3)),
+                  ((0, 8, 8), (4, 4)), ((1, 64, 64), (1, 1)), ((2, 21, 35), (3, 5))]
+        for shape, grid in cases:
+            for p in (0.0, 0.3, 1.0):
+                masks = rng.random(shape) < p
+                out = M.area_pool(masks, grid)
+                assert out.dtype == np.float32
+                assert out.tobytes() == self._mean_pool(masks, grid).tobytes(), (shape, grid, p)
+
     @pytest.mark.parametrize("mask_hw,size,grid", [
         ((16, 16), 64, (32, 32)), ((4, 4), 8, (8, 8)), ((8, 8), 8, (8, 8)), ((2, 2), 16, (4, 4)),
     ])
@@ -453,6 +482,29 @@ class TestSetPredictionLoss:
             for key in ("cls", "ce", "dice"):
                 assert getattr(bd, key) == sum(row[key] for row in bd.per_stage), (mode, key)
             assert bd.seg == sum(row["seg"] for row in bd.per_stage) + aux, mode
+
+    @pytest.mark.parametrize("mode, pooled", [
+        ("semantic", [(1, 3, 8, 8)]), ("instance", [(1, 8, 8), (1, 3, 8, 8)]),
+    ])
+    def test_instance_masks_are_pooled_only_where_matched(self, mode, pooled, monkeypatch):
+        # semantic mode matches nothing, so only its class shares are pooled
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[2:5, 2:5] = True
+        sem = np.full((8, 8), 101, dtype=np.int64)
+        sem[mask] = 1
+        calls = []
+        area_pool = M.area_pool
+
+        def spy(masks, grid):
+            calls.append(masks.shape)
+            return area_pool(masks, grid)
+
+        monkeypatch.setattr(M, "area_pool", spy)
+        stages = [_fake_stage(np.random.default_rng(10), 1, 3, 2, 4,
+                              with_classes=mode != "semantic")]
+        M.set_prediction_loss(stages, [FakeGt([(1, mask)], sem)],
+                              _layout(mode, n_ins=0 if mode == "semantic" else 3))
+        assert calls == pooled
 
     def test_zero_gt_only_focal_negatives(self):
         rng = np.random.default_rng(11)

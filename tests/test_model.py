@@ -329,7 +329,7 @@ class TestForward:
         with pytest.raises(DimensionError, match=f"{n_gts} ground truths for a batch of 2"):
             model.forward(imgs, gts)
 
-    @pytest.mark.parametrize("mode", ["instance", "panoptic"])
+    @pytest.mark.parametrize("mode", MO.MODES)
     def test_unknown_thing_class_is_a_config_error(self, mode):
         # the public forward reads no dataset, so no read_fitting check guards it
         spec = SceneSpec(seed=20, size=16, n_max=2, size_range=(5.0, 8.0))
@@ -428,6 +428,56 @@ class TestForward:
         # pins the graph's memory: the bytes of every node's forward value
         _, nodes = self._loss_graph(mode)
         assert sum(t.data.nbytes for t in nodes) == nbytes
+
+    @staticmethod
+    def _closure_arrays(fn):
+        """The arrays a backward closure holds: its cells' arrays and tensor
+        values, through the functions it calls by closure too."""
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, Tensor):
+                yield value.data
+            elif inspect.isfunction(value):
+                yield from TestForward._closure_arrays(value)
+
+    @pytest.mark.parametrize("mode, nbytes", [
+        ("semantic", 80156), ("instance", 86484), ("panoptic", 95692),
+    ])
+    def test_loss_graph_retained_bytes(self, mode, nbytes):
+        # pins what the graph holds until backward: every node's value and
+        # every array its closures capture, each buffer counted once
+        _, nodes = self._loss_graph(mode)
+        arrays = [t.data for t in nodes]
+        arrays += [a for t in nodes if t._backward for a in self._closure_arrays(t._backward)]
+        buffers = {}
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a
+        assert sum(a.nbytes for a in buffers.values()) == nbytes
+
+    @pytest.mark.parametrize("mode", MO.MODES)
+    def test_conv_and_layer_norm_keep_no_copies(self, mode):
+        # a conv rebuilds its columns and a LayerNorm its centered rows from
+        # the input in backward: neither closure holds an array of that size
+        _, nodes = self._loss_graph(mode)
+        ops = set()
+        for t in nodes:
+            op = t._backward and t._backward.__qualname__.split(".")[0]
+            if op not in ("conv2d", "layer_norm"):
+                continue
+            ops.add(op)
+            cells = dict(zip(t._backward.__code__.co_freevars,
+                             (c.cell_contents for c in t._backward.__closure__)))
+            x = cells["x"].data
+            sizes = {x.size}
+            if op == "conv2d":
+                sizes.add(x.shape[0] * cells["w"].data[0].size * t.shape[2] * t.shape[3])
+            assert not [a.shape for a in self._closure_arrays(t._backward)
+                        if a.size in sizes and not np.shares_memory(a, x)], op
+        assert ops == {"conv2d", "layer_norm"}
 
     @pytest.mark.parametrize("mode", ["instance", "panoptic"])
     def test_loss_graph_holds_no_full_supervision_grid(self, mode):
