@@ -314,13 +314,6 @@ def check_image(image: np.ndarray, source) -> np.ndarray:
     return image
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    arr = (np.clip(image, 0, 1) * 255).round().astype(np.uint8).transpose(1, 2, 0)
-    with open(path, "wb") as fp:
-        fp.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fp.write(arr.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # dataset directory format
 

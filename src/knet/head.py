@@ -33,7 +33,6 @@ class StageOutput:
     kernels: Tensor            # (B, N, C)
     mask_logits: Tensor        # (B, N, h, w), stride-4 resolution
     class_logits: Tensor | None  # (B, N, num_thing_classes); None in semantic mode
-    activation: str            # sigmoid | softmax over the N axis
 
 
 def assemble_group_features(mask_probs: Tensor, feats: Tensor) -> Tensor:
@@ -180,7 +179,7 @@ class KernelUpdateStage(Layer):
             return kernels, mask_logits, self.cls(kernels) if self.cls is not None else None
 
         kernels, mask_logits, class_logits = canonical_frame(step, mask_logits_prev, kernels_prev)
-        return StageOutput(kernels, mask_logits, class_logits, activation)
+        return StageOutput(kernels, mask_logits, class_logits)
 
 
 class IterativeKernelHead(Layer):
@@ -215,7 +214,7 @@ class IterativeKernelHead(Layer):
                       feats: Tensor, activation: str) -> list[StageOutput]:
         """Run every stage; element 0 of the result is the static prediction."""
         class0 = self.stage0_cls(kernels0) if self.stage0_cls is not None else None
-        outputs = [StageOutput(kernels0, mask_logits0, class0, activation)]
+        outputs = [StageOutput(kernels0, mask_logits0, class0)]
         for stage in self.stages:
             prev = outputs[-1]
             outputs.append(stage(prev.mask_logits, prev.kernels, feats, activation))

@@ -44,7 +44,6 @@ class Linear(Layer):
         limit = float(np.sqrt(6.0 / (c_in + c_out)))
         self.weight = Tensor(rng.uniform(-limit, limit, size=(c_out, c_in)), requires_grad=True)
         self.bias = Tensor(np.full(c_out, bias_init), requires_grad=True)
-        self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)

@@ -65,20 +65,6 @@ class LossWeights:
 
 
 @dataclass
-class CostMatrix:
-    costs: np.ndarray              # (n_pred, n_gt)
-    cls: np.ndarray
-    ce: np.ndarray
-    dice: np.ndarray
-
-
-@dataclass
-class Assignment:
-    pairs: list[tuple[int, int]]   # (pred_index, gt_index), sorted by pred
-    unmatched_preds: list[int]
-
-
-@dataclass
 class LossBreakdown:
     total: float
     cls: float
@@ -262,18 +248,15 @@ def _targets_like(targets, x: np.ndarray, op: str) -> np.ndarray:
 
 def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
                   gt_classes: np.ndarray, gt_masks: np.ndarray,
-                  weights: LossWeights) -> CostMatrix:
-    """Pairwise assignment costs for one image, mirroring the loss terms.
+                  weights: LossWeights) -> np.ndarray:
+    """Pairwise assignment costs for one image, mirroring the loss terms:
+    the (n_pred, n_gt) float64 array of weighted class, mask cross-entropy
+    and dice costs, which :func:`hungarian_assign` takes.
 
     class_probs: (n_pred, n_cls); mask_logits: (n_pred, G) on the
     supervision grid; gt_classes: (n_gt,) class-column indices; gt_masks:
     (n_gt, G) soft targets in [0, 1], the area-pooled instance masks.
     """
-    n_pred = mask_logits.shape[0]
-    n_gt = gt_masks.shape[0]
-    if n_gt == 0:
-        empty = np.zeros((n_pred, 0))
-        return CostMatrix(empty, empty, empty, empty)
     p = T.sigmoid_array(mask_logits.astype(np.float64))
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     g = gt_masks.astype(np.float64)
@@ -282,8 +265,7 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     inter = p @ g.T
     dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(1)[:, None] + g.sum(1)[None, :] + DICE_EPS)
     cls = -class_probs.astype(np.float64)[:, gt_classes]
-    total = weights.lam_cls * cls + weights.lam_ce * ce + weights.lam_dice * dice
-    return CostMatrix(total, cls, ce, dice)
+    return weights.lam_cls * cls + weights.lam_ce * ce + weights.lam_dice * dice
 
 
 @dataclass
@@ -485,8 +467,10 @@ def _lexicographic_pairs(c: np.ndarray, limit: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
-    """Minimum-cost one-to-one assignment of predictions to ground truth.
+def hungarian_assign(costs: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-cost one-to-one assignment of predictions to ground truth:
+    the (prediction, ground truth) pairs of the (n_pred, n_gt) ``costs``,
+    sorted by prediction.
 
     Every ground-truth column is matched (requires n_pred >= n_gt).  Among
     equal-cost optima the lexicographically smallest pair list wins, so
@@ -497,14 +481,14 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
     when :func:`dual_certificate` proves it strict it is returned, and only
     ties pay for the O(n_pred * n_gt) lexicographic scan.
     """
-    c = costs.costs if isinstance(costs, CostMatrix) else np.asarray(costs, dtype=np.float64)
+    c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
-        raise CapacityError(f"cost matrix must be 2-D, got shape {c.shape}")
+        raise DimensionError(f"cost matrix must be 2-D, got shape {c.shape}")
     n_pred, n_gt = c.shape
     if n_pred < n_gt:
         raise CapacityError(f"{n_pred} kernels cannot cover {n_gt} ground-truth instances")
     if n_gt == 0:
-        return _assignment([], n_pred)
+        return []
     if not np.isfinite(c).all():
         raise NumericError("assignment costs must be finite")
 
@@ -515,17 +499,13 @@ def hungarian_assign(costs: CostMatrix | np.ndarray) -> Assignment:
         mins = c[cheapest, range(n_gt)]
         tol = 1e-9 * max(1.0, abs(math.fsum(mins.tolist())))
         if np.count_nonzero(c <= mins + 2.0 * tol) == n_gt:
-            return _assignment(sorted(zip(cheapest, range(n_gt))), n_pred)
+            return sorted(zip(cheapest, range(n_gt)))
     sol = solve_assignment(c, cheapest)
     best = sol.total()
     tol = 1e-9 * max(1.0, abs(best))
     if dual_certificate(sol, tol):
-        return _assignment(sol.pairs(), n_pred)
-    return _assignment(_lexicographic_pairs(c, best + tol), n_pred)
-
-
-def _assignment(pairs: list[tuple[int, int]], n_pred: int) -> Assignment:
-    return Assignment(pairs, sorted(set(range(n_pred)).difference(p for p, _ in pairs)))
+        return sol.pairs()
+    return _lexicographic_pairs(c, best + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +612,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                     continue
                 cost = matching_cost(cls_probs[bi], match_logits[bi], gt_classes[bi],
                                      gt_masks[bi], weights)
-                for p, g in hungarian_assign(cost).pairs:
+                for p, g in hungarian_assign(cost):
                     focal_targets[bi, p, gt_classes[bi][g]] = 1.0
                     sel_rows.append(bi * n_total + p)
                     sel_masks.append(gt_masks[bi][g])

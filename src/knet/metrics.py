@@ -7,7 +7,7 @@ share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,17 +101,9 @@ class PqResult:
     rq: float
     pq_things: float
     pq_stuff: float
-    per_class: dict[int, PqClassStats]
     tp: int
     fp: int
     fn: int
-
-    def to_dict(self) -> dict:
-        return {
-            "pq": self.pq, "sq": self.sq, "rq": self.rq,
-            "pq_things": self.pq_things, "pq_stuff": self.pq_stuff,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-        }
 
 
 class PqStats:
@@ -205,7 +197,6 @@ class PqStats:
         stuff = [s.pq() for c, s in active.items() if not self.class_is_thing[c]]
         return PqResult(
             pq=pq, sq=sq, rq=rq, pq_things=mean(things), pq_stuff=mean(stuff),
-            per_class=dict(self.per_class),
             tp=sum(s.tp for s in active.values()),
             fp=sum(s.fp for s in active.values()),
             fn=sum(s.fn for s in active.values()),
@@ -261,10 +252,6 @@ class ApResult:
     ap: float
     ap50: float
     ap75: float
-    per_threshold: dict[float, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"ap": self.ap, "ap50": self.ap50, "ap75": self.ap75}
 
 
 def _average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
@@ -343,7 +330,6 @@ def compute_mask_ap(preds_per_image: list[list[tuple[int, float, np.ndarray]]],
         ap=ap,
         ap50=per_threshold.get(0.5, 0.0),
         ap75=per_threshold.get(0.75, 0.0),
-        per_threshold=per_threshold,
     )
 
 

@@ -79,7 +79,7 @@ def test_criterion_2_matching_oracle():
         n_gt = int(rng.integers(1, n_pred + 1))
         costs = rng.standard_normal((n_pred, n_gt)) * rng.uniform(0.5, 3.0)
         out = hungarian_assign(costs)
-        got = sum(costs[p, g] for p, g in sorted(out.pairs, key=lambda x: x[1]))
+        got = sum(costs[p, g] for p, g in sorted(out, key=lambda x: x[1]))
         want = brute_force_min_cost(costs)
         assert got == want, f"{got} != {want}"
     elapsed = time.time() - t0
@@ -185,8 +185,8 @@ def test_criterion_7_structural_nms_free():
         n_pred = int(rng.integers(1, 12))
         n_gt = int(rng.integers(0, n_pred + 1))
         out = hungarian_assign(rng.standard_normal((n_pred, n_gt)))
-        preds = [p for p, _ in out.pairs]
-        gts = [g for _, g in out.pairs]
+        preds = [p for p, _ in out]
+        gts = [g for _, g in out]
         assert len(set(preds)) == len(preds), "kernel matched twice"
         assert sorted(gts) == list(range(n_gt)), "ground truth not covered exactly once"
 
@@ -200,11 +200,11 @@ def test_criterion_7_structural_nms_free():
     logits = rng.standard_normal((1, 4, 4, 4)).astype(np.float32)
     cls = rng.standard_normal((1, 4, 3)).astype(np.float32) + 2.0
     stage_a = StageOutput(T.Tensor(np.zeros((1, 4, 8), dtype=np.float32)),
-                          T.Tensor(logits), T.Tensor(cls), "sigmoid")
+                          T.Tensor(logits), T.Tensor(cls))
     mutated = logits.copy()
     mutated[0, 2] += 5.0
     stage_b = StageOutput(T.Tensor(np.zeros((1, 4, 8), dtype=np.float32)),
-                          T.Tensor(mutated), T.Tensor(cls), "sigmoid")
+                          T.Tensor(mutated), T.Tensor(cls))
     out_a = binarize_instances(stage_a, cfg)
     out_b = binarize_instances(stage_b, cfg)
     for i in (0, 1, 3):

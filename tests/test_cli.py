@@ -8,9 +8,10 @@ import pytest
 
 from knet import cli
 from knet import tensor as T
-from knet.data import SceneSpec, read_dataset, write_dataset, write_ppm, generate_sample
+from knet.data import SceneSpec, read_dataset, write_dataset, generate_sample
 from knet.model import ModelConfig, SegmentationModel
 from knet.training import TrainConfig, save_checkpoint
+from ppm import write_ppm
 
 
 def write_config(tmp_path, **kw) -> Path:

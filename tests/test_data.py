@@ -15,6 +15,7 @@ from knet import tensor as T
 from knet.errors import (
     ChecksumError, ConfigError, FormatError, GenerationError, KnetError, ParameterError,
 )
+from ppm import write_ppm
 
 
 class TestRasterize:
@@ -143,7 +144,7 @@ class TestPgm:
         rng = np.random.default_rng(0)
         img = (rng.integers(0, 256, size=(3, 5, 7)) / 255.0).astype(np.float32)
         path = tmp_path / "x.ppm"
-        D.write_ppm(path, img)
+        write_ppm(path, img)
         back = D.read_ppm(path)
         assert back.shape == (3, 5, 7)
         assert np.max(np.abs(back - img)) < 1e-6

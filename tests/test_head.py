@@ -30,7 +30,7 @@ def naive_group_features(probs, feats):
 
 
 def identity_linear(lin: Linear):
-    lin.weight.data = np.eye(lin.c_out, lin.c_in, dtype=lin.weight.data.dtype)
+    lin.weight.data = np.eye(*lin.weight.data.shape, dtype=lin.weight.data.dtype)
     lin.bias.data = np.zeros_like(lin.bias.data)
 
 
@@ -322,7 +322,7 @@ class TestStage:
             H.SOFTMAX,
         )
         assert out.class_logits is None
-        probs = H.mask_activation(out.mask_logits, out.activation).data
+        probs = H.mask_activation(out.mask_logits, H.SOFTMAX).data
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 

@@ -14,7 +14,7 @@ def f64():
 
 
 def set_identity(linear: L.Linear):
-    linear.weight.data = np.eye(linear.c_out, linear.c_in, dtype=linear.weight.data.dtype)
+    linear.weight.data = np.eye(*linear.weight.data.shape, dtype=linear.weight.data.dtype)
     linear.bias.data = np.zeros_like(linear.bias.data)
 
 

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from knet import matching as M
 from knet import tensor as T
-from knet.errors import CapacityError, ContractError
+from knet.errors import CapacityError, ContractError, DimensionError, NumericError
 from knet.model import ModelConfig
 from knet.tensor import Tensor
 
@@ -33,6 +33,12 @@ def brute_force_assign(costs):
 
 def total_cost(costs, pairs):
     return sum(costs[p, g] for p, g in sorted(pairs, key=lambda x: x[1]))
+
+
+def unmatched(pairs, n_pred):
+    """The predictions a pair list leaves unmatched, in order."""
+    matched = {p for p, _ in pairs}
+    return [i for i in range(n_pred) if i not in matched]
 
 
 def lexicographic_scan(c):
@@ -65,8 +71,7 @@ def lexicographic_scan(c):
                 free_gt.remove(g)
                 locked += c[p, g]
                 break
-    matched = {p for p, _ in pairs}
-    return pairs, [i for i in range(n_pred) if i not in matched]
+    return pairs, unmatched(pairs, n_pred)
 
 
 @st.composite
@@ -202,15 +207,15 @@ class TestMatchingCost:
         probs = np.full((4, 3), 0.4, dtype=np.float32)
         probs[2, 1] = 1.0 - 1e-6
         cost = M.matching_cost(probs, logits, np.array([1]), gt_mask[None], M.LossWeights())
-        assert np.argmin(cost.costs[:, 0]) == 2
-        assert cost.costs[2, 0] == pytest.approx(-2.0, abs=1e-2)
+        assert np.argmin(cost[:, 0]) == 2
+        assert cost[2, 0] == pytest.approx(-2.0, abs=1e-2)
 
     def test_constant_inputs_give_constant_matrix(self):
         probs = np.full((3, 2), 0.5, dtype=np.float32)
         logits = np.zeros((3, 16), dtype=np.float32)
         gts = (np.arange(16) < 8).astype(np.float32)[None].repeat(2, axis=0)
         cost = M.matching_cost(probs, logits, np.array([0, 1]), gts, M.LossWeights())
-        assert np.allclose(cost.costs, cost.costs[0, 0])
+        assert np.allclose(cost, cost[0, 0])
 
     def test_entries_match_loss_ops(self, f64):
         rng = np.random.default_rng(7)
@@ -225,25 +230,25 @@ class TestMatchingCost:
                 ce = float(M.mask_ce_loss(Tensor(logits[n]), gts[j]).data)
                 dice = float(M.dice_loss(T.sigmoid(Tensor(logits[n])), gts[j]).data)
                 expected = w.lam_cls * (-probs[n, classes[j]]) + w.lam_ce * ce + w.lam_dice * dice
-                assert abs(cost.costs[n, j] - expected) < 1e-6
+                assert abs(cost[n, j] - expected) < 1e-6
 
     def test_zero_gt_empty_matrix(self):
         cost = M.matching_cost(
             np.zeros((5, 2)), np.zeros((5, 9)), np.zeros(0, dtype=np.int64),
             np.zeros((0, 9)), M.LossWeights(),
         )
-        assert cost.costs.shape == (5, 0)
+        assert cost.shape == (5, 0)
 
 
 class TestHungarian:
     def test_single_entry(self):
         out = M.hungarian_assign(np.array([[3.0]]))
-        assert out.pairs == [(0, 0)]
-        assert out.unmatched_preds == []
+        assert out == [(0, 0)]
+        assert unmatched(out, 1) == []
 
     def test_two_by_two_cross(self):
         out = M.hungarian_assign(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert sorted(out.pairs) == [(0, 1), (1, 0)]
+        assert sorted(out) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_cost(self):
         rng = np.random.default_rng(8)
@@ -252,31 +257,31 @@ class TestHungarian:
             n_gt = rng.integers(0, n_pred + 1)
             c = rng.standard_normal((n_pred, n_gt))
             out = M.hungarian_assign(c)
-            assert len(out.pairs) == n_gt
+            assert len(out) == n_gt
             if n_gt:
                 best, _ = brute_force_assign(c)
-                assert total_cost(c, out.pairs) == best
+                assert total_cost(c, out) == best
 
     def test_valid_injection(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             c = rng.standard_normal((6, 4))
             out = M.hungarian_assign(c)
-            preds = [p for p, _ in out.pairs]
-            gts = [g for _, g in out.pairs]
+            preds = [p for p, _ in out]
+            gts = [g for _, g in out]
             assert len(set(preds)) == len(preds)
             assert sorted(gts) == list(range(4))
-            assert sorted(preds + out.unmatched_preds) == list(range(6))
+            assert sorted(preds + unmatched(out, 6)) == list(range(6))
 
     def test_constant_matrix_lexicographic(self):
         out = M.hungarian_assign(np.zeros((5, 3)))
-        assert out.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert out.unmatched_preds == [3, 4]
+        assert out == [(0, 0), (1, 1), (2, 2)]
+        assert unmatched(out, 5) == [3, 4]
 
     def test_tie_prefers_smallest_gt(self):
         c = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         out = M.hungarian_assign(c)
-        assert out.pairs == [(0, 0), (1, 1)]
+        assert out == [(0, 0), (1, 1)]
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -284,15 +289,27 @@ class TestHungarian:
 
     def test_empty_gt(self):
         out = M.hungarian_assign(np.zeros((4, 0)))
-        assert out.pairs == [] and out.unmatched_preds == [0, 1, 2, 3]
+        assert out == [] and unmatched(out, 4) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+    def test_cost_not_2d_is_dimension_error(self, shape):
+        with pytest.raises(DimensionError):
+            M.hungarian_assign(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_is_numeric_error(self, bad):
+        c = np.zeros((3, 2))
+        c[1, 0] = bad
+        with pytest.raises(NumericError):
+            M.hungarian_assign(c)
 
     @settings(max_examples=400, deadline=None)
     @given(tie_heavy_costs())
     def test_equals_lexicographic_scan(self, c):
         out = M.hungarian_assign(c)
-        pairs, unmatched = lexicographic_scan(c)
-        assert out.pairs == pairs
-        assert out.unmatched_preds == unmatched
+        pairs, free = lexicographic_scan(c)
+        assert out == pairs
+        assert unmatched(out, c.shape[0]) == free
 
     def test_strict_optimum_skips_the_scan(self, monkeypatch):
         calls = []
@@ -311,7 +328,7 @@ class TestHungarian:
             calls.clear()
             out = M.hungarian_assign(c)
             assert calls == solves
-            assert (out.pairs, out.unmatched_preds) == lexicographic_scan(c)
+            assert (out, unmatched(out, c.shape[0])) == lexicographic_scan(c)
 
 
 class TestSolver:
@@ -438,7 +455,6 @@ def _fake_stage(rng, b, n, k_cls, hw_side, with_classes=True):
         kernels=Tensor(rng.standard_normal((b, n, 4)).astype(np.float32)),
         mask_logits=Tensor(rng.standard_normal((b, n, hw_side, hw_side)).astype(np.float32)),
         class_logits=Tensor(rng.standard_normal((b, n, k_cls)).astype(np.float32)) if with_classes else None,
-        activation="sigmoid",
     )
 
 
@@ -566,8 +582,7 @@ class TestSetPredictionLoss:
         logits = stage.mask_logits.data.reshape(2, 16)
         probs_cls = 1.0 / (1.0 + np.exp(-stage.class_logits.data[0]))
         cost = M.matching_cost(probs_cls, logits, np.array([0]), mask.reshape(1, -1).astype(np.float64), w)
-        assign = M.hungarian_assign(cost)
-        (p, _), = assign.pairs
+        (p, _), = M.hungarian_assign(cost)
         targets = np.zeros((1, 2, 2))
         targets[0, p, 0] = 1.0
         cls = float(M.focal_loss(T.sigmoid(stage.class_logits), targets).data)
@@ -606,7 +621,6 @@ class TestSetPredictionLoss:
                 kernels=Tensor(np.zeros((1, 3, 4))),
                 mask_logits=t,
                 class_logits=Tensor(cls_base),
-                activation="sigmoid",
             )
             total, _ = M.set_prediction_loss([stage], [gt], layout)
             return total
@@ -641,7 +655,7 @@ class TestSetPredictionLoss:
         targets = np.stack([pool2(a), pool2(b)])
         probs_cls = 1.0 / (1.0 + np.exp(-stage.class_logits.data[0, :n_ins]))
         cost = M.matching_cost(probs_cls, up[:n_ins], np.array([0, 1]), targets, w)
-        pairs = M.hungarian_assign(cost).pairs
+        pairs = M.hungarian_assign(cost)
         focal_targets = np.zeros((1, n_ins, 2))
         for p, g in pairs:
             focal_targets[0, p, g] = 1.0

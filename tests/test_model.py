@@ -11,7 +11,8 @@ from knet import model as MO
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
 from knet.errors import ConfigError, ContractError, DimensionError, NumericError
-from knet.head import SIGMOID, StageOutput, mask_activation
+from knet import head as H
+from knet.head import SOFTMAX, StageOutput, mask_activation
 from knet.matching import supervision_grid
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
@@ -193,11 +194,20 @@ class TestInitialPredictions:
         stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
         assert np.array_equal(stages[0].mask_logits.data, np.zeros_like(stages[0].mask_logits.data))
 
-    def test_semantic_softmax_sums_to_one(self):
+    def test_semantic_softmax_sums_to_one(self, monkeypatch):
+        # the refinement stage reads the semantic masks through a softmax over N
+        seen = []
+
+        def recording(mask_logits, activation):
+            seen.append(activation)
+            return mask_activation(mask_logits, activation)
+
+        monkeypatch.setattr(H, "mask_activation", recording)
         model = MO.SegmentationModel(tiny_cfg("semantic"), seed=1)
         rng = np.random.default_rng(0)
         stages = model.forward(rng.uniform(size=(1, 3, 16, 16)).astype(np.float32))
-        probs = mask_activation(stages[0].mask_logits, stages[0].activation).data
+        assert seen == [SOFTMAX]
+        probs = mask_activation(stages[0].mask_logits, SOFTMAX).data
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_matches_predict_masks_oracle(self):
@@ -283,7 +293,6 @@ class TestForward:
                     continue
                 want = np.concatenate([getattr(one[si], name).data for one in singles])
                 assert got.data.tobytes() == want.tobytes(), (si, name)
-            assert all(one[si].activation == stage.activation for one in singles)
 
     def test_semantic_has_class_count_masks(self):
         model = MO.SegmentationModel(tiny_cfg("semantic"), seed=4)
@@ -497,7 +506,6 @@ class TestBinarizeInstances:
             kernels=Tensor(np.zeros((1, logits.shape[0], cfg.channels), dtype=np.float32)),
             mask_logits=Tensor(logits[None].astype(np.float32)),
             class_logits=Tensor(cls_logits[None].astype(np.float32)),
-            activation=SIGMOID,
         )
 
     def test_zero_logits_full_image_at_inclusive_threshold(self):
@@ -564,7 +572,6 @@ class TestMergePanoptic:
             kernels=Tensor(np.zeros((1, logits.shape[0], cfg.channels), dtype=np.float32)),
             mask_logits=Tensor(logits[None].astype(np.float32)),
             class_logits=Tensor(cls_logits[None].astype(np.float32)),
-            activation=SIGMOID,
         )
 
     def test_single_stuff_kernel_covers_everything(self):
@@ -612,7 +619,6 @@ class TestMergePanoptic:
             kernels=Tensor(np.zeros((1, 3, 8), dtype=np.float32)),
             mask_logits=Tensor(logits[None].astype(np.float32)),
             class_logits=Tensor(cls[None].astype(np.float32)),
-            activation=SIGMOID,
         )
         pan = MO.merge_panoptic(stage, cfg)
         expected = np.full((16, 16), 2, dtype=np.int32)
@@ -759,7 +765,6 @@ def test_merge_panoptic_matches_loop(seed, n_ins, hw, scale, step, score_floor,
         kernels=Tensor(np.zeros((1, n_total, cfg.channels), dtype=np.float32)),
         mask_logits=Tensor(logits[None].astype(np.float32)),
         class_logits=Tensor(cls[None].astype(np.float32)),
-        activation=SIGMOID,
     )
     got, want = MO.merge_panoptic(stage, cfg), loop_merge_panoptic(stage, cfg)
     assert got.segment_ids.dtype == want.segment_ids.dtype
@@ -792,7 +797,6 @@ def test_merge_panoptic_matches_loop_at_paper_kernels(seed, score_floor, min_are
         kernels=Tensor(np.zeros((1, n_total, cfg.channels), dtype=np.float32)),
         mask_logits=Tensor(logits[None].astype(np.float32)),
         class_logits=Tensor(cls[None].astype(np.float32)),
-        activation=SIGMOID,
     )
     got, want = MO.merge_panoptic(stage, cfg), loop_merge_panoptic(stage, cfg)
     assert got.segment_ids.dtype == want.segment_ids.dtype
@@ -811,7 +815,6 @@ class TestSemanticRaster:
             kernels=Tensor(np.zeros((1, 5, 8), dtype=np.float32)),
             mask_logits=Tensor(logits[None].astype(np.float32)),
             class_logits=None,
-            activation="softmax",
         )
         sem = MO.semantic_raster(stage, cfg)
         assert (sem[:8] == cfg.semantic_class_ids[4]).all()
@@ -826,7 +829,6 @@ class TestSemanticRaster:
             kernels=Tensor(np.zeros((1, 5, 8), dtype=np.float32)),
             mask_logits=Tensor(logits[None].astype(np.float32)),
             class_logits=None,
-            activation="softmax",
         )
         with pytest.raises(NumericError, match="non-finite"):
             MO.semantic_raster(stage, cfg)

@@ -92,3 +92,10 @@ def test_only_layer_defines_params():
                       if isinstance(cls, type) and issubclass(cls, Layer)
                       and cls.__module__ == module.__name__ and "params" in vars(cls)]
     assert overrides == ["knet.layers.Layer"]
+
+
+def test_package_exports_resolve():
+    # a removed name must leave __all__ with it
+    import knet
+
+    assert [name for name in knet.__all__ if not hasattr(knet, name)] == []
