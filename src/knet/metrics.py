@@ -7,6 +7,7 @@ share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +59,6 @@ class PanopticMap:
         for seg in self.segments:
             out[self.segment_ids == seg.id] = seg.class_id
         return out
-
-
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two binary masks.
-
-    An empty union yields 0.0; the PQ path never reaches that case
-    because empty segments are dropped before matching.
-    """
-    if a.shape != b.shape:
-        raise DimensionError(f"mask_iou: shapes {a.shape} and {b.shape} differ")
-    a = a.astype(bool)
-    b = b.astype(bool)
-    inter = np.logical_and(a, b).sum()
-    union = np.logical_or(a, b).sum()
-    return float(inter) / float(union) if union else 0.0
 
 
 @dataclass
@@ -254,94 +240,105 @@ class ApResult:
     ap75: float
 
 
-def _average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
-    """101-point interpolated AP from (score, is_tp) pairs."""
-    if n_gt == 0:
-        return 0.0
-    if not matches:
-        return 0.0
-    order = sorted(range(len(matches)), key=lambda i: (-matches[i][0], i))
-    tp = fp = 0
-    precisions, recalls = [], []
-    for i in order:
-        if matches[i][1]:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
-    precisions = np.array(precisions)
-    recalls = np.array(recalls)
-    # running max from the right: interpolated precision
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    ap = 0.0
-    for r in RECALL_POINTS:
-        idx = np.searchsorted(recalls, r, side="left")
-        ap += precisions[idx] if idx < len(precisions) else 0.0
-    return ap / len(RECALL_POINTS)
+def mask_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k, g) IoU table of stacks of k and g binary masks; an empty union yields 0.0.
+
+    A float64 GEMM of the flattened masks counts each intersection exactly,
+    so every entry is the quotient of two integer pixel counts.
+    """
+    if a.shape[1:] != b.shape[1:]:
+        raise DimensionError(f"mask_ious: mask shapes {a.shape[1:]} and {b.shape[1:]} differ")
+    a, b = (m.reshape(len(m), math.prod(m.shape[1:])).astype(bool).astype(np.float64)
+            for m in (a, b))
+    inter = a @ b.T
+    union = a.sum(axis=1)[:, None] + b.sum(axis=1) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+def _greedy_hits(ious: np.ndarray) -> np.ndarray:
+    """(thresholds, k) bool: at each threshold, row by row, a prediction takes the
+    first untaken ground truth of highest IoU at or above it.  Rows below every
+    threshold take nothing, so they are skipped."""
+    hits = np.zeros((len(IOU_THRESHOLDS), len(ious)), dtype=bool)
+    taken = np.zeros((len(IOU_THRESHOLDS), ious.shape[1]), dtype=bool)
+    every = np.arange(len(IOU_THRESHOLDS))
+    for i in np.flatnonzero((ious >= IOU_THRESHOLDS[0]).any(axis=1)):
+        free = np.where(~taken & (ious[i] >= IOU_THRESHOLDS[:, None]), ious[i], -1.0)
+        best = free.argmax(axis=1)
+        hit = free[every, best] >= 0.0
+        hits[hit, i] = True
+        taken[every[hit], best[hit]] = True
+    return hits
+
+
+def _average_precision(hits: list[bool], n_gt: int) -> float:
+    """101-point interpolated AP of predictions, hit or not, in descending score
+    order, against n_gt > 0 ground truths."""
+    tp = np.cumsum(hits, dtype=np.int64)
+    # interpolated precision: the running max from the right
+    precisions = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    idx = np.searchsorted(tp / n_gt, RECALL_POINTS, side="left")
+    # Python's left-to-right sum, not np.sum's pairwise one: the float bits follow recall order
+    return sum(np.append(precisions, 0.0)[idx].tolist()) / len(RECALL_POINTS)
+
+
+class ApStats:
+    """COCO-style mask AP averaged over IoU thresholds 0.50:0.05:0.95.
+
+    ``update`` scores one image's (class_id, score, mask) predictions against
+    its (class_id, mask) ground truths, all masks of one shape.  Per class,
+    the predictions go in descending score order (a stable sort) and are
+    matched greedily (:func:`_greedy_hits`) at each threshold.  Only each
+    prediction's score and whether it matched are kept; AP ranks them over
+    the whole dataset.
+    """
+
+    def __init__(self):
+        self.scores: dict[int, list[float]] = {}
+        self.hits: dict[int, list[list[bool]]] = {}   # per class, one list per threshold
+        self.n_gt: dict[int, int] = {}
+
+    def update(self, preds: list[tuple[int, float, np.ndarray]],
+               gts: list[tuple[int, np.ndarray]]) -> None:
+        shapes = {np.shape(mask) for *_, mask in [*preds, *gts]}
+        if len(shapes) > 1:
+            raise DimensionError(f"AP: one image's masks have shapes {sorted(shapes)}")
+        shape = shapes.pop() if shapes else ()
+
+        def stack(masks):
+            return np.array(masks, dtype=bool).reshape(len(masks), *shape)
+
+        for cls in {c for c, *_ in [*preds, *gts]}:
+            cand = sorted([(s, m) for c, s, m in preds if c == cls], key=lambda x: -x[0])
+            gt_masks = [m for c, m in gts if c == cls]
+            hits = _greedy_hits(mask_ious(stack([m for _, m in cand]), stack(gt_masks)))
+            self.scores.setdefault(cls, []).extend(float(s) for s, _ in cand)
+            for kept, new in zip(self.hits.setdefault(cls, [[] for _ in IOU_THRESHOLDS]), hits):
+                kept.extend(new.tolist())
+            self.n_gt[cls] = self.n_gt.get(cls, 0) + len(gt_masks)
+
+    def result(self) -> ApResult:
+        # sorted class order fixes the float summation order
+        classes = [c for c in sorted(self.n_gt) if self.n_gt[c]]
+        # a stable sort: equal scores keep the order they arrived in
+        ranks = {c: sorted(range(len(self.scores[c])), key=lambda i: -self.scores[c][i])
+                 for c in classes}
+        per_threshold = [
+            float(np.mean([_average_precision([self.hits[c][t][i] for i in ranks[c]], self.n_gt[c])
+                           for c in classes])) if classes else 0.0
+            for t in range(len(IOU_THRESHOLDS))
+        ]
+        # IOU_THRESHOLDS[0] is 0.50 and IOU_THRESHOLDS[5] is 0.75
+        return ApResult(float(np.mean(per_threshold)), per_threshold[0], per_threshold[5])
 
 
 def compute_mask_ap(preds_per_image: list[list[tuple[int, float, np.ndarray]]],
                     gts_per_image: list[list[tuple[int, np.ndarray]]]) -> ApResult:
-    """COCO-style mask AP averaged over IoU thresholds 0.50:0.05:0.95.
-
-    ``preds_per_image[i]`` holds (class_id, score, bool mask) triples;
-    ``gts_per_image[i]`` holds (class_id, bool mask) pairs.  Matching is
-    greedy by descending score; each ground truth matches at most once per
-    threshold; a prediction matches the available GT of its class with
-    the highest IoU when that IoU meets the threshold.
-    """
-    classes = sorted(
-        {c for gts in gts_per_image for c, _ in gts}
-    )
-    per_threshold: dict[float, float] = {}
-    ap_by_class_thr: dict[tuple[int, float], float] = {}
-    for thr in IOU_THRESHOLDS.tolist():
-        for cls in classes:
-            matches: list[tuple[float, bool]] = []
-            n_gt = 0
-            for preds, gts in zip(preds_per_image, gts_per_image):
-                gt_masks = [m for c, m in gts if c == cls]
-                n_gt += len(gt_masks)
-                cand = sorted(
-                    [(s, m) for c, s, m in preds if c == cls],
-                    key=lambda x: -x[0],
-                )
-                taken = [False] * len(gt_masks)
-                for score, mask in cand:
-                    best_iou, best_j = 0.0, -1
-                    for j, gmask in enumerate(gt_masks):
-                        if taken[j]:
-                            continue
-                        iou = mask_iou(mask, gmask)
-                        if iou >= thr and iou > best_iou:
-                            best_iou, best_j = iou, j
-                    if best_j >= 0:
-                        taken[best_j] = True
-                        matches.append((score, True))
-                    else:
-                        matches.append((score, False))
-            ap_by_class_thr[(cls, thr)] = _average_precision(matches, n_gt)
-        vals = [ap_by_class_thr[(c, thr)] for c in classes]
-        per_threshold[thr] = float(np.mean(vals)) if vals else 0.0
-    ap = float(np.mean(list(per_threshold.values()))) if per_threshold else 0.0
-    return ApResult(
-        ap=ap,
-        ap50=per_threshold.get(0.5, 0.0),
-        ap75=per_threshold.get(0.75, 0.0),
-    )
-
-
-class ApStats:
-    """Collects every image's instances: AP ranks them over the whole dataset."""
-
-    def __init__(self):
-        self.preds, self.gts = [], []
-
-    def update(self, preds: list, gts: list) -> None:
-        self.preds.append(preds)
-        self.gts.append(gts)
-
-    def result(self) -> ApResult:
-        return compute_mask_ap(self.preds, self.gts)
+    """Mask AP (see :class:`ApStats`) of each image's predictions against its ground truth."""
+    if len(preds_per_image) != len(gts_per_image):
+        raise DimensionError(f"AP: {len(preds_per_image)} prediction lists for "
+                             f"{len(gts_per_image)} ground-truth lists")
+    stats = ApStats()
+    for preds, gts in zip(preds_per_image, gts_per_image):
+        stats.update(preds, gts)
+    return stats.result()

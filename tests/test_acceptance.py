@@ -115,6 +115,7 @@ def test_criterion_3_group_feature_oracle():
 # 4. metric oracles
 
 def test_criterion_4_metric_oracles():
+    from loop_ap import loop_mask_ap, random_ap_case
     from test_metrics import brute_force_pq, random_panoptic, square_mask
 
     rng = np.random.default_rng(4)
@@ -141,8 +142,14 @@ def test_criterion_4_metric_oracles():
     fp[9:11, 9:11] = True
     ap = compute_mask_ap([[(1, 0.9, tp_06), (1, 0.3, fp)]], [[(1, gt_mask)]])
     assert ap.ap50 == 1.0 and ap.ap75 == 0.0
+
+    for _ in range(200):
+        preds, gts = random_ap_case(rng)
+        got, ref = compute_mask_ap(preds, gts), loop_mask_ap(preds, gts)
+        assert (got.ap, got.ap50, got.ap75) == (ref.ap, ref.ap50, ref.ap75)
     report("4 metric oracles", True,
-           f"100 rasters exact; PQ hand={hand.pq:.4f}; AP50={ap.ap50} AP75={ap.ap75}")
+           f"100 rasters exact; PQ hand={hand.pq:.4f}; AP50={ap.ap50} AP75={ap.ap75}; "
+           f"200 random AP cases equal the per-threshold loop bitwise")
 
 
 # ---------------------------------------------------------------------------

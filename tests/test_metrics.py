@@ -4,6 +4,7 @@ import pytest
 from knet import metrics as ME
 from knet.errors import DataError, DimensionError
 from knet.metrics import PanopticMap, SegmentInfo
+from loop_ap import loop_mask_ap, random_ap_case
 
 STUFF_POOL = [101, 102, 103, 104, 105, 106]
 
@@ -88,28 +89,34 @@ class TestMaskIou:
     def test_identical(self):
         m = np.zeros((4, 4), dtype=bool)
         m[1:3, 1:3] = True
-        assert ME.mask_iou(m, m) == 1.0
+        assert ME.mask_ious(m[None], m[None]).tolist() == [[1.0]]
 
     def test_disjoint(self):
         a = np.zeros((4, 4), dtype=bool)
         b = np.zeros((4, 4), dtype=bool)
         a[0, 0] = True
         b[3, 3] = True
-        assert ME.mask_iou(a, b) == 0.0
+        assert ME.mask_ious(a[None], b[None]).tolist() == [[0.0]]
 
     def test_hand_count(self):
         a = np.zeros(8, dtype=bool)
         b = np.zeros(8, dtype=bool)
         a[:4] = True
         b[2:6] = True
-        assert ME.mask_iou(a, b) == pytest.approx(2.0 / 6.0)
+        assert ME.mask_ious(np.stack([a, b]), b[None]).tolist() == [[2.0 / 6.0], [1.0]]
 
     def test_both_empty_is_zero(self):
-        assert ME.mask_iou(np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)) == 0.0
+        empty = np.zeros((1, 4), dtype=bool)
+        assert ME.mask_ious(empty, empty).tolist() == [[0.0]]
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ME.mask_iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
+            ME.mask_ious(np.zeros((1, 2, 2), dtype=bool), np.zeros((1, 3, 3), dtype=bool))
+
+    @pytest.mark.parametrize("k,g", [(3, 0), (0, 2), (0, 0)])
+    def test_empty_tables(self, k, g):
+        table = ME.mask_ious(np.ones((k, 4, 4), dtype=bool), np.ones((g, 4, 4), dtype=bool))
+        assert table.shape == (k, g) and table.dtype == np.float64
 
 
 class TestComputePq:
@@ -239,13 +246,13 @@ class TestMaskAp:
         gt_mask = square_mask(12, 12, 0, 0, 5)   # 25 px
         pred = square_mask(12, 12, 0, 0, 5)
         pred[4, :5] = False                       # 20 px, inter 20, union 25
-        assert ME.mask_iou(pred, gt_mask) == pytest.approx(0.8)
+        assert ME.mask_ious(pred[None], gt_mask[None])[0, 0] == pytest.approx(0.8)
         pred2 = np.zeros((12, 12), dtype=bool)
         pred2[9:11, 9:11] = True
         # adjust to exactly IoU 0.6: inter 15 / union 25 -> drop 10 px
         pred_06 = square_mask(12, 12, 0, 0, 5)
         pred_06[3:5, :5] = False                  # 15 px
-        assert ME.mask_iou(pred_06, gt_mask) == pytest.approx(15 / 25)
+        assert ME.mask_ious(pred_06[None], gt_mask[None])[0, 0] == pytest.approx(15 / 25)
         res = ME.compute_mask_ap(
             [[(1, 0.9, pred_06), (1, 0.3, pred2)]], [[(1, gt_mask)]]
         )
@@ -282,3 +289,47 @@ class TestMaskAp:
         res = ME.compute_mask_ap(preds, gts)
         assert res.ap <= res.ap50 + 1e-12
         assert 0.0 <= res.ap <= 1.0
+
+    def test_matches_loop_reference(self):
+        # bitwise against the per-threshold loop ApStats replaced
+        rng = np.random.default_rng(27)
+        nonzero = 0
+        for _ in range(1000):
+            preds, gts = random_ap_case(rng)
+            got, ref = ME.compute_mask_ap(preds, gts), loop_mask_ap(preds, gts)
+            assert (got.ap, got.ap50, got.ap75) == (ref.ap, ref.ap50, ref.ap75)
+            nonzero += ref.ap > 0
+        assert nonzero > 500
+
+    def test_image_count_mismatch_raises(self):
+        gt_mask = square_mask(8, 8, 1, 1, 4)
+        with pytest.raises(DimensionError):
+            ME.compute_mask_ap([[(1, 0.9, gt_mask)]], [[(1, gt_mask)], [(1, gt_mask)]])
+
+    def test_mixed_mask_shapes_raise(self):
+        # the (3, 3) mask is never compared with another, but its image is (4, 4)
+        m = square_mask(4, 4, 0, 0, 2)
+        with pytest.raises(DimensionError):
+            ME.compute_mask_ap([[(1, 0.9, m), (2, 0.8, square_mask(3, 3, 0, 0, 2))]], [[(1, m)]])
+
+    def test_keeps_no_arrays(self):
+        rng = np.random.default_rng(3)
+        stats = ME.ApStats()
+        for _ in range(3):
+            gts = [(1 + j % 3, rng.uniform(size=(64, 64)) < 0.3) for j in range(6)]
+            preds = [(1 + j % 4, float(rng.uniform()), rng.uniform(size=(64, 64)) < 0.3)
+                     for j in range(100)]
+            stats.update(preds, gts)
+        seen, todo = set(), [vars(stats)]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, np.ndarray)
+            if isinstance(obj, dict):
+                todo.extend([*obj.keys(), *obj.values()])
+            elif isinstance(obj, (list, tuple, set)):
+                todo.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                todo.append(vars(obj))
