@@ -5,7 +5,10 @@ bipartite assignment where the cost mirrors the training loss itself:
 negative class probability plus mask cross-entropy plus dice.  Matched
 kernels learn the instance; unmatched kernels learn "no object" through
 focal-loss negatives.  Kernels bound to semantic classes skip matching
-and are supervised directly against the semantic map.
+and are supervised directly against the semantic map.  The cost is
+computed in the working precision, as the loss is, and returned as a
+float64 (n_pred, n_gt) array, the precision the solver's tolerances
+assume.
 
 Matching and every mask loss run on the supervision grid: the mask-head
 grid upsampled x2 (stride 2 of the image), never finer than the image.
@@ -256,14 +259,25 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     class_probs: (n_pred, n_cls); mask_logits: (n_pred, G) on the
     supervision grid; gt_classes: (n_gt,) class-column indices; gt_masks:
     (n_gt, G) soft targets in [0, 1], the area-pooled instance masks.
+
+    The (n_pred, G) work runs in the working precision, as the loss does:
+    the sigmoid and clip in place on one table, which then takes its log,
+    the log1p on a second, and the GEMMs and row sums over G.  Only their
+    (n_pred, n_gt) and (n_pred,) results are cast to float64, where the
+    terms are combined.  In f64 mode every step is float64.
     """
-    p = T.sigmoid_array(mask_logits.astype(np.float64))
-    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    g = gt_masks.astype(np.float64)
+    dtype = T._DTYPES[T.get_precision()]
+    p = T.sigmoid_array(np.asarray(mask_logits, dtype))
+    np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    g = np.asarray(gt_masks, dtype)
     hw = p.shape[1]
-    ce = -(np.log(p) @ g.T + np.log1p(-p) @ (1.0 - g).T) / hw
-    inter = p @ g.T
-    dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(1)[:, None] + g.sum(1)[None, :] + DICE_EPS)
+    inter = (p @ g.T).astype(np.float64)
+    sums = p.sum(1).astype(np.float64)[:, None] + g.sum(1).astype(np.float64)[None, :]
+    dice = 1.0 - (2.0 * inter + DICE_EPS) / (sums + DICE_EPS)
+    log_q = np.negative(p)
+    np.log1p(log_q, out=log_q)
+    log_p = np.log(p, out=p)   # p is read for the last time
+    ce = -((log_p @ g.T).astype(np.float64) + (log_q @ (1.0 - g).T).astype(np.float64)) / hw
     cls = -class_probs.astype(np.float64)[:, gt_classes]
     return weights.lam_cls * cls + weights.lam_ce * ce + weights.lam_dice * dice
 

@@ -216,11 +216,13 @@ class SegmentationModel(Layer):
 # ---------------------------------------------------------------------------
 # inference decoding
 
-def _finite_logits(stage: StageOutput, index: int,
+def _finite_logits(stage: StageOutput, cfg: ModelConfig, index: int,
                    decoder: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mask and class logits of image ``index``; NumericError unless all finite."""
+    """Mask logits of image ``index`` and the class logits of its instance
+    rows, the only ones a decoder reads; NumericError unless all finite."""
     maps = stage.mask_logits.data[index]
-    cls = None if stage.class_logits is None else stage.class_logits.data[index]
+    cls = (None if stage.class_logits is None
+           else stage.class_logits.data[index, :cfg.num_instance_kernels])
     if not (np.isfinite(maps).all() and (cls is None or np.isfinite(cls).all())):
         raise NumericError(f"{decoder}: non-finite mask or class logits")
     return maps, cls
@@ -244,7 +246,7 @@ def binarize_instances(stage: StageOutput, cfg: ModelConfig,
     """
     if stage.class_logits is None:
         raise ContractError("instance decoding needs class predictions")
-    maps, cls_logits = _finite_logits(stage, index, "instance decoding")
+    maps, cls_logits = _finite_logits(stage, cfg, index, "instance decoding")
     probs = T.sigmoid_array(_full_size(maps))
     cls_probs = T.sigmoid_array(cls_logits)
     out = []
@@ -289,11 +291,11 @@ def merge_panoptic(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> Pano
     """
     if cfg.mode != "panoptic":
         raise ContractError(f"panoptic merge called in {cfg.mode!r} mode")
-    maps, cls_logits = _finite_logits(stage, index, "panoptic merge")
+    maps, cls_logits = _finite_logits(stage, cfg, index, "panoptic merge")
     n_ins = cfg.num_instance_kernels
     n_total = maps.shape[0]
     # only the instance rows are thing candidates; stuff rows' classes are unsupervised
-    cls_probs = T.sigmoid_array(cls_logits[:n_ins])
+    cls_probs = T.sigmoid_array(cls_logits)
     thing_score = cls_probs.max(axis=1)
     things = np.flatnonzero(thing_score >= cfg.score_floor)
     n_things = things.size
@@ -370,7 +372,7 @@ def semantic_raster(stage: StageOutput, cfg: ModelConfig, index: int = 0) -> np.
 
     Non-finite logits raise NumericError.
     """
-    maps, _ = _finite_logits(stage, index, "semantic decoding")
+    maps, _ = _finite_logits(stage, cfg, index, "semantic decoding")
     logits = _full_size(maps)
     ids = np.asarray(cfg.semantic_class_ids, dtype=np.int32)
     return ids[logits.argmax(axis=0)]

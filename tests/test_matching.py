@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from knet import tensor as T
 from knet.errors import CapacityError, ContractError, DimensionError, NumericError
 from knet.model import ModelConfig
 from knet.tensor import Tensor
+
+from f64_cost import f64_matching_cost, scene_case
 
 
 @pytest.fixture
@@ -198,6 +201,9 @@ class TestMaskCeLoss:
         assert T.grad_check(lambda z: M.mask_ce_loss(z, g), x) < 1e-5
 
 
+SCENE_SEEDS = list(range(1, 25))   # declared up front; none is ever dropped
+
+
 class TestMatchingCost:
     def test_perfect_pair_dominates_column(self):
         rng = np.random.default_rng(6)
@@ -231,6 +237,63 @@ class TestMatchingCost:
                 dice = float(M.dice_loss(T.sigmoid(Tensor(logits[n])), gts[j]).data)
                 expected = w.lam_cls * (-probs[n, classes[j]]) + w.lam_ce * ce + w.lam_dice * dice
                 assert abs(cost[n, j] - expected) < 1e-6
+
+    def test_entries_match_f32_loss_ops(self):
+        # the f32 twin: cost and loss ops each sum G float32 terms, whose
+        # independent roundings add up like a random walk to about
+        # sqrt(G) * u of each weighted term's magnitude (u = 2**-24, the
+        # float32 unit roundoff); dice's ratio is at most 1
+        rng = np.random.default_rng(7)
+        w = M.LossWeights()
+        G = 1024
+        logits = rng.standard_normal((4, G)).astype(np.float32)
+        gts = (rng.uniform(size=(3, G)) > 0.5).astype(np.float32)
+        probs = rng.uniform(0.1, 0.9, size=(4, 2)).astype(np.float32)
+        classes = np.array([1, 0, 1])
+        cost = M.matching_cost(probs, logits, classes, gts, w)
+        assert cost.dtype == np.float64
+        u = np.finfo(np.float32).eps / 2
+        for n in range(4):
+            for j in range(3):
+                ce = float(M.mask_ce_loss(Tensor(logits[n]), gts[j]).data)
+                dice = float(M.dice_loss(T.sigmoid(Tensor(logits[n])), gts[j]).data)
+                cls = -float(probs[n, classes[j]])
+                expected = w.lam_cls * cls + w.lam_ce * ce + w.lam_dice * dice
+                tol = math.sqrt(G) * u * (w.lam_cls * abs(cls) + w.lam_ce * ce + w.lam_dice)
+                assert abs(cost[n, j] - expected) < tol
+
+    @pytest.mark.parametrize("n_pred", [10, 100])
+    @pytest.mark.parametrize("seed", SCENE_SEEDS)
+    def test_working_precision_assigns_as_the_f64_reference(self, n_pred, seed):
+        args = scene_case(seed, n_pred)
+        assert 1 <= args[3].shape[0] <= 6
+        cost = M.matching_cost(*args, M.LossWeights())
+        reference = f64_matching_cost(*args, M.LossWeights())
+        assert cost.dtype == reference.dtype == np.float64
+        assert M.hungarian_assign(cost) == M.hungarian_assign(reference)
+
+    def test_f64_mode_is_the_f64_reference_bit_for_bit(self, f64):
+        for seed in SCENE_SEEDS[:6]:
+            probs, logits, classes, gts = scene_case(seed, 100)
+            for x in (logits, logits.astype(np.float64)):
+                args = (probs, x, classes, gts, M.LossWeights())
+                assert np.array_equal(M.matching_cost(*args), f64_matching_cost(*args))
+
+    def test_f32_cost_builds_no_float64_table(self):
+        # a float64 (n_pred, G) table is twice a float32 one: the f32 cost
+        # stays under half the reference's peak only if it builds none
+        args = (*scene_case(1, 100), M.LossWeights())
+        peaks = []
+        for cost_fn in (M.matching_cost, f64_matching_cost):
+            cost_fn(*args)
+            tracemalloc.start()
+            try:
+                cost_fn(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert args[1].shape == (100, 1024)
+        assert peaks[0] < peaks[1] / 2
 
     def test_zero_gt_empty_matrix(self):
         cost = M.matching_cost(

@@ -657,6 +657,20 @@ class TestMergePanoptic:
         with pytest.raises(NumericError, match="non-finite"):
             MO.merge_panoptic(self._stage(cfg, logits, cls), cfg)
 
+    def test_stuff_row_class_logits_are_not_read(self):
+        # the class branch scores the stuff rows too, but no decoder reads
+        # those logits: a NaN there decodes the same map as a finite value
+        cfg = tiny_cfg("panoptic")
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((5, 4, 4)) * 4
+        cls = rng.standard_normal((5, 3)) * 4
+        finite = MO.merge_panoptic(self._stage(cfg, logits, cls), cfg)
+        cls[3, 1] = np.nan
+        pan = MO.merge_panoptic(self._stage(cfg, logits, cls), cfg)
+        assert finite.segments
+        assert np.array_equal(pan.segment_ids, finite.segment_ids)
+        assert pan.segments == finite.segments
+
     def test_wrong_mode_rejected(self):
         cfg = tiny_cfg("instance")
         logits = np.zeros((3, 4, 4))
