@@ -9,21 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 from .layers import FeedForward, Layer, LayerNorm, Linear, MultiHeadAttention, canonical_frame
 from .tensor import Tensor
 
-SIGMOID = "sigmoid"
-SOFTMAX = "softmax"
-
-
-def mask_activation(mask_logits: Tensor, activation: str) -> Tensor:
-    """Mask probabilities: per-kernel sigmoid, or softmax over the N axis."""
-    if activation == SIGMOID:
-        return T.sigmoid(mask_logits)
-    if activation == SOFTMAX:
-        return T.softmax(mask_logits, axis=1)
-    raise ContractError(f"unknown mask activation {activation!r}")
+# output bias of every class branch: class probabilities start below chance,
+# as focal negatives dominate early on and the short desk schedule cannot
+# climb far
+CLASS_BIAS_INIT = -1.0
 
 
 @dataclass
@@ -131,6 +124,11 @@ class KernelMlp(Layer):
         return self.out(self.hidden(x))
 
 
+def class_branch(c: int, num_classes: int | None, rng) -> KernelMlp | None:
+    """The class branch of a stage; ``None`` without classes (semantic mode)."""
+    return KernelMlp(c, num_classes, rng, out_bias_init=CLASS_BIAS_INIT) if num_classes else None
+
+
 def predict_masks(kernels: Tensor, feats: Tensor) -> Tensor:
     """1x1-convolve each kernel vector with the feature map.
 
@@ -147,13 +145,16 @@ def predict_masks(kernels: Tensor, feats: Tensor) -> Tensor:
 class KernelUpdateStage(Layer):
     """One refinement step f_s: masks + kernels + features -> new predictions.
 
-    The step runs in one canonical frame keyed on each kernel together with
-    its previous mask, so it is exactly equivariant in the kernel order.
+    The previous masks are read through a softmax over the N axis in a
+    stage without a class branch (semantic mode: the masks compete per
+    pixel), else through a per-kernel sigmoid.  The step runs in one
+    canonical frame keyed on each kernel together with its previous mask,
+    so it is exactly equivariant in the kernel order.
     """
 
     def __init__(self, c: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
-                 interaction: bool = True, class_bias_init: float = 0.0):
+                 interaction: bool = True):
         self.update: Layer = (
             AdaptiveKernelUpdate(c, rng) if adaptive_update else PlainKernelUpdate(c, rng)
         )
@@ -162,17 +163,14 @@ class KernelUpdateStage(Layer):
         interaction_block = KernelInteraction(c, heads, rng) if interaction else None
         self.mask = KernelMlp(c, c, rng)
         self.interaction = interaction_block
-        self.cls = (
-            KernelMlp(c, num_classes, rng, out_bias_init=class_bias_init)
-            if num_classes
-            else None
-        )
+        self.cls = class_branch(c, num_classes, rng)
 
     def __call__(self, mask_logits_prev: Tensor, kernels_prev: Tensor,
-                 feats: Tensor, activation: str) -> StageOutput:
+                 feats: Tensor) -> StageOutput:
         # the parameters shadow the arguments: the body sees only sorted rows
         def step(mask_logits_prev, kernels_prev):
-            probs = mask_activation(mask_logits_prev, activation)
+            probs = (T.softmax(mask_logits_prev, axis=1) if self.cls is None
+                     else T.sigmoid(mask_logits_prev))
             fused = self.update(assemble_group_features(probs, feats), kernels_prev)
             kernels = self.interaction(fused) if self.interaction is not None else fused
             mask_logits = predict_masks(self.mask(kernels), feats)
@@ -187,22 +185,17 @@ class IterativeKernelHead(Layer):
 
     def __init__(self, c: int, stages: int, num_classes: int | None, rng,
                  heads: int = 4, adaptive_update: bool = True,
-                 interaction: bool = True, class_bias_init: float = 0.0):
+                 interaction: bool = True):
         if stages < 0:
             raise ConfigError(f"refinement stage count must be >= 0, got {stages}")
         # class branch built first (random draw order): heads with different S
         # then share a parameter prefix, which the stage-composability tests
         # compare bitwise; assigned after the stages (parameter key order)
-        stage0_cls = (
-            KernelMlp(c, num_classes, rng, out_bias_init=class_bias_init)
-            if num_classes
-            else None
-        )
+        stage0_cls = class_branch(c, num_classes, rng)
         for i in range(1, stages + 1):
             setattr(self, f"stage{i}", KernelUpdateStage(
                 c, num_classes, rng, heads=heads, adaptive_update=adaptive_update,
-                interaction=interaction, class_bias_init=class_bias_init,
-            ))
+                interaction=interaction))
         self.stage0_cls = stage0_cls
 
     @property
@@ -211,11 +204,11 @@ class IterativeKernelHead(Layer):
         return [v for v in vars(self).values() if isinstance(v, KernelUpdateStage)]
 
     def run_iterative(self, kernels0: Tensor, mask_logits0: Tensor,
-                      feats: Tensor, activation: str) -> list[StageOutput]:
+                      feats: Tensor) -> list[StageOutput]:
         """Run every stage; element 0 of the result is the static prediction."""
         class0 = self.stage0_cls(kernels0) if self.stage0_cls is not None else None
         outputs = [StageOutput(kernels0, mask_logits0, class0)]
         for stage in self.stages:
             prev = outputs[-1]
-            outputs.append(stage(prev.mask_logits, prev.kernels, feats, activation))
+            outputs.append(stage(prev.mask_logits, prev.kernels, feats))
         return outputs

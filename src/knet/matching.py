@@ -39,7 +39,7 @@ milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,9 +75,6 @@ class LossBreakdown:
     dice: float
     seg: float
     per_stage: list[dict[str, float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,14 @@ Each mode builds and runs only what it trains, and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS, dataclass_from_dict
+from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS
 from .errors import ConfigError, ContractError, DimensionError, NumericError
-from .head import SIGMOID, SOFTMAX, IterativeKernelHead, StageOutput, predict_masks
+from .head import IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
 from .matching import LossWeights, set_prediction_loss
 from .metrics import PanopticMap, SegmentInfo
@@ -95,13 +95,6 @@ class ModelConfig:
     def num_semantic_kernels(self) -> int:
         return len(self.semantic_class_ids)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return dataclass_from_dict(cls, d)
-
 
 class BackboneLite(Layer):
     """Two stride-2 stem convs and a sinusoidal position code, then two
@@ -139,20 +132,6 @@ class BackboneLite(Layer):
         return f_ins, f_sem
 
 
-def build_panoptic_inputs(m0_ins: Tensor, m0_sem: Tensor, k0_ins: Tensor,
-                          k0_sem: Tensor, f_ins: Tensor,
-                          f_sem: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Concatenate the instance rows with the stuff rows, masks and kernels.
-
-    The panoptic semantic set holds one kernel per stuff class: instances
-    cover the things.  The two feature branches are summed into the single
-    map the update head refines against.
-    """
-    m0 = T.concat([m0_ins, m0_sem], axis=1)
-    k0 = T.concat([k0_ins, k0_sem], axis=1)
-    return m0, k0, f_ins + f_sem
-
-
 class SegmentationModel(Layer):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -172,11 +151,9 @@ class SegmentationModel(Layer):
             (rng.standard_normal((n_drawn, c)) * kscale)[n_drawn - n_sem:], requires_grad=True,
         )
         num_classes = len(cfg.thing_class_ids) if cfg.mode != "semantic" else None
-        # start class probabilities below chance: focal negatives dominate
-        # early on, and the short desk schedule cannot climb far
         self.head = IterativeKernelHead(
             c, cfg.stages, num_classes, rng, heads=cfg.heads,
-            adaptive_update=cfg.aku, interaction=cfg.ki, class_bias_init=-1.0,
+            adaptive_update=cfg.aku, interaction=cfg.ki,
         )
 
     def forward(self, images: np.ndarray | Tensor,
@@ -197,16 +174,18 @@ class SegmentationModel(Layer):
             k_sem = T.broadcast_to(self.kernels.semantic, (b, *self.kernels.semantic.shape))
             m_sem = predict_masks(k_sem, f_sem)
         if cfg.mode == "semantic":
-            m0, k0, feats, activation = m_sem, k_sem, f_sem, SOFTMAX
+            m0, k0, feats = m_sem, k_sem, f_sem
         else:
             k0 = T.broadcast_to(self.kernels.instance, (b, *self.kernels.instance.shape))
-            m0, activation = predict_masks(k0, f_ins), SIGMOID
-            if cfg.mode == "instance":
-                feats = f_ins + f_sem
-            else:
-                m0, k0, feats = build_panoptic_inputs(m0, m_sem, k0, k_sem, f_ins, f_sem)
+            m0 = predict_masks(k0, f_ins)
+            if cfg.mode == "panoptic":
+                # the instance rows, then one row per stuff class: the
+                # instance kernels cover the things
+                m0 = T.concat([m0, m_sem], axis=1)
+                k0 = T.concat([k0, k_sem], axis=1)
+            feats = f_ins + f_sem
 
-        stages = self.head.run_iterative(k0, m0, feats, activation)
+        stages = self.head.run_iterative(k0, m0, feats)
 
         if gts is None:
             return stages

@@ -341,7 +341,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
                 loss, breakdown = model.forward(images, gts, cfg.loss)[1:]
                 if not np.isfinite(loss.data):
                     raise TrainingError(
-                        f"non-finite loss at iteration {iteration}: {breakdown.to_dict()}"
+                        f"non-finite loss at iteration {iteration}: {asdict(breakdown)}"
                     )
                 opt.zero_grad()
                 loss.backward()
@@ -349,7 +349,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
                 # free this step's graph before the next forward or evaluate
                 del loss
                 record = {"iter": iteration, "epoch": epoch, "lr": lr}
-                record.update(breakdown.to_dict())
+                record.update(asdict(breakdown))
                 log.write(json.dumps(record, sort_keys=True) + "\n")
                 iteration += 1
 

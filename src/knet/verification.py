@@ -14,8 +14,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .head import (
-    SIGMOID, AdaptiveKernelUpdate, KernelMlp, KernelInteraction, KernelUpdateStage,
-    PlainKernelUpdate,
+    AdaptiveKernelUpdate, KernelMlp, KernelInteraction, KernelUpdateStage, PlainKernelUpdate,
 )
 from .layers import Conv2d, FeedForward, LayerNorm, Linear, MultiHeadAttention
 from .matching import dice_loss, focal_loss, mask_ce_loss
@@ -117,10 +116,10 @@ def _check_full_stage(rng):
     m_prev = Tensor(rng.standard_normal((1, 2, 3, 3)))
     k_prev = Tensor(rng.standard_normal((1, 2, 8)))
     feats = Tensor(rng.standard_normal((1, 8, 3, 3)), requires_grad=True)
-    err = T.grad_check(lambda t: read(stage(m_prev, k_prev, t, SIGMOID)), feats)
+    err = T.grad_check(lambda t: read(stage(m_prev, k_prev, t)), feats)
     k_prev2 = Tensor(rng.standard_normal((1, 2, 8)), requires_grad=True)
     feats2 = Tensor(rng.standard_normal((1, 8, 3, 3)))
-    return max(err, T.grad_check(lambda t: read(stage(m_prev, t, feats2, SIGMOID)), k_prev2))
+    return max(err, T.grad_check(lambda t: read(stage(m_prev, t, feats2)), k_prev2))
 
 
 def _check_full_stage_duplicate_row(rng):
@@ -132,7 +131,7 @@ def _check_full_stage_duplicate_row(rng):
     k = rng.standard_normal((1, 3, 8))
     m[0, 2], k[0, 2] = m[0, 0], k[0, 0]
     feats = Tensor(rng.standard_normal((1, 8, 3, 3)))
-    return T.grad_check(lambda t: read(stage(Tensor(m), t, feats, SIGMOID)),
+    return T.grad_check(lambda t: read(stage(Tensor(m), t, feats)),
                         Tensor(k, requires_grad=True))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from knet import head as H
 from knet import tensor as T
-from knet.errors import ConfigError, ContractError, DimensionError
+from knet.errors import ConfigError, DimensionError
 from knet.layers import Linear, canonical_frame
 from knet.verification import FULL_STAGE_TOLERANCE
 
@@ -47,11 +47,11 @@ def make_identity_aku(c):
     return aku
 
 
-# (batch, activation) cases of the stage equivariance tests; softmax runs
-# in semantic mode, so without a class branch
+# (batch, class count) cases of the stage equivariance tests: a stage
+# without a class branch (semantic mode) reads its masks through a softmax
 STAGE_CASES = [
-    pytest.param(b, act, id=str(b) if act == H.SIGMOID else f"{b}-{act}")
-    for act in (H.SIGMOID, H.SOFTMAX)
+    pytest.param(b, classes, id=str(b) if classes else f"{b}-softmax")
+    for classes in (3, None)
     for b in (1, 4)
 ]
 
@@ -225,7 +225,6 @@ class TestStage:
             T.Tensor(rng.standard_normal((1, 3, 4, 4))),
             T.Tensor(rng.standard_normal((1, 3, 8))),
             T.Tensor(rng.standard_normal((1, 8, 4, 4))),
-            H.SIGMOID,
         )
         assert np.allclose(T.sigmoid(out.mask_logits).data, 0.5)
 
@@ -235,8 +234,8 @@ class TestStage:
         m = T.Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
         k = T.Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32))
         f = T.Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        o1 = stage(m, k, f, H.SIGMOID)
-        o2 = stage(m, k, f, H.SIGMOID)
+        o1 = stage(m, k, f)
+        o2 = stage(m, k, f)
         assert np.array_equal(o1.mask_logits.data, o2.mask_logits.data)
         assert np.array_equal(o1.kernels.data, o2.kernels.data)
 
@@ -250,33 +249,33 @@ class TestStage:
         coef_k = T.Tensor(rng.standard_normal((1, 2, 8)))
 
         def loss(t):
-            out = stage(m, k, t, H.SIGMOID)
+            out = stage(m, k, t)
             return T.reduce_sum(T.mul(out.mask_logits, coef_m)) + T.reduce_sum(T.mul(out.kernels, coef_k))
 
         assert T.grad_check(loss, feats) < 1e-4
 
-    @pytest.mark.parametrize("b, activation", STAGE_CASES)
-    def test_kernel_permutation_equivariance_exact(self, b, activation):
+    @pytest.mark.parametrize("b, num_classes", STAGE_CASES)
+    def test_kernel_permutation_equivariance_exact(self, b, num_classes):
         # paper-size kernel set, with the class branch in sigmoid mode:
         # permuting the kernels (and their previous masks) permutes every
         # output row bitwise
         rng = np.random.default_rng(7)
         n, c, hw = 102, 32, 16
-        stage = H.KernelUpdateStage(c, 3 if activation == H.SIGMOID else None, rng)
+        stage = H.KernelUpdateStage(c, num_classes, rng)
         m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
         k = rng.standard_normal((b, n, c)).astype(np.float32)
         f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
         perm = rng.permutation(n)
-        out = stage(T.Tensor(m), T.Tensor(k), f, activation)
-        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, activation)
+        out = stage(T.Tensor(m), T.Tensor(k), f)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f)
         assert_rows_permuted(out, out_perm, perm)
 
-    @pytest.mark.parametrize("b, activation", STAGE_CASES)
-    def test_kernel_permutation_equivariance_with_duplicate_rows(self, b, activation):
+    @pytest.mark.parametrize("b, num_classes", STAGE_CASES)
+    def test_kernel_permutation_equivariance_with_duplicate_rows(self, b, num_classes):
         # 20 kernels repeat another kernel together with its previous mask
         rng = np.random.default_rng(9)
         n, c, hw = 102, 32, 16
-        stage = H.KernelUpdateStage(c, 3 if activation == H.SIGMOID else None, rng)
+        stage = H.KernelUpdateStage(c, num_classes, rng)
         m = rng.standard_normal((b, n, hw, hw)).astype(np.float32)
         k = rng.standard_normal((b, n, c)).astype(np.float32)
         idx = rng.permutation(n)
@@ -284,8 +283,8 @@ class TestStage:
         k[:, idx[:20]] = k[:, idx[20:40]]
         f = T.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32))
         perm = rng.permutation(n)
-        out = stage(T.Tensor(m), T.Tensor(k), f, activation)
-        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f, activation)
+        out = stage(T.Tensor(m), T.Tensor(k), f)
+        out_perm = stage(T.Tensor(m[:, perm]), T.Tensor(k[:, perm]), f)
         assert_rows_permuted(out, out_perm, perm)
 
     def test_full_stage_grad_with_duplicate_row(self, f64):
@@ -306,36 +305,32 @@ class TestStage:
                     + T.reduce_sum(T.mul(out.kernels, coef_k))
                     + T.reduce_sum(T.mul(out.class_logits, coef_c)))
 
-        err_m = T.grad_check(lambda t: readout(stage(t, T.Tensor(k), feats, H.SIGMOID)),
+        err_m = T.grad_check(lambda t: readout(stage(t, T.Tensor(k), feats)),
                              T.Tensor(m, requires_grad=True))
-        err_k = T.grad_check(lambda t: readout(stage(T.Tensor(m), t, feats, H.SIGMOID)),
+        err_k = T.grad_check(lambda t: readout(stage(T.Tensor(m), t, feats)),
                              T.Tensor(k, requires_grad=True))
         assert max(err_m, err_k) < FULL_STAGE_TOLERANCE
 
-    def test_semantic_softmax_activation(self):
+    def test_semantic_softmax_activation(self, monkeypatch):
+        # without a class branch the previous masks compete per pixel
+        seen = []
+        assemble = H.assemble_group_features
+
+        def recording(probs, feats):
+            seen.append(probs.data)
+            return assemble(probs, feats)
+
+        monkeypatch.setattr(H, "assemble_group_features", recording)
         rng = np.random.default_rng(6)
         stage = H.KernelUpdateStage(8, None, rng, heads=2)
         out = stage(
             T.Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32)),
             T.Tensor(rng.standard_normal((1, 4, 8)).astype(np.float32)),
             T.Tensor(rng.standard_normal((1, 8, 3, 3)).astype(np.float32)),
-            H.SOFTMAX,
         )
         assert out.class_logits is None
-        probs = H.mask_activation(out.mask_logits, H.SOFTMAX).data
+        (probs,) = seen
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-
-    def test_unknown_activation_rejected(self):
-        # the stage dispatches through mask_activation
-        rng = np.random.default_rng(13)
-        stage = self._tiny_stage(rng)
-        m = T.Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
-        k = T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
-        with pytest.raises(ContractError):
-            stage(m, k, T.Tensor(np.zeros((1, 8, 3, 3), np.float32)), "relu")
-        with pytest.raises(ContractError):
-            H.mask_activation(m, "relu")
 
 
 class TestIterative:
@@ -352,7 +347,7 @@ class TestIterative:
         assert list(hd.params()) == [k for k in self._head(2).params() if k.startswith("stage0_cls.")]
         k0 = T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
         m0 = T.Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
-        (out,) = hd.run_iterative(k0, m0, T.Tensor(np.zeros((1, 8, 4, 4), np.float32)), H.SIGMOID)
+        (out,) = hd.run_iterative(k0, m0, T.Tensor(np.zeros((1, 8, 4, 4), np.float32)))
         assert out.kernels is k0 and out.mask_logits is m0
         assert np.array_equal(out.class_logits.data, hd.stage0_cls(k0).data)
 
@@ -363,7 +358,6 @@ class TestIterative:
             T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32)),
             T.Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32)),
             T.Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32)),
-            H.SIGMOID,
         )
         assert len(outs) == 4
 
@@ -373,8 +367,8 @@ class TestIterative:
         k0 = T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
         m0 = T.Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         f = T.Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        outs = hd.run_iterative(k0, m0, f, H.SIGMOID)
-        direct = hd.stages[0](m0, k0, f, H.SIGMOID)
+        outs = hd.run_iterative(k0, m0, f)
+        direct = hd.stages[0](m0, k0, f)
         assert np.array_equal(outs[1].mask_logits.data, direct.mask_logits.data)
 
     def test_prefix_composability_bitwise(self):
@@ -384,8 +378,8 @@ class TestIterative:
         k0 = T.Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32))
         m0 = T.Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
         f = T.Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        outs_a = short.run_iterative(k0, m0, f, H.SIGMOID)
-        outs_b = long.run_iterative(k0, m0, f, H.SIGMOID)
+        outs_a = short.run_iterative(k0, m0, f)
+        outs_b = long.run_iterative(k0, m0, f)
         for sa, sb in zip(outs_a, outs_b):
             assert np.array_equal(sa.mask_logits.data, sb.mask_logits.data)
             assert np.array_equal(sa.kernels.data, sb.kernels.data)
@@ -399,7 +393,6 @@ class TestIterative:
                 T.Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32)),
                 T.Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32)),
                 T.Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32)),
-                H.SIGMOID,
             )
             assert len(outs) == s + 1
 

@@ -12,7 +12,7 @@ from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
 from knet.errors import ConfigError, ContractError, DimensionError, NumericError
 from knet import head as H
-from knet.head import SOFTMAX, StageOutput, mask_activation
+from knet.head import CLASS_BIAS_INIT, StageOutput, predict_masks
 from knet.matching import supervision_grid
 from knet.metrics import PanopticMap, SegmentInfo
 from knet.tensor import Tensor
@@ -83,10 +83,6 @@ class TestModelConfig:
     def test_instance_aux_classes_include_background(self):
         cfg = tiny_cfg("instance")
         assert cfg.semantic_class_ids[0] == MO.BACKGROUND_ID
-
-    def test_round_trip_dict(self):
-        cfg = tiny_cfg()
-        assert MO.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # sha256 prefix of the newline-joined parameter keys, in order.  The keys
@@ -194,25 +190,35 @@ class TestInitialPredictions:
         stages = model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
         assert np.array_equal(stages[0].mask_logits.data, np.zeros_like(stages[0].mask_logits.data))
 
-    def test_semantic_softmax_sums_to_one(self, monkeypatch):
-        # the refinement stage reads the semantic masks through a softmax over N
+    @pytest.mark.parametrize("mode", MO.MODES)
+    def test_stage1_reads_the_mode_activation(self, mode, monkeypatch):
+        # semantic masks compete per pixel (softmax over N); instance and
+        # panoptic stages read every row, stuff rows included, through a
+        # sigmoid.  The stage sees its rows in canonical order, so each
+        # image's rows are compared as a multiset of bytes.
         seen = []
+        assemble = H.assemble_group_features
 
-        def recording(mask_logits, activation):
-            seen.append(activation)
-            return mask_activation(mask_logits, activation)
+        def recording(probs, feats):
+            seen.append(probs.data)
+            return assemble(probs, feats)
 
-        monkeypatch.setattr(H, "mask_activation", recording)
-        model = MO.SegmentationModel(tiny_cfg("semantic"), seed=1)
+        monkeypatch.setattr(H, "assemble_group_features", recording)
+        model = MO.SegmentationModel(tiny_cfg(mode), seed=1)
         rng = np.random.default_rng(0)
-        stages = model.forward(rng.uniform(size=(1, 3, 16, 16)).astype(np.float32))
-        assert seen == [SOFTMAX]
-        probs = mask_activation(stages[0].mask_logits, SOFTMAX).data
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        stages = model.forward(rng.uniform(size=(2, 3, 16, 16)).astype(np.float32))
+        (probs,) = seen
+        if mode == "semantic":
+            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+            return
+        expected = T.sigmoid(stages[0].mask_logits).data
+
+        def rows(a):
+            return [sorted(r.tobytes() for r in image) for image in a]
+
+        assert rows(probs) == rows(expected)
 
     def test_matches_predict_masks_oracle(self):
-        from knet.head import predict_masks
-
         model = MO.SegmentationModel(tiny_cfg("instance"), seed=2)
         rng = np.random.default_rng(1)
         img = rng.uniform(size=(1, 3, 16, 16)).astype(np.float32)
@@ -225,39 +231,36 @@ class TestInitialPredictions:
 
 class TestPanopticConcat:
     def test_row_bookkeeping(self):
-        rng = np.random.default_rng(0)
-        m_ins = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
-        m_sem = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
-        k_ins = Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
-        k_sem = Tensor(rng.standard_normal((1, 2, 8)).astype(np.float32))
-        f_i = Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        f_s = Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
-        m0, k0, feats = MO.build_panoptic_inputs(m_ins, m_sem, k_ins, k_sem, f_i, f_s)
-        assert m0.shape == (1, 4, 4, 4)
-        assert k0.shape == (1, 4, 8)
-        # instance rows, then the stuff rows, are copied bitwise
-        assert np.array_equal(m0.data[:, :2], m_ins.data)
-        assert np.array_equal(m0.data[:, 2], m_sem.data[:, 0])
-        assert np.array_equal(m0.data[:, 3], m_sem.data[:, 1])
-        assert np.array_equal(k0.data[:, :2], k_ins.data)
-        assert np.array_equal(k0.data[:, 2:], k_sem.data)
-        assert np.allclose(feats.data, f_i.data + f_s.data, atol=1e-6)
+        # the instance rows, then the stuff rows, are copied bitwise
+        model = MO.SegmentationModel(tiny_cfg("panoptic", stages=0), seed=0)
+        img = np.random.default_rng(0).uniform(size=(1, 3, 16, 16)).astype(np.float32)
+        (stage,) = model.forward(img)
+        f_ins, f_sem = model.backbone(Tensor(img))
+        k_ins = model.kernels.instance.data[None]
+        k_sem = model.kernels.semantic.data[None]
+        n_ins = k_ins.shape[1]
+        assert stage.mask_logits.shape == (1, n_ins + k_sem.shape[1], 4, 4)
+        assert np.array_equal(stage.mask_logits.data[:, :n_ins],
+                              predict_masks(Tensor(k_ins), f_ins).data)
+        assert np.array_equal(stage.mask_logits.data[:, n_ins:],
+                              predict_masks(Tensor(k_sem), f_sem).data)
+        assert np.array_equal(stage.kernels.data, np.concatenate([k_ins, k_sem], axis=1))
 
-    def test_feature_sum_matches_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        b = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        _, _, feats = MO.build_panoptic_inputs(
-            Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32)),
-            Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32)),
-            Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
-            Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
-            Tensor(a), Tensor(b),
-        )
-        ref = np.empty_like(a)
-        for i in np.ndindex(a.shape):
-            ref[i] = a[i] + b[i]
-        assert np.array_equal(feats.data, ref)
+
+class TestClassBranch:
+    @pytest.mark.parametrize("mode", ["instance", "panoptic"])
+    def test_bias_starts_at_class_bias_init(self, mode):
+        head = MO.SegmentationModel(tiny_cfg(mode, stages=2), seed=0).head
+        branches = [head.stage0_cls, *(stage.cls for stage in head.stages)]
+        assert len(branches) == 3
+        for branch in branches:
+            assert np.all(branch.out.bias.data == CLASS_BIAS_INIT)
+        assert CLASS_BIAS_INIT == -1.0
+
+    def test_semantic_model_has_no_class_branch(self):
+        head = MO.SegmentationModel(tiny_cfg("semantic", stages=2), seed=0).head
+        assert head.stage0_cls is None
+        assert [stage.cls for stage in head.stages] == [None, None]
 
 
 class TestForward:

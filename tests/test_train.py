@@ -1,7 +1,7 @@
 import hashlib
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -511,7 +511,7 @@ class TestAblate:
     @staticmethod
     def _record_cells(monkeypatch, cells):
         def fake_train(cfg, **_):
-            cells.append((Path(cfg.out_dir).name, cfg.model.to_dict()))
+            cells.append((Path(cfg.out_dir).name, asdict(cfg.model)))
             return {"final": {"final": {"stage": 0, "pq": 0.0}, "per_stage": []}}
 
         monkeypatch.setattr(TR, "train", fake_train)
