@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -48,16 +47,11 @@ def _has_type(value, tp) -> bool:
     fits a tuple field, since JSON has no tuples.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, t) for t in args)
     if origin is list:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
     if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_has_type(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_has_type, value, args))
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
     if tp is bool or isinstance(value, bool):
         return tp is bool and isinstance(value, bool)
     if tp is float:

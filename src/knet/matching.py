@@ -54,17 +54,9 @@ if TYPE_CHECKING:
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-4
-LOSS_TERMS = ("cls", "ce", "dice", "seg")   # a stage's unweighted terms, in the order it sums them
-
-
-@dataclass
-class LossWeights:
-    lam_cls: float = 2.0
-    lam_ce: float = 1.0
-    lam_dice: float = 4.0
-    lam_seg: float = 1.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
+# the weight of each loss term, read by the loss and the matching cost alike
+LOSS_WEIGHTS = {"cls": 2.0, "ce": 1.0, "dice": 4.0, "seg": 1.0}
+LOSS_TERMS = tuple(LOSS_WEIGHTS)   # a stage's unweighted terms, in the order it sums them
 
 
 @dataclass
@@ -247,11 +239,10 @@ def _targets_like(targets, x: np.ndarray, op: str) -> np.ndarray:
 # matching
 
 def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
-                  gt_classes: np.ndarray, gt_masks: np.ndarray,
-                  weights: LossWeights) -> np.ndarray:
+                  gt_classes: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
     """Pairwise assignment costs for one image, mirroring the loss terms:
-    the (n_pred, n_gt) float64 array of weighted class, mask cross-entropy
-    and dice costs, which :func:`hungarian_assign` takes.
+    the (n_pred, n_gt) float64 array of class, mask cross-entropy and dice
+    costs weighted by ``LOSS_WEIGHTS``, which :func:`hungarian_assign` takes.
 
     class_probs: (n_pred, n_cls); mask_logits: (n_pred, G) on the
     supervision grid; gt_classes: (n_gt,) class-column indices; gt_masks:
@@ -276,7 +267,7 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     log_p = np.log(p, out=p)   # p is read for the last time
     ce = -((log_p @ g.T).astype(np.float64) + (log_q @ (1.0 - g).T).astype(np.float64)) / hw
     cls = -class_probs.astype(np.float64)[:, gt_classes]
-    return weights.lam_cls * cls + weights.lam_ce * ce + weights.lam_dice * dice
+    return LOSS_WEIGHTS["cls"] * cls + LOSS_WEIGHTS["ce"] * ce + LOSS_WEIGHTS["dice"] * dice
 
 
 @dataclass
@@ -310,10 +301,9 @@ class DualSolution:
         return math.fsum([row[k] for row, k in zip(self.cost, self.cols)])
 
 
-def solve_assignment(c: np.ndarray, cheapest: list[int] | None = None) -> DualSolution:
+def solve_assignment(c: np.ndarray) -> DualSolution:
     """Minimum-cost assignment of every column of ``c`` (n_pred, n_gt), with
     n_pred >= n_gt >= 1 and finite entries, and the duals proving it.
-    ``cheapest`` is ``c.argmin(axis=0)`` as a list, if the caller has it.
 
     Each ground truth keeps its n_gt + 1 cheapest predictions.  Their union
     holds an optimum, and each ground truth keeps at least one unmatched
@@ -325,8 +315,7 @@ def solve_assignment(c: np.ndarray, cheapest: list[int] | None = None) -> DualSo
     runs.
     """
     n_pred, n_gt = c.shape
-    if cheapest is None:
-        cheapest = c.argmin(axis=0).tolist()
+    cheapest = c.argmin(axis=0).tolist()
     if n_pred > n_gt * (n_gt + 1):                  # else pruning could not shrink it much
         nearest = np.argpartition(c, n_gt, axis=0)[:n_gt + 1].tolist()
         keep = sorted(set(cheapest).union(*nearest))
@@ -485,12 +474,13 @@ def hungarian_assign(costs: np.ndarray) -> list[tuple[int, int]]:
 
     Every ground-truth column is matched (requires n_pred >= n_gt).  Among
     equal-cost optima the lexicographically smallest pair list wins, so
-    degenerate cost matrices resolve deterministically.  When every ground
-    truth's cheapest prediction is a different one and no other entry is
-    within 2 * tol of its column's minimum, that is the strict optimum and
-    nothing is solved.  Otherwise one solve gives an optimum and its duals;
-    when :func:`dual_certificate` proves it strict it is returned, and only
-    ties pay for the O(n_pred * n_gt) lexicographic scan.
+    degenerate cost matrices resolve deterministically.  One solve gives an
+    optimum and its duals; when :func:`dual_certificate` proves it strict
+    it is returned, and only ties pay for the O(n_pred * n_gt)
+    lexicographic scan.  When every ground truth's cheapest prediction is
+    a different one, the solve runs no search (u the column minima, v = 0)
+    and the certificate accepts unless another entry is within 2 * tol of
+    its column's minimum.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
@@ -503,15 +493,7 @@ def hungarian_assign(costs: np.ndarray) -> list[tuple[int, int]]:
     if not np.isfinite(c).all():
         raise NumericError("assignment costs must be finite")
 
-    cheapest = c.argmin(axis=0).tolist()
-    if len(set(cheapest)) == n_gt:
-        # distinct cheapest predictions are the optimum (u their costs, v = 0),
-        # and strict when no other entry is within 2 * tol of its column's minimum
-        mins = c[cheapest, range(n_gt)]
-        tol = 1e-9 * max(1.0, abs(math.fsum(mins.tolist())))
-        if np.count_nonzero(c <= mins + 2.0 * tol) == n_gt:
-            return sorted(zip(cheapest, range(n_gt)))
-    sol = solve_assignment(c, cheapest)
+    sol = solve_assignment(c)
     best = sol.total()
     tol = 1e-9 * max(1.0, abs(best))
     if dual_certificate(sol, tol):
@@ -555,7 +537,6 @@ def aux_semantic_map(gt) -> np.ndarray:
 
 
 def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
-                        weights: LossWeights | None = None,
                         semantic_logits: Tensor | None = None) -> tuple[Tensor, LossBreakdown]:
     """Deep-supervised loss over all stages; matching is redone per stage.
 
@@ -568,19 +549,19 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     Every stage predicts on the same mask grid, so the ground truth is
     area-pooled to its supervision grid (:func:`supervision_grid`) once,
     and each stage is matched and supervised there.  Each stage fills one
-    table of unweighted ``LOSS_TERMS``: its weighted sum is the stage
-    loss, its values (0.0 where absent) the stage's ``per_stage`` row, and
-    each breakdown term sums its column.  In instance mode,
-    ``semantic_logits`` (the static semantic kernels' masks) add one
-    auxiliary :func:`semantic_loss` against :func:`aux_semantic_map`, at
-    ``lam_seg`` and counted in ``seg`` only; the other modes ignore them.
+    table of unweighted ``LOSS_TERMS``: its sum weighted by ``LOSS_WEIGHTS``
+    is the stage loss, its values (0.0 where absent) the stage's
+    ``per_stage`` row, and each breakdown term sums its column.  In
+    instance mode, ``semantic_logits`` (the static semantic kernels' masks)
+    add one auxiliary :func:`semantic_loss` against :func:`aux_semantic_map`,
+    at the ``seg`` weight and counted in ``seg`` only; the other modes
+    ignore them.
     """
     batch = stages[0].mask_logits.shape[0]
     if len(gts) != batch:
         raise DimensionError(
             f"set_prediction_loss: {len(gts)} ground truths for a batch of {batch} images"
         )
-    weights = weights or LossWeights()
     size = cfg.image_size
     n_ins = cfg.num_instance_kernels
     thing_index = {cid: i for i, cid in enumerate(cfg.thing_class_ids)}
@@ -622,15 +603,13 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 if gt_masks[bi].shape[0] == 0:
                     continue
                 cost = matching_cost(cls_probs[bi], match_logits[bi], gt_classes[bi],
-                                     gt_masks[bi], weights)
+                                     gt_masks[bi])
                 for p, g in hungarian_assign(cost):
                     focal_targets[bi, p, gt_classes[bi][g]] = 1.0
                     sel_rows.append(bi * n_total + p)
                     sel_masks.append(gt_masks[bi][g])
             terms["cls"] = focal_loss(
-                T.sigmoid(T.index_select(stage.class_logits, 1, np.arange(n_ins))),
-                focal_targets, weights.focal_alpha, weights.focal_gamma,
-            )
+                T.sigmoid(T.index_select(stage.class_logits, 1, np.arange(n_ins))), focal_targets)
 
             if sel_rows:
                 # gather the matched rows first, then upsample only those
@@ -648,7 +627,7 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
                 terms["seg"] = stuff_ce + stuff_dice
 
         # the first term starts the sum: one node fewer, and the additions keep their order
-        weighted = [getattr(weights, f"lam_{key}") * term for key, term in terms.items()]
+        weighted = [LOSS_WEIGHTS[key] * term for key, term in terms.items()]
         stage_losses.append(sum(weighted[1:], weighted[0]))
         per_stage.append({key: float(terms[key].data) if key in terms else 0.0
                           for key in LOSS_TERMS})
@@ -657,6 +636,6 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
     sums = {key: sum(row[key] for row in per_stage) for key in LOSS_TERMS}
     if cfg.mode == "instance" and semantic_logits is not None:
         aux = semantic_loss(grid_logits(semantic_logits, grid), shares)
-        total = total + weights.lam_seg * aux
+        total = total + LOSS_WEIGHTS["seg"] * aux
         sums["seg"] += float(aux.data)
     return total, LossBreakdown(float(total.data), **sums, per_stage=per_stage)

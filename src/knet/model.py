@@ -27,7 +27,7 @@ from .data import GroundTruthSample, STUFF_CLASS_IDS, THING_CLASS_IDS
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .head import IterativeKernelHead, StageOutput, predict_masks
 from .layers import Conv2d, Layer, positional_encoding_2d
-from .matching import LossWeights, set_prediction_loss
+from .matching import set_prediction_loss
 from .metrics import PanopticMap, SegmentInfo
 from .tensor import Tensor
 
@@ -156,9 +156,7 @@ class SegmentationModel(Layer):
             adaptive_update=cfg.aku, interaction=cfg.ki,
         )
 
-    def forward(self, images: np.ndarray | Tensor,
-                gts: list[GroundTruthSample] | None = None,
-                weights: LossWeights | None = None):
+    def forward(self, images: np.ndarray | Tensor, gts: list[GroundTruthSample] | None = None):
         """Run the pipeline; with ground truth also return the loss.
 
         Returns ``stages`` (length S+1) or ``(stages, loss, breakdown)``
@@ -189,7 +187,7 @@ class SegmentationModel(Layer):
 
         if gts is None:
             return stages
-        return (stages, *set_prediction_loss(stages, gts, cfg, weights, m_sem))
+        return (stages, *set_prediction_loss(stages, gts, cfg, m_sem))
 
 
 # ---------------------------------------------------------------------------

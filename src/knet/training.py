@@ -22,7 +22,6 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, dataclass_from_dict, read_dataset
 from .errors import ConfigError, FormatError, TrainingError
-from .matching import LossWeights
 from .metrics import ApStats, MiouStats, PqStats
 from .model import (
     ModelConfig, SegmentationModel, binarize_instances, merge_panoptic, semantic_raster,
@@ -32,23 +31,22 @@ from .optim import AdamW, lr_at, milestone_iterations
 CHECKPOINT_FORMAT = "knet-checkpoint-v1"
 # the best validation value before any epoch; every metric is >= 0
 NO_BEST = -1.0
+# AdamW's decoupled weight decay per model mode
+WEIGHT_DECAY = {"semantic": 0.0005, "instance": 0.05, "panoptic": 0.05}
+# the learning rate drops 10x at these fractions of the run's iterations
+LR_MILESTONES = (2.0 / 3.0, 11.0 / 12.0)
 
 
 @dataclass
 class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     lr: float = 1e-4
-    weight_decay: float | None = None   # per-mode default, see resolved_weight_decay
-    betas: tuple[float, float] = (0.9, 0.999)
     epochs: int = 12
-    milestones: tuple[float, ...] = (2.0 / 3.0, 11.0 / 12.0)
-    lr_decay_factor: float = 0.1
     batch_size: int = 4
     seed: int = 0
     train_dir: str = "data/train"
     val_dir: str = "data/val"
     out_dir: str = "runs/default"
-    loss: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -56,11 +54,8 @@ class TrainConfig:
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError(f"batch size {self.batch_size} must be >= 1 "
                               f"and epochs {self.epochs} >= 0")
-
-    def resolved_weight_decay(self) -> float:
-        if self.weight_decay is not None:
-            return self.weight_decay
-        return 0.0005 if self.model.mode == "semantic" else 0.05
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -172,8 +167,7 @@ def _load_checkpoint(path, with_optimizer: bool):
             params[key].data = arr.astype(params[key].data.dtype)
         opt = None
         if with_optimizer:
-            opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.resolved_weight_decay(),
-                        betas=cfg.betas)
+            opt = AdamW(params, lr=cfg.lr, weight_decay=WEIGHT_DECAY[cfg.model.mode])
             expected = opt.state_arrays()
             if not header.get("opt_keys"):
                 raise FormatError(f"{path}: checkpoint was saved without optimizer state")
@@ -316,13 +310,12 @@ def train(cfg: TrainConfig, resume: str | None = None,
         start_epoch, iteration, best_value = header["epoch"], header["iteration"], header["best"]
     else:
         model = SegmentationModel(cfg.model, seed=cfg.seed)
-        opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.resolved_weight_decay(),
-                    betas=cfg.betas)
+        opt = AdamW(model.params(), lr=cfg.lr, weight_decay=WEIGHT_DECAY[cfg.model.mode])
         start_epoch, iteration, best_value = 0, 0, NO_BEST
 
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     total_iters = cfg.epochs * iters_per_epoch
-    milestones = milestone_iterations(total_iters, cfg.milestones)
+    milestones = milestone_iterations(total_iters, LR_MILESTONES)
     end_epoch = cfg.epochs if max_epochs is None else min(cfg.epochs, start_epoch + max_epochs)
 
     primary = EVAL_MODES[cfg.model.mode].primary
@@ -337,8 +330,8 @@ def train(cfg: TrainConfig, resume: str | None = None,
             for batch_idx in _batches(order, cfg.batch_size):
                 gts = [train_set.samples[i] for i in batch_idx]
                 images = np.stack([g.image for g in gts])
-                lr = lr_at(cfg.lr, iteration, milestones, cfg.lr_decay_factor)
-                loss, breakdown = model.forward(images, gts, cfg.loss)[1:]
+                lr = lr_at(cfg.lr, iteration, milestones)
+                loss, breakdown = model.forward(images, gts)[1:]
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"non-finite loss at iteration {iteration}: {asdict(breakdown)}"

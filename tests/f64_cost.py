@@ -10,14 +10,13 @@ import numpy as np
 
 from knet import tensor as T
 from knet.data import SceneSpec, generate_sample
-from knet.matching import DICE_EPS, PROB_CLAMP, LossWeights, area_pool
+from knet.matching import DICE_EPS, LOSS_WEIGHTS, PROB_CLAMP, area_pool
 
 GRID = (32, 32)
 
 
 def f64_matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
-                      gt_classes: np.ndarray, gt_masks: np.ndarray,
-                      weights: LossWeights) -> np.ndarray:
+                      gt_classes: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
     """Pairwise assignment costs for one image, every step in float64."""
     p = T.sigmoid_array(mask_logits.astype(np.float64))
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -27,7 +26,7 @@ def f64_matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray,
     inter = p @ g.T
     dice = 1.0 - (2.0 * inter + DICE_EPS) / (p.sum(1)[:, None] + g.sum(1)[None, :] + DICE_EPS)
     cls = -class_probs.astype(np.float64)[:, gt_classes]
-    return weights.lam_cls * cls + weights.lam_ce * ce + weights.lam_dice * dice
+    return LOSS_WEIGHTS["cls"] * cls + LOSS_WEIGHTS["ce"] * ce + LOSS_WEIGHTS["dice"] * dice
 
 
 def scene_case(seed: int, n_pred: int, n_cls: int = 3):

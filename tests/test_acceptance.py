@@ -21,7 +21,7 @@ import knet.training as training
 from knet import tensor as T
 from knet.data import SceneSpec, write_dataset
 from knet.head import assemble_group_features
-from knet.matching import LossWeights, hungarian_assign, matching_cost
+from knet.matching import hungarian_assign
 from knet.metrics import PanopticMap, SegmentInfo, compute_mask_ap, compute_pq
 from knet.model import ModelConfig
 from knet.training import TrainConfig

@@ -109,6 +109,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("override", [
         "batch_size=0", "epochs=-1", "model.image_size=32", "model.thing_class_ids=[1]",
+        "lr=NaN", "lr=Infinity", "lr=0", "lr=-0.001",
     ])
     def test_out_of_range_or_unfit_is_an_error(self, workspace, capsys, override):
         config = write_config(workspace)
@@ -167,6 +168,33 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and match in captured.err
         assert captured.out == ""
+
+    def test_removed_recipe_keys_are_an_error(self, workspace, capsys):
+        # the loss weights and optimizer settings TrainConfig held until they
+        # became constants, as every older checkpoint header and config names them
+        removed = {
+            "loss": {"lam_cls": 2.0, "lam_ce": 1.0, "lam_dice": 4.0, "lam_seg": 1.0,
+                     "focal_alpha": 0.25, "focal_gamma": 2.0},
+            "betas": [0.9, 0.999], "milestones": [2 / 3, 11 / 12], "lr_decay_factor": 0.1,
+            "weight_decay": None,
+        }
+        expected = ("error: unknown TrainConfig keys: "
+                    "betas, loss, lr_decay_factor, milestones, weight_decay\n")
+        config = write_config(workspace)
+        cfg = TrainConfig.from_dict(json.loads(config.read_text()))
+        ckpt = workspace / "weights.ckpt"
+        save_checkpoint(ckpt, cfg, SegmentationModel(cfg.model, seed=cfg.seed), None, 1, 2)
+        line, rest = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["config"].update(removed)
+        ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "val")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", expected)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **removed}))
+        assert cli.main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", expected)
+        assert not (workspace / "run").exists()
 
     def test_instance_mode_without_kernels_is_an_error(self, workspace, capsys):
         config = write_config(workspace)

@@ -212,7 +212,7 @@ class TestMatchingCost:
         logits[2] = np.where(gt_mask > 0, 30.0, -30.0)
         probs = np.full((4, 3), 0.4, dtype=np.float32)
         probs[2, 1] = 1.0 - 1e-6
-        cost = M.matching_cost(probs, logits, np.array([1]), gt_mask[None], M.LossWeights())
+        cost = M.matching_cost(probs, logits, np.array([1]), gt_mask[None])
         assert np.argmin(cost[:, 0]) == 2
         assert cost[2, 0] == pytest.approx(-2.0, abs=1e-2)
 
@@ -220,22 +220,22 @@ class TestMatchingCost:
         probs = np.full((3, 2), 0.5, dtype=np.float32)
         logits = np.zeros((3, 16), dtype=np.float32)
         gts = (np.arange(16) < 8).astype(np.float32)[None].repeat(2, axis=0)
-        cost = M.matching_cost(probs, logits, np.array([0, 1]), gts, M.LossWeights())
+        cost = M.matching_cost(probs, logits, np.array([0, 1]), gts)
         assert np.allclose(cost, cost[0, 0])
 
     def test_entries_match_loss_ops(self, f64):
         rng = np.random.default_rng(7)
-        w = M.LossWeights()
+        w = M.LOSS_WEIGHTS
         logits = rng.standard_normal((4, 25))
         gts = (rng.uniform(size=(3, 25)) > 0.5).astype(np.float64)
         probs = rng.uniform(0.1, 0.9, size=(4, 2))
         classes = np.array([1, 0, 1])
-        cost = M.matching_cost(probs, logits, classes, gts, w)
+        cost = M.matching_cost(probs, logits, classes, gts)
         for n in range(4):
             for j in range(3):
                 ce = float(M.mask_ce_loss(Tensor(logits[n]), gts[j]).data)
                 dice = float(M.dice_loss(T.sigmoid(Tensor(logits[n])), gts[j]).data)
-                expected = w.lam_cls * (-probs[n, classes[j]]) + w.lam_ce * ce + w.lam_dice * dice
+                expected = w["cls"] * (-probs[n, classes[j]]) + w["ce"] * ce + w["dice"] * dice
                 assert abs(cost[n, j] - expected) < 1e-6
 
     def test_entries_match_f32_loss_ops(self):
@@ -244,13 +244,13 @@ class TestMatchingCost:
         # sqrt(G) * u of each weighted term's magnitude (u = 2**-24, the
         # float32 unit roundoff); dice's ratio is at most 1
         rng = np.random.default_rng(7)
-        w = M.LossWeights()
+        w = M.LOSS_WEIGHTS
         G = 1024
         logits = rng.standard_normal((4, G)).astype(np.float32)
         gts = (rng.uniform(size=(3, G)) > 0.5).astype(np.float32)
         probs = rng.uniform(0.1, 0.9, size=(4, 2)).astype(np.float32)
         classes = np.array([1, 0, 1])
-        cost = M.matching_cost(probs, logits, classes, gts, w)
+        cost = M.matching_cost(probs, logits, classes, gts)
         assert cost.dtype == np.float64
         u = np.finfo(np.float32).eps / 2
         for n in range(4):
@@ -258,8 +258,8 @@ class TestMatchingCost:
                 ce = float(M.mask_ce_loss(Tensor(logits[n]), gts[j]).data)
                 dice = float(M.dice_loss(T.sigmoid(Tensor(logits[n])), gts[j]).data)
                 cls = -float(probs[n, classes[j]])
-                expected = w.lam_cls * cls + w.lam_ce * ce + w.lam_dice * dice
-                tol = math.sqrt(G) * u * (w.lam_cls * abs(cls) + w.lam_ce * ce + w.lam_dice)
+                expected = w["cls"] * cls + w["ce"] * ce + w["dice"] * dice
+                tol = math.sqrt(G) * u * (w["cls"] * abs(cls) + w["ce"] * ce + w["dice"])
                 assert abs(cost[n, j] - expected) < tol
 
     @pytest.mark.parametrize("n_pred", [10, 100])
@@ -267,8 +267,8 @@ class TestMatchingCost:
     def test_working_precision_assigns_as_the_f64_reference(self, n_pred, seed):
         args = scene_case(seed, n_pred)
         assert 1 <= args[3].shape[0] <= 6
-        cost = M.matching_cost(*args, M.LossWeights())
-        reference = f64_matching_cost(*args, M.LossWeights())
+        cost = M.matching_cost(*args)
+        reference = f64_matching_cost(*args)
         assert cost.dtype == reference.dtype == np.float64
         assert M.hungarian_assign(cost) == M.hungarian_assign(reference)
 
@@ -276,13 +276,13 @@ class TestMatchingCost:
         for seed in SCENE_SEEDS[:6]:
             probs, logits, classes, gts = scene_case(seed, 100)
             for x in (logits, logits.astype(np.float64)):
-                args = (probs, x, classes, gts, M.LossWeights())
+                args = (probs, x, classes, gts)
                 assert np.array_equal(M.matching_cost(*args), f64_matching_cost(*args))
 
     def test_f32_cost_builds_no_float64_table(self):
         # a float64 (n_pred, G) table is twice a float32 one: the f32 cost
         # stays under half the reference's peak only if it builds none
-        args = (*scene_case(1, 100), M.LossWeights())
+        args = scene_case(1, 100)
         peaks = []
         for cost_fn in (M.matching_cost, f64_matching_cost):
             cost_fn(*args)
@@ -298,7 +298,7 @@ class TestMatchingCost:
     def test_zero_gt_empty_matrix(self):
         cost = M.matching_cost(
             np.zeros((5, 2)), np.zeros((5, 9)), np.zeros(0, dtype=np.int64),
-            np.zeros((0, 9)), M.LossWeights(),
+            np.zeros((0, 9)),
         )
         assert cost.shape == (5, 0)
 
@@ -375,22 +375,22 @@ class TestHungarian:
         assert unmatched(out, c.shape[0]) == free
 
     def test_strict_optimum_skips_the_scan(self, monkeypatch):
-        calls = []
-        solve = M.solve_assignment
+        scans = []
+        scan = M._lexicographic_pairs
 
-        def counting(cost, *args):
-            calls.append(cost.shape)
-            return solve(cost, *args)
+        def counting(cost, limit):
+            scans.append(cost.shape)
+            return scan(cost, limit)
 
-        monkeypatch.setattr(M, "solve_assignment", counting)
+        monkeypatch.setattr(M, "_lexicographic_pairs", counting)
         shared = np.random.default_rng(12).standard_normal((100, 6))   # two share prediction 60
         distinct = shared.copy()
         distinct[[3, 17, 29, 41, 58, 90], range(6)] -= 5.0
-        # distinct cheapest predictions need no solve, shared ones exactly one
-        for c, solves in [(distinct, []), (shared, [(100, 6)])]:
-            calls.clear()
+        # a strict optimum is certified from its one solve, whether or not
+        # the cheapest predictions are distinct
+        for c in (distinct, shared):
             out = M.hungarian_assign(c)
-            assert calls == solves
+            assert scans == []
             assert (out, unmatched(out, c.shape[0])) == lexicographic_scan(c)
 
 
@@ -537,7 +537,7 @@ class TestSetPredictionLoss:
         sem = np.full((8, 8), 101, dtype=np.int64)
         sem[mask] = 1
         gt = FakeGt([(1, mask)], sem)
-        w = M.LossWeights()
+        w = M.LOSS_WEIGHTS
         for mode in ("semantic", "instance", "panoptic"):
             rng = np.random.default_rng(10)
             n_rows = 4 if mode == "panoptic" else 3
@@ -545,9 +545,9 @@ class TestSetPredictionLoss:
                       for _ in range(3)]
             layout = _layout(mode, n_ins=0 if mode == "semantic" else 3)
             sem_logits = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
-            total, bd = M.set_prediction_loss(stages, [gt], layout, w, semantic_logits=sem_logits)
-            recon = (w.lam_cls * bd.cls + w.lam_ce * bd.ce + w.lam_dice * bd.dice
-                     + w.lam_seg * bd.seg)
+            total, bd = M.set_prediction_loss(stages, [gt], layout, semantic_logits=sem_logits)
+            recon = (w["cls"] * bd.cls + w["ce"] * bd.ce + w["dice"] * bd.dice
+                     + w["seg"] * bd.seg)
             assert abs(bd.total - recon) < 1e-6, mode
             assert bd.total == float(total.data), mode
             assert len(bd.per_stage) == 3, mode
@@ -638,20 +638,20 @@ class TestSetPredictionLoss:
             mode="instance", image_size=4, num_instance_kernels=2,
             thing_class_ids=[1, 2], stuff_class_ids=[],
         )
-        w = M.LossWeights()
-        total, bd = M.set_prediction_loss([stage], [gt], layout, w)
+        w = M.LOSS_WEIGHTS
+        total, bd = M.set_prediction_loss([stage], [gt], layout)
 
         # recompute by hand from the parts
         logits = stage.mask_logits.data.reshape(2, 16)
         probs_cls = 1.0 / (1.0 + np.exp(-stage.class_logits.data[0]))
-        cost = M.matching_cost(probs_cls, logits, np.array([0]), mask.reshape(1, -1).astype(np.float64), w)
+        cost = M.matching_cost(probs_cls, logits, np.array([0]), mask.reshape(1, -1).astype(np.float64))
         (p, _), = M.hungarian_assign(cost)
         targets = np.zeros((1, 2, 2))
         targets[0, p, 0] = 1.0
         cls = float(M.focal_loss(T.sigmoid(stage.class_logits), targets).data)
         ce = float(M.mask_ce_loss(Tensor(logits[p]), mask.reshape(-1).astype(float)).data)
         dice = float(M.dice_loss(T.sigmoid(Tensor(logits[p])), mask.reshape(-1).astype(float)).data)
-        expected = w.lam_cls * cls + w.lam_ce * ce + w.lam_dice * dice
+        expected = w["cls"] * cls + w["ce"] * ce + w["dice"] * dice
         assert abs(bd.total - expected) < 1e-5
 
     def test_semantic_mode(self):
@@ -707,8 +707,8 @@ class TestSetPredictionLoss:
         gt = FakeGt([(1, a), (2, b)], sem)
         stage = _fake_stage(rng, 1, n_ins + 1, 2, 16)
         layout = _layout("panoptic", n_ins=n_ins, size=size)
-        w = M.LossWeights()
-        total, bd = M.set_prediction_loss([stage], [gt], layout, w)
+        w = M.LOSS_WEIGHTS
+        total, bd = M.set_prediction_loss([stage], [gt], layout)
 
         def pool2(m):  # mean of the four phases of each 2x2 block
             m = m.astype(np.float64)
@@ -717,7 +717,7 @@ class TestSetPredictionLoss:
         up = T.bilinear_resize_array(stage.mask_logits.data[0], 32, 32).reshape(n_ins + 1, -1)
         targets = np.stack([pool2(a), pool2(b)])
         probs_cls = 1.0 / (1.0 + np.exp(-stage.class_logits.data[0, :n_ins]))
-        cost = M.matching_cost(probs_cls, up[:n_ins], np.array([0, 1]), targets, w)
+        cost = M.matching_cost(probs_cls, up[:n_ins], np.array([0, 1]), targets)
         pairs = M.hungarian_assign(cost)
         focal_targets = np.zeros((1, n_ins, 2))
         for p, g in pairs:
@@ -732,7 +732,7 @@ class TestSetPredictionLoss:
         stuff_target = pool2(sem == 101)[None]
         seg = float(M.mask_ce_loss(stuff, stuff_target).data[0]
                     + M.dice_loss(T.sigmoid(stuff), stuff_target).data[0])
-        expected = w.lam_cls * cls + w.lam_ce * ce + w.lam_dice * dice + w.lam_seg * seg
+        expected = w["cls"] * cls + w["ce"] * ce + w["dice"] * dice + w["seg"] * seg
         assert len(pairs) == 2
         assert abs(bd.total - expected) < 1e-5
         assert abs(bd.seg - seg) < 1e-5

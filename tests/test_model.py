@@ -326,9 +326,9 @@ class TestForward:
             stages, loss, bd = model.forward(imgs, gts)
             assert np.isfinite(loss.data)
             assert bd.total > 0
-            w = MO.LossWeights()
-            recon = (w.lam_cls * bd.cls + w.lam_ce * bd.ce
-                     + w.lam_dice * bd.dice + w.lam_seg * bd.seg)
+            w = M.LOSS_WEIGHTS
+            recon = (w["cls"] * bd.cls + w["ce"] * bd.ce
+                     + w["dice"] * bd.dice + w["seg"] * bd.seg)
             assert abs(bd.total - recon) < 1e-5
 
     @pytest.mark.parametrize("mode", MO.MODES)

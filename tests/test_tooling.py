@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import statistics
 import subprocess
 import sys
@@ -77,6 +78,26 @@ def test_package_imports_no_scipy():
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
 
+
+def _config_paths(d: dict, prefix: str = "") -> set:
+    paths = set()
+    for key, value in d.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _config_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+@pytest.mark.parametrize("doc", ["README.md", "tools/byte_matrix.sh"])
+def test_documented_overrides_name_config_keys(doc):
+    # a `--set KEY=` in the docs or tools must name a key TrainConfig still has
+    from dataclasses import asdict
+
+    from knet.training import TrainConfig
+
+    keys = re.findall(r"--set ([\w.]+)=", (ROOT / doc).read_text())
+    assert keys
+    assert sorted(set(keys) - _config_paths(asdict(TrainConfig()))) == []
 
 
 def test_only_layer_defines_params():

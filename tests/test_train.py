@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import weakref
 from dataclasses import asdict, replace
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knet.training as TR
-from knet.data import SceneSpec, read_dataset, write_dataset
+from knet import matching as M
+from knet.data import SceneSpec, dataclass_from_dict, read_dataset, write_dataset
 from knet.errors import ConfigError, FormatError, KnetError
-from knet.model import ModelConfig, SegmentationModel
-from knet.optim import AdamW
+from knet.model import MODES, ModelConfig, SegmentationModel
+from knet.optim import AdamW, lr_at
 from knet.training import TrainConfig, apply_overrides, evaluate, load_checkpoint, save_checkpoint
 
 
@@ -43,34 +45,50 @@ class TestConfig:
         assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     @pytest.mark.parametrize("d", [
-        {"bogus": 1}, {"model": {"bogus": 1}}, {"loss": {"bogus": 1}}, {"model": 3},
+        {"bogus": 1}, {"model": {"bogus": 1}}, {"loss": {"lam_ce": 1.0}}, {"model": 3},
+        # the loss weights and optimizer settings that are constants now
+        {"betas": [0.9, 0.999]}, {"milestones": [0.5]}, {"lr_decay_factor": 0.1},
+        {"weight_decay": None},
     ])
     def test_from_dict_rejects_unknown_keys(self, d):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict(d)
 
     @pytest.mark.parametrize("d", [
-        {"epochs": "x"}, {"epochs": 2.0}, {"lr": "a"}, {"lr": True}, {"betas": [0.9]},
-        {"milestones": [0.5, "a"]}, {"model": {"stages": "x"}}, {"model": {"aku": "yes"}},
+        {"epochs": "x"}, {"epochs": 2.0}, {"lr": "a"}, {"lr": True}, {"lr": None},
+        {"lr": [1e-4]}, {"model": {"stages": "x"}}, {"model": {"aku": "yes"}},
         {"model": {"aku": 1}}, {"model": {"thing_class_ids": [1, 2.5]}},
-        {"loss": {"lam_ce": None}}, {"train_dir": 3},
+        {"model": {"score_floor": None}}, {"train_dir": 3},
     ])
     def test_from_dict_rejects_mistyped_values(self, d):
         with pytest.raises(ConfigError, match="must be"):
             TrainConfig.from_dict(d)
 
     def test_from_dict_accepts_json_forms(self):
-        cfg = TrainConfig.from_dict({"lr": 1, "weight_decay": None, "milestones": [],
-                                     "betas": [0.5, 1], "model": {"stages": 0}})
-        assert cfg.lr == 1 and cfg.weight_decay is None and cfg.milestones == ()
-        assert cfg.betas == (0.5, 1) and cfg.model.stages == 0
+        # an int for a float, and a nested object, as JSON gives them
+        cfg = TrainConfig.from_dict({"lr": 1, "model": {"stages": 0, "score_floor": 1}})
+        assert cfg.lr == 1 and cfg.model.stages == 0 and cfg.model.score_floor == 1
+        # a list for a fixed-length tuple
+        spec = dataclass_from_dict(SceneSpec, {"size_range": [5, 8.5]})
+        assert spec.size_range == (5, 8.5) and isinstance(spec.size_range, tuple)
+        for bad in ([5.0], [5.0, 8.0, 9.0], [5.0, "a"], "5,8"):
+            with pytest.raises(ConfigError, match="must be"):
+                dataclass_from_dict(SceneSpec, {"size_range": bad})
 
-    def test_weight_decay_defaults_by_mode(self, tmp_path):
-        assert tiny_train_config(tmp_path).resolved_weight_decay() == 0.05
-        assert tiny_train_config(tmp_path, mode="semantic").resolved_weight_decay() == 0.0005
-        cfg = tiny_train_config(tmp_path)
-        cfg.weight_decay = 0.2
-        assert cfg.resolved_weight_decay() == 0.2
+    def test_weight_decay_defaults_by_mode(self):
+        assert TR.WEIGHT_DECAY == {"semantic": 0.0005, "instance": 0.05, "panoptic": 0.05}
+        assert set(TR.WEIGHT_DECAY) == set(MODES)
+
+    def test_recipe_constants_keep_their_values(self):
+        # the config hash pinned these while they were TrainConfig values
+        assert M.LOSS_WEIGHTS == {"cls": 2.0, "ce": 1.0, "dice": 4.0, "seg": 1.0}
+        assert M.LOSS_TERMS == ("cls", "ce", "dice", "seg")
+        assert TR.LR_MILESTONES == (2.0 / 3.0, 11.0 / 12.0)
+        focal = inspect.signature(M.focal_loss).parameters
+        assert (focal["alpha"].default, focal["gamma"].default) == (0.25, 2.0)
+        adamw = inspect.signature(AdamW).parameters
+        assert adamw["betas"].default == (0.9, 0.999)
+        assert inspect.signature(lr_at).parameters["factor"].default == 0.1
 
     def test_overrides_dot_path(self):
         d = {"model": {"stages": 3}, "lr": 1e-4}
@@ -80,23 +98,26 @@ class TestConfig:
         assert d["train_dir"] == "custom/path"
 
     def test_config_hash_golden(self):
-        assert TrainConfig().config_hash() == "ecb206d994f03538"
+        assert TrainConfig().config_hash() == "c5b6a0aa71529784"
         quick_start = {"model": {"mode": "panoptic"}, "epochs": 20, "train_dir": "data/train",
                        "val_dir": "data/val", "out_dir": "runs/demo"}
-        assert TrainConfig.from_dict(quick_start).config_hash() == "39f015e219d06199"
+        assert TrainConfig.from_dict(quick_start).config_hash() == "020530fb8af1ab25"
 
     def test_bad_override(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no_equals_sign"])
 
     @pytest.mark.parametrize("d, overrides", [
-        ([], ["epochs=1"]), ({}, ["model=3", "model.stages=2"]), ({"loss": 1}, ["loss.lam_ce=2"]),
+        ([], ["epochs=1"]), ({}, ["model=3", "model.stages=2"]), ({"lr": 1}, ["lr.value=2"]),
     ])
     def test_override_into_non_object_rejected(self, d, overrides):
         with pytest.raises(ConfigError, match="object"):
             apply_overrides(d, overrides)
 
-    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"epochs": -1}])
+    @pytest.mark.parametrize("kw", [
+        {"batch_size": 0}, {"epochs": -1}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"lr": -float("inf")}, {"lr": 0}, {"lr": -1e-3},
+    ])
     def test_rejects_out_of_range_schedule(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
@@ -126,9 +147,9 @@ class TestTrainSmoke:
         forward = SegmentationModel.forward
         graphs, alive_at_forward = [], []
 
-        def tracking_forward(self, images, gts=None, weights=None):
+        def tracking_forward(self, images, gts=None):
             alive_at_forward.append(sum(ref() is not None for ref in graphs))
-            out = forward(self, images, gts, weights)
+            out = forward(self, images, gts)
             if gts is not None:
                 graphs.append(weakref.ref(out[0][-1].mask_logits.data))
             return out
@@ -279,7 +300,7 @@ class TestTrainSmoke:
         cfg = tiny_train_config(tmp_path)
         model = SegmentationModel(cfg.model, seed=cfg.seed)
         gts = read_dataset(cfg.train_dir).samples[:2]
-        _, loss, _ = model.forward(np.stack([g.image for g in gts]), gts, cfg.loss)
+        _, loss, _ = model.forward(np.stack([g.image for g in gts]), gts)
         loss.backward()
         for key, p in model.params().items():
             assert p.data.dtype == np.float32, key
