@@ -18,6 +18,7 @@ Each mode builds and runs only what it trains, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,13 @@ class ModelConfig:
                 f"channel width {self.channels} must be positive and divisible by 4 "
                 f"and by {self.heads} heads"
             )
+        for name in ("score_floor", "mask_threshold", "keep_fraction"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so a NaN floor would keep every kernel
+            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be finite and within [0, 1], got {value}")
+        if self.min_area < 0:
+            raise ConfigError(f"min_area must be >= 0, got {self.min_area}")
 
     @property
     def semantic_class_ids(self) -> list[int]:

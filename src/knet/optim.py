@@ -6,37 +6,44 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import TrainingError
 from .tensor import Tensor
+
+# AdamW's moment decay rates and denominator guard
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+# the learning rate drops by LR_DROP at each of these fractions of the run
+LR_MILESTONES = (2.0 / 3.0, 11.0 / 12.0)
+LR_DROP = 0.1
 
 
 def adamw_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float, weight_decay: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+               t: int, lr: float, weight_decay: float):
     """One update; returns (theta, m, v).  ``t`` is the 1-based step count."""
-    b1, b2 = betas
+    b1, b2 = BETAS
     m = b1 * m + (1.0 - b1) * grad
     v = b2 * v + (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+    theta = theta - lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * theta)
     return theta, m, v
 
 
 class AdamW:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 0.05, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+    """AdamW over a dict of parameters, with first and second moments per key.
+
+    ``t`` counts the steps taken; the rate comes with each ``step``, so the
+    schedule lives with the caller (``lr_at``).
+    """
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
         self.params = params
-        self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self, lr: float) -> None:
         """One AdamW update of every parameter, as one ``adamw_step`` call.
 
         Parameters, gradients and moments are concatenated, updated once
@@ -44,7 +51,6 @@ class AdamW:
         correctly rounded ops, so each element gets the bytes a
         per-parameter update would give it.
         """
-        lr = self.lr if lr is None else lr
         self.t += 1
         params = self.params
         theta = np.concatenate([p.data for p in params.values()], axis=None)
@@ -60,8 +66,7 @@ class AdamW:
             raise self._bad_gradient()
         theta, m, v = adamw_step(
             theta, grad, np.concatenate([self.m[k] for k in params], axis=None),
-            np.concatenate([self.v[k] for k in params], axis=None), self.t,
-            lr, self.weight_decay, self.betas, self.eps,
+            np.concatenate([self.v[k] for k in params], axis=None), self.t, lr, self.weight_decay,
         )
         end = 0
         for key, p in params.items():
@@ -106,15 +111,11 @@ class AdamW:
             self.v[key] = arrays[f"v:{key}"].astype(self.v[key].dtype)
 
 
-def milestone_iterations(total_iters: int, fractions: tuple[float, ...]) -> list[int]:
-    prev = 0.0
-    for f in fractions:
-        if not (0.0 < f < 1.0) or f <= prev:
-            raise ConfigError(f"milestones must be strictly increasing within (0, 1): {fractions}")
-        prev = f
-    return [math.floor(f * total_iters) for f in fractions]
+def lr_at(base_lr: float, iteration: int, total_iters: int) -> float:
+    """The rate of 0-based ``iteration`` in a run of ``total_iters``.
 
-
-def lr_at(base_lr: float, iteration: int, milestones: list[int], factor: float = 0.1) -> float:
-    drops = sum(iteration >= m for m in milestones)
-    return base_lr * factor ** drops
+    It drops by ``LR_DROP`` at each iteration ``floor(f * total_iters)``,
+    ``f`` in ``LR_MILESTONES``.
+    """
+    drops = sum(iteration >= math.floor(f * total_iters) for f in LR_MILESTONES)
+    return base_lr * LR_DROP ** drops

@@ -26,15 +26,13 @@ from .metrics import ApStats, MiouStats, PqStats
 from .model import (
     ModelConfig, SegmentationModel, binarize_instances, merge_panoptic, semantic_raster,
 )
-from .optim import AdamW, lr_at, milestone_iterations
+from .optim import AdamW, lr_at
 
 CHECKPOINT_FORMAT = "knet-checkpoint-v1"
 # the best validation value before any epoch; every metric is >= 0
 NO_BEST = -1.0
 # AdamW's decoupled weight decay per model mode
 WEIGHT_DECAY = {"semantic": 0.0005, "instance": 0.05, "panoptic": 0.05}
-# the learning rate drops 10x at these fractions of the run's iterations
-LR_MILESTONES = (2.0 / 3.0, 11.0 / 12.0)
 
 
 @dataclass
@@ -167,7 +165,7 @@ def _load_checkpoint(path, with_optimizer: bool):
             params[key].data = arr.astype(params[key].data.dtype)
         opt = None
         if with_optimizer:
-            opt = AdamW(params, lr=cfg.lr, weight_decay=WEIGHT_DECAY[cfg.model.mode])
+            opt = AdamW(params, WEIGHT_DECAY[cfg.model.mode])
             expected = opt.state_arrays()
             if not header.get("opt_keys"):
                 raise FormatError(f"{path}: checkpoint was saved without optimizer state")
@@ -310,12 +308,11 @@ def train(cfg: TrainConfig, resume: str | None = None,
         start_epoch, iteration, best_value = header["epoch"], header["iteration"], header["best"]
     else:
         model = SegmentationModel(cfg.model, seed=cfg.seed)
-        opt = AdamW(model.params(), lr=cfg.lr, weight_decay=WEIGHT_DECAY[cfg.model.mode])
+        opt = AdamW(model.params(), WEIGHT_DECAY[cfg.model.mode])
         start_epoch, iteration, best_value = 0, 0, NO_BEST
 
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     total_iters = cfg.epochs * iters_per_epoch
-    milestones = milestone_iterations(total_iters, LR_MILESTONES)
     end_epoch = cfg.epochs if max_epochs is None else min(cfg.epochs, start_epoch + max_epochs)
 
     primary = EVAL_MODES[cfg.model.mode].primary
@@ -330,7 +327,7 @@ def train(cfg: TrainConfig, resume: str | None = None,
             for batch_idx in _batches(order, cfg.batch_size):
                 gts = [train_set.samples[i] for i in batch_idx]
                 images = np.stack([g.image for g in gts])
-                lr = lr_at(cfg.lr, iteration, milestones)
+                lr = lr_at(cfg.lr, iteration, total_iters)
                 loss, breakdown = model.forward(images, gts)[1:]
                 if not np.isfinite(loss.data):
                     raise TrainingError(

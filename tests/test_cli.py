@@ -109,7 +109,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("override", [
         "batch_size=0", "epochs=-1", "model.image_size=32", "model.thing_class_ids=[1]",
-        "lr=NaN", "lr=Infinity", "lr=0", "lr=-0.001",
+        "lr=NaN", "lr=Infinity", "lr=0", "lr=-0.001", "model.score_floor=NaN",
     ])
     def test_out_of_range_or_unfit_is_an_error(self, workspace, capsys, override):
         config = write_config(workspace)

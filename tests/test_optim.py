@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from knet import tensor as T
-from knet.errors import ConfigError, TrainingError
-from knet.optim import AdamW, adamw_step, lr_at, milestone_iterations
+from knet import optim
+from knet.errors import TrainingError
+from knet.optim import AdamW, adamw_step, lr_at
 from knet.tensor import Tensor
 
 
@@ -40,10 +41,10 @@ class TestAdamwStep:
         assert np.allclose(out, theta * (1 - lr * wd))
 
     def test_first_step_closed_form(self):
-        lr, wd, eps = 1e-3, 0.05, 1e-8
+        lr, wd = 1e-3, 0.05
         theta = np.array([0.7])
-        out, m, v = adamw_step(theta, np.ones(1), np.zeros(1), np.zeros(1), 1, lr, wd, eps=eps)
-        expected = theta - lr * (1.0 / (1.0 + eps) + wd * theta)
+        out, m, v = adamw_step(theta, np.ones(1), np.zeros(1), np.zeros(1), 1, lr, wd)
+        expected = theta - lr * (1.0 / (1.0 + optim.EPS) + wd * theta)
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_hundred_steps_match_scalar_reference(self):
@@ -63,43 +64,43 @@ class TestAdamwStep:
 class TestAdamWClass:
     def test_step_updates_and_zero_grad(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        opt = AdamW({"w": p}, lr=1e-2, weight_decay=0.0)
+        opt = AdamW({"w": p}, 0.0)
         p.grad = np.ones(3, dtype=np.float32)
         before = p.data.copy()
-        opt.step()
+        opt.step(1e-2)
         assert not np.array_equal(p.data, before)
         opt.zero_grad()
         assert p.grad is None
 
     def test_nonfinite_gradient_names_key(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        opt = AdamW({"layer.weight": p}, lr=1e-2)
+        opt = AdamW({"layer.weight": p}, 0.05)
         p.grad = np.array([np.nan, 0.0], dtype=np.float32)
         with pytest.raises(TrainingError, match="layer.weight"):
-            opt.step()
+            opt.step(1e-2)
 
     def test_gradient_dtype_must_match_parameter(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        opt = AdamW({"layer.weight": p}, lr=1e-2)
+        opt = AdamW({"layer.weight": p}, 0.05)
         p.grad = np.ones(2, dtype=np.float64)
         with pytest.raises(TrainingError, match="layer.weight"):
-            opt.step()
+            opt.step(1e-2)
         assert p.data.dtype == np.float32 and opt.m["layer.weight"].dtype == np.float32
 
     def test_idle_parameter_still_decays(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        opt = AdamW({"w": p}, lr=1e-2, weight_decay=0.5)
-        opt.step()
+        opt = AdamW({"w": p}, 0.5)
+        opt.step(1e-2)
         assert np.allclose(p.data, 1.0 - 1e-2 * 0.5)
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
-        opt = AdamW({"w": p}, lr=1e-2)
+        opt = AdamW({"w": p}, 0.05)
         p.grad = rng.standard_normal(4).astype(np.float32)
-        opt.step()
+        opt.step(1e-2)
         arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-        opt2 = AdamW({"w": p}, lr=1e-2)
+        opt2 = AdamW({"w": p}, 0.05)
         opt2.load_state_arrays(arrays, opt.t)
         assert opt2.t == 1
         assert np.array_equal(opt2.m["w"], opt.m["w"])
@@ -132,10 +133,10 @@ class TestOneCallStep:
             if step == 2:
                 del grads["bias"]                                     # idle for one step
             grad_steps.append(grads)
-        lrs = [lr_at(1e-2, it, [2]) for it in range(4)]               # drops before step 3
+        lrs = [lr_at(1e-2, it, 4) for it in range(4)]                 # drops before steps 3 and 4
         with T.precision("f64" if dtype == np.float64 else "f32"):
             params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
-            opt = AdamW(params, lr=1e-2, weight_decay=0.05)
+            opt = AdamW(params, 0.05)
             for grads, lr in zip(grad_steps, lrs):
                 for key, p in params.items():
                     p.grad = grads.get(key)
@@ -150,44 +151,39 @@ class TestOneCallStep:
 
     def test_error_names_first_bad_parameter_and_leaves_state(self):
         params = {k: Tensor(np.ones(2, dtype=np.float32), requires_grad=True) for k in "abc"}
-        opt = AdamW(params, lr=1e-2)
+        opt = AdamW(params, 0.05)
         params["a"].grad = np.ones(2, dtype=np.float32)
         params["b"].grad = np.array([np.inf, 0.0], dtype=np.float32)
         params["c"].grad = np.ones(2, dtype=np.float64)
         with pytest.raises(TrainingError, match="non-finite gradient in parameter 'b'"):
-            opt.step()
+            opt.step(1e-2)
         assert all(np.array_equal(p.data, np.ones(2)) for p in params.values())
 
     def test_parameters_of_mixed_dtypes_rejected(self):
         p32 = Tensor(np.ones(2), requires_grad=True)
         with T.precision("f64"):
             p64 = Tensor(np.ones(2), requires_grad=True)
-        opt = AdamW({"a": p32, "b": p64}, lr=1e-2)
+        opt = AdamW({"a": p32, "b": p64}, 0.05)
         p32.grad, p64.grad = np.ones(2, dtype=np.float32), np.ones(2)
         with pytest.raises(TrainingError, match="share one dtype"):
-            opt.step()
+            opt.step(1e-2)
 
     def test_float32_gradient_of_float64_parameter_rejected(self, f64):
         p = Tensor(np.ones(2), requires_grad=True)
-        opt = AdamW({"w": p}, lr=1e-2)
+        opt = AdamW({"w": p}, 0.05)
         p.grad = np.ones(2, dtype=np.float32)
         with pytest.raises(TrainingError, match="'w' is float32"):
-            opt.step()
+            opt.step(1e-2)
 
 
 class TestSchedule:
     def test_milestone_iterations(self):
-        assert milestone_iterations(1200, (2 / 3, 11 / 12)) == [800, 1100]
-
-    def test_invalid_milestones(self):
-        with pytest.raises(ConfigError):
-            milestone_iterations(100, (0.9, 0.5))
-        with pytest.raises(ConfigError):
-            milestone_iterations(100, (0.0, 0.5))
+        # the drops fall at floor(2/3 * 1200) = 800 and floor(11/12 * 1200) = 1100
+        lrs = [lr_at(1.0, it, 1200) for it in (0, 799, 800, 1099, 1100, 1199)]
+        assert lrs == [1.0, 1.0, 0.1, 0.1, 0.1 ** 2, 0.1 ** 2]
 
     def test_piecewise_constant_with_exact_drops(self):
-        milestones = [80, 110]
-        lrs = [lr_at(1e-4, it, milestones) for it in range(120)]
+        lrs = [lr_at(1e-4, it, 120) for it in range(120)]             # drops at 80 and 110
         assert all(lr == pytest.approx(1e-4) for lr in lrs[:80])
         assert all(lr == pytest.approx(1e-5) for lr in lrs[80:110])
         assert all(lr == pytest.approx(1e-6) for lr in lrs[110:])

@@ -1,5 +1,6 @@
 """Checks that keep the benchmark's tooling in step with the package."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -120,3 +121,65 @@ def test_package_exports_resolve():
     import knet
 
     assert [name for name in knet.__all__ if not hasattr(knet, name)] == []
+
+
+# defaulted parameters that no call in the package or the benchmark passes,
+# each with the reason it stays a parameter
+UNPASSED_DEFAULTS = {
+    "main(argv)": "None reads sys.argv; tests pass an argument list",
+    "focal_loss(alpha)": "tests check the op at alpha 0.5; the loss uses the paper's 0.25",
+    "focal_loss(gamma)": "tests check the op at gamma 0, plain cross-entropy",
+    "reduce_sum(keepdims)": "an engine op with numpy's reduction signature; tests keep dims",
+    "reduce_mean(axes)": "an engine op with numpy's reduction signature; tests pick axes",
+    "reduce_mean(keepdims)": "an engine op with numpy's reduction signature; tests keep dims",
+    "grad_check(eps)": "exported in knet.__all__: another check may need another step",
+    "load_checkpoint(with_optimizer)": "tests load the optimizer state to compare it bitwise",
+    "train(max_epochs)": "tests train in time slices and resume",
+}
+
+
+def _defaulted_params() -> dict:
+    """``{callee: [(param, positional index or None), ...]}`` for every function
+    and method in the package; a constructor is called by its class name."""
+    out = {}
+    for path in sorted((ROOT / "src" / "knet").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owned = [(None, node)]
+            elif isinstance(node, ast.ClassDef):
+                owned = [(node.name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for cls, fn in owned:
+                name = cls if fn.name == "__init__" else fn.name
+                positional = fn.args.posonlyargs + fn.args.args
+                skip = 1 if cls else 0          # self, not passed positionally
+                first = len(positional) - len(fn.args.defaults)
+                out.setdefault(name, []).extend(
+                    (arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first)
+                out[name].extend((arg.arg, None) for arg, d in
+                                 zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+    return out
+
+
+def test_every_default_is_passed_or_listed():
+    # a default that no caller overrides is a constant in disguise: make it
+    # one, or list it with a reason; a listed one that is now passed, or gone,
+    # leaves the list too
+    defaults = _defaulted_params()
+    passed = set()
+    paths = sorted([*(ROOT / "src" / "knet").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}       # None: a **mapping
+            for param, index in defaults.get(name, ()):
+                if (param in keywords or None in keywords or starred
+                        or (index is not None and index < len(call.args))):
+                    passed.add(f"{name}({param})")
+    unpassed = {f"{name}({param})" for name, params in defaults.items() for param, _ in params}
+    assert sorted(unpassed - passed) == sorted(UNPASSED_DEFAULTS)

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import knet.training as TR
 from knet import matching as M
+from knet import optim
 from knet.data import SceneSpec, dataclass_from_dict, read_dataset, write_dataset
 from knet.errors import ConfigError, FormatError, KnetError
 from knet.model import MODES, ModelConfig, SegmentationModel
-from knet.optim import AdamW, lr_at
+from knet.optim import AdamW
 from knet.training import TrainConfig, apply_overrides, evaluate, load_checkpoint, save_checkpoint
 
 
@@ -83,12 +84,10 @@ class TestConfig:
         # the config hash pinned these while they were TrainConfig values
         assert M.LOSS_WEIGHTS == {"cls": 2.0, "ce": 1.0, "dice": 4.0, "seg": 1.0}
         assert M.LOSS_TERMS == ("cls", "ce", "dice", "seg")
-        assert TR.LR_MILESTONES == (2.0 / 3.0, 11.0 / 12.0)
         focal = inspect.signature(M.focal_loss).parameters
         assert (focal["alpha"].default, focal["gamma"].default) == (0.25, 2.0)
-        adamw = inspect.signature(AdamW).parameters
-        assert adamw["betas"].default == (0.9, 0.999)
-        assert inspect.signature(lr_at).parameters["factor"].default == 0.1
+        assert optim.BETAS == (0.9, 0.999) and optim.EPS == 1e-8
+        assert optim.LR_MILESTONES == (2.0 / 3.0, 11.0 / 12.0) and optim.LR_DROP == 0.1
 
     def test_overrides_dot_path(self):
         d = {"model": {"stages": 3}, "lr": 1e-4}
@@ -121,6 +120,13 @@ class TestConfig:
     def test_rejects_out_of_range_schedule(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"score_floor": 0.0}, {"score_floor": 1.0}, {"mask_threshold": 0.0},
+        {"mask_threshold": 1.0}, {"keep_fraction": 1.0}, {"min_area": 0},
+    ])
+    def test_accepts_decode_thresholds_at_the_ends(self, kw):
+        assert getattr(ModelConfig(**kw), next(iter(kw))) == next(iter(kw.values()))
 
 
 class TestTrainSmoke:
@@ -209,6 +215,15 @@ class TestTrainSmoke:
         assert o_full.t == o_res.t
         for (ka, a), (kb, b) in zip(o_full.state_arrays().items(), o_res.state_arrays().items()):
             assert ka == kb and a.tobytes() == b.tobytes(), ka
+
+        # 4 iterations: the rate drops 10x at floor(2/3 * 4) = 2 and floor(11/12 * 4) = 3,
+        # and the interrupted run logs the same column as the uninterrupted one
+        def lr_column(*runs):
+            return [json.loads(line)["lr"] for run in runs
+                    for line in (Path(run.out_dir) / "log.jsonl").read_text().splitlines()]
+
+        assert lr_column(cfg_full) == [cfg_full.lr * 0.1 ** k for k in (0, 0, 1, 2)]
+        assert lr_column(cfg_half, cfg_resumed) == lr_column(cfg_full)
 
     @staticmethod
     def _score_epochs(monkeypatch, scores):
@@ -318,7 +333,7 @@ class TestCheckpointErrors:
     def _save(self, tmp_path, with_optimizer=True, mutate=None):
         cfg = tiny_train_config(tmp_path)
         model = SegmentationModel(cfg.model, seed=cfg.seed)
-        opt = AdamW(model.params()) if with_optimizer else None
+        opt = AdamW(model.params(), TR.WEIGHT_DECAY[cfg.model.mode]) if with_optimizer else None
         if mutate:
             mutate(opt)
         path = tmp_path / "model.ckpt"
@@ -341,6 +356,9 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("key,value", [
         ("heads", 0), ("heads", -2), ("channels", 0), ("channels", -8),
         ("num_instance_kernels", -1), ("image_size", -16), ("seed", -1),
+        ("score_floor", float("nan")), ("score_floor", -0.1), ("score_floor", float("inf")),
+        ("mask_threshold", 1.5), ("mask_threshold", float("nan")), ("keep_fraction", -1.0),
+        ("keep_fraction", 1.01), ("min_area", -5),
     ])
     def test_out_of_range_config_is_config_error(self, tmp_path, key, value):
         path = self._save(tmp_path)
@@ -391,7 +409,8 @@ def checkpoint_bytes(tmp_path_factory):
     cfg = TrainConfig(model=ModelConfig(image_size=16, channels=8, num_instance_kernels=4,
                                         stages=1, heads=2))
     model = SegmentationModel(cfg.model, seed=cfg.seed)
-    save_checkpoint(root / "ok.ckpt", cfg, model, AdamW(model.params()), 1, 2)
+    opt = AdamW(model.params(), TR.WEIGHT_DECAY[cfg.model.mode])
+    save_checkpoint(root / "ok.ckpt", cfg, model, opt, 1, 2)
     data = (root / "ok.ckpt").read_bytes()
     return root, data, data.index(b"\n") + 1
 
