@@ -530,11 +530,14 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with (C_out, C_in, k, k) kernels.
 
-    An im2col GEMM: the input is zero-padded and its k*k strided views are
-    stacked into (B, C_in*k*k, H_out*W_out) columns.  The node keeps no
-    columns: only the weight gradient reads them, and the backward
-    gathers them again from ``x`` with the forward's code, so the graph
-    holds the input it already had rather than a k*k-fold copy of it.
+    An im2col GEMM: the input is zero-padded and its k*k strided windows are
+    written into (C_in*k*k, H_out*W_out) columns.  The forward fills one
+    image's padded copy and columns at a time and runs that image's GEMM,
+    the same GEMM a stacked matmul over the batch runs, so it never holds
+    more than one image's columns.  The node keeps no columns: only the
+    weight gradient reads them, and the backward gathers them again for
+    the whole batch from ``x`` with the same fill, so the graph holds the
+    input it already had rather than a k*k-fold copy of it.
     """
     B, C_in, H, W = x.data.shape
     C_out, C_in2, kh, kw = w.data.shape
@@ -545,23 +548,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise DimensionError(f"conv2d: spatial size {(H, W)} too small for kernel {(kh, kw)} with padding {padding}")
     H_out = (Hp - kh) // stride + 1
     W_out = (Wp - kw) // stride + 1
+    K, L = C_in * kh * kw, H_out * W_out
+    dtype = x.data.dtype
 
-    def columns():
+    def buffers(*lead):
+        """A zeroed padded buffer (None without padding) and a columns buffer."""
+        xp = np.zeros((*lead, C_in, Hp, Wp), dtype=dtype) if padding else None
+        return xp, np.empty((*lead, C_in, kh * kw, H_out, W_out), dtype=dtype)
+
+    def columns(xs, xp, cols):
+        """Fill ``cols`` (..., C_in, k*k, H_out, W_out) with the strided windows
+        of ``xs`` (..., C_in, H, W) padded into ``xp``, whose border stays zero:
+        the bytes of np.pad, then np.stack of the views on axis -3.  Returns
+        the (..., K, L) view."""
         if padding:
-            # a zeroed buffer with the input copied in: the bytes of np.pad, faster
-            xp = np.zeros((B, C_in, Hp, Wp), dtype=x.data.dtype)
-            xp[:, :, padding : padding + H, padding : padding + W] = x.data
-        else:
-            xp = x.data
-        views = [
-            xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-            for i in range(kh)
-            for j in range(kw)
-        ]
-        return np.stack(views, axis=2).reshape(B, C_in * kh * kw, H_out * W_out)
+            xp[..., padding : padding + H, padding : padding + W] = xs
+            xs = xp
+        for i in range(kh):
+            for j in range(kw):
+                cols[..., i * kw + j, :, :] = xs[..., i : i + stride * H_out : stride, j : j + stride * W_out : stride]
+        return cols.reshape(*cols.shape[:-4], K, L)
 
-    w_mat = w.data.reshape(C_out, C_in * kh * kw)
-    out = w_mat @ columns()
+    w_mat = w.data.reshape(C_out, K)
+    out = np.empty((B, C_out, L), dtype=np.result_type(w_mat, x.data))
+    image_buffers = buffers()
+    for n in range(B):
+        np.matmul(w_mat, columns(x.data[n], *image_buffers), out=out[n])
     if b is not None:
         out += b.data[:, None]
     out = out.reshape(B, C_out, H_out, W_out)
@@ -571,7 +583,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     def bw(g):
         g2 = g.reshape(B, C_out, H_out * W_out)
         if w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g2, columns(), optimize=True)
+            gw = np.einsum("bol,bkl->ok", g2, columns(x.data, *buffers(B)), optimize=True)
             w.accumulate_grad(gw.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=(0, 2)))

@@ -130,8 +130,7 @@ def load_checkpoint(path, with_optimizer: bool = False):
 
 
 def _load_checkpoint(path, with_optimizer: bool):
-    """Returns (header, cfg, model, opt | None); the header's ``best`` is
-    filled in as NO_BEST when a checkpoint predates it."""
+    """Returns (header, cfg, model, opt | None)."""
     with open(path, "rb") as fp:
         line = fp.readline()
         try:
@@ -147,7 +146,7 @@ def _load_checkpoint(path, with_optimizer: bool):
                 raise FormatError(
                     f"{path}: checkpoint header {key!r} is not a non-negative integer: {value!r}"
                 )
-        best = header.setdefault("best", NO_BEST)
+        best = header.get("best")
         # an int is finite however large; bool is an int subclass, so compare types
         if not (type(best) is int or (type(best) is float and math.isfinite(best))):
             raise FormatError(f"{path}: checkpoint header 'best' is not a finite number: {best!r}")
@@ -203,7 +202,9 @@ EVAL_MODES = {
 }
 
 # images per forward in evaluate; the forward is batch-invariant, so this
-# trades speed against peak memory and cannot change the report
+# trades speed against peak memory and cannot change the report.  The
+# activations scale with the chunk; conv2d's im2col columns do not, as it
+# gathers them one image at a time
 EVAL_CHUNK = 16
 
 

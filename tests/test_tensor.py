@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,22 +410,46 @@ def test_conv2d_matches_naive_loop(f64):
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_bitwise_equal_to_padded_form(stride, padding, dtype):
-    rng = np.random.default_rng(stride * 10 + padding)
-    x = rng.standard_normal((2, 3, 9, 8)).astype(dtype)
-    x[0, 0, 0, :3] = [-0.0, np.inf, np.nan]
-    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
-    # reference: np.pad, then the strided views stacked into columns
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (xp.shape[2] - 3) // stride + 1
-    w_out = (xp.shape[3] - 3) // stride + 1
-    views = [xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-             for i in range(3) for j in range(3)]
-    cols = np.stack(views, axis=2).reshape(2, 3 * 9, h_out * w_out)
-    want = (w.reshape(4, -1) @ cols).reshape(2, 4, h_out, w_out)
-    with T.precision("f64" if dtype == np.float64 else "f32"):
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    # the forward fills one image's columns at a time; the reference stacks
+    # the whole batch's and runs one stacked matmul
+    for batch in (1, 2, 5):
+        rng = np.random.default_rng(stride * 10 + padding)
+        x = rng.standard_normal((batch, 3, 9, 8)).astype(dtype)
+        x[0, 0, 0, :3] = [-0.0, np.inf, np.nan]
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        # reference: np.pad, then the strided views stacked into columns
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        h_out = (xp.shape[2] - 3) // stride + 1
+        w_out = (xp.shape[3] - 3) // stride + 1
+        views = [xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+                 for i in range(3) for j in range(3)]
+        cols = np.stack(views, axis=2).reshape(batch, 3 * 9, h_out * w_out)
+        want = (w.reshape(4, -1) @ cols).reshape(batch, 4, h_out, w_out)
+        with T.precision("f64" if dtype == np.float64 else "f32"):
+            got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
+        assert got.dtype == want.dtype and got.shape == want.shape, batch
+        assert got.tobytes() == want.tobytes(), batch
+
+
+def test_conv2d_forward_holds_one_image_of_columns():
+    # stem2's shape in a 16-image evaluate chunk: the transient above the
+    # output stays under two images' columns, where the whole batch's
+    # columns would be 16
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.standard_normal((16, 32, 32, 32)).astype(np.float32))
+    w = T.Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32))
+    one_image = 32 * 9 * 16 * 16 * 4
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = T.conv2d(x, w, stride=2, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (16, 32, 16, 16)
+    assert peak - base - out.data.nbytes <= 2 * one_image
 
 
 def composite_reduce_mean(a, axes=None, keepdims=False):

@@ -249,20 +249,6 @@ class TestTrainSmoke:
         header = json.loads((out / "last.ckpt").read_bytes().split(b"\n", 1)[0])
         assert (header["epoch"], header["best"]) == (2, 0.5)
 
-    def test_resume_from_a_header_without_best(self, tmp_path, monkeypatch):
-        # a checkpoint written before the header carried ``best`` starts from -1.0
-        self._score_epochs(monkeypatch, [0.5, 0.1])
-        cfg = tiny_train_config(tmp_path, epochs=2)
-        out = Path(cfg.out_dir)
-        TR.train(cfg, max_epochs=1)
-        header, body = (out / "last.ckpt").read_bytes().split(b"\n", 1)
-        header = json.loads(header)
-        del header["best"]
-        (out / "last.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + body)
-        metrics = TR.train(cfg, resume=str(out / "last.ckpt"))
-        assert metrics["best"] == 0.1
-        assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes()
-
     def test_validates_each_model_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -383,12 +369,15 @@ class TestCheckpointErrors:
         with pytest.raises(FormatError, match=key):
             load_checkpoint(path, with_optimizer=True)
 
-    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5], float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5], float("nan"), float("inf"), "missing"])
     def test_bad_best_is_format_error(self, tmp_path, value):
         path = self._save(tmp_path)
         header, body = path.read_bytes().split(b"\n", 1)
         header = json.loads(header)
-        header["best"] = value
+        if value == "missing":
+            del header["best"]
+        else:
+            header["best"] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(FormatError, match="'best'"):
             load_checkpoint(path)
