@@ -146,21 +146,22 @@ def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25,
     per = pow_q * log_p * neg_alpha * t + pow_p * log_q * alpha_m1 * not_t
     last = (per.ndim - 1,)
     summed = per.sum(axis=last)
-    every = tuple(range(summed.ndim))
-    scale = np.asarray(1.0 / math.prod(summed.shape)).astype(dtype)
+    every, summed_shape = tuple(range(summed.ndim)), summed.shape
+    scale = np.asarray(1.0 / math.prod(summed_shape)).astype(dtype)
     data = summed.sum(axis=every) * scale if summed.ndim else summed
+    rp = probs._record
 
     def bw(g):
-        if summed.ndim:
-            g = np.broadcast_to(np.expand_dims(g * scale, every), summed.shape)
-        g_per = np.broadcast_to(np.expand_dims(g, last), per.shape)
+        if summed_shape:
+            g = np.broadcast_to(np.expand_dims(g * scale, every), summed_shape)
+        g_per = np.broadcast_to(np.expand_dims(g, last), rp.shape)
         g_pos = g_per * t * neg_alpha
         g_neg = g_per * not_t * alpha_m1
         g_p = -(g_pos * log_p * gamma * q ** (gamma - 1.0))
         g_p = g_p + g_pos * pow_q / p
         g_p = g_p + g_neg * log_q * gamma * p ** (gamma - 1.0)
         g_p = g_p + -(g_neg * pow_p / q)
-        probs.accumulate_grad(g_p * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)))
+        rp.accumulate_grad(g_p * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)))
 
     return T._node(data, (probs,), bw)
 
@@ -183,13 +184,14 @@ def dice_loss(pred_probs: Tensor, gt: np.ndarray) -> Tensor:
     num = two * (x * g_arr).sum(axis=last) + eps
     den = x.sum(axis=last) + g_arr.sum(axis=-1) + eps
     data = np.asarray(1.0).astype(dtype) - num / den
+    rp = pred_probs._record
 
     def bw(g):
         g_q = -g
         g_inter = g_q / den * two
         g_den = -g_q * num / (den * den)
-        pred_probs.accumulate_grad(np.broadcast_to(np.expand_dims(g_inter, last), x.shape) * g_arr)
-        pred_probs.accumulate_grad(np.broadcast_to(np.expand_dims(g_den, last), x.shape))
+        rp.accumulate_grad(np.broadcast_to(np.expand_dims(g_inter, last), rp.shape) * g_arr)
+        rp.accumulate_grad(np.broadcast_to(np.expand_dims(g_den, last), rp.shape))
 
     return T._node(data, (pred_probs,), bw)
 
@@ -208,22 +210,23 @@ def mask_ce_loss(pred_logits: Tensor, gt: np.ndarray) -> Tensor:
     dtype = z.dtype
     g_arr = _targets_like(gt, z, "mask_ce_loss")
     relu_z = np.maximum(z, 0)
-    neg_z = -z
-    ex = np.exp(-(relu_z + np.maximum(neg_z, 0)))
+    ex = np.exp(-(relu_z + np.maximum(-z, 0)))
     one_ex = np.asarray(1.0).astype(dtype) + ex
     per = relu_z - z * g_arr + np.log(one_ex)
     last = (z.ndim - 1,)
     scale = np.asarray(1.0 / z.shape[-1]).astype(dtype)
     data = per.sum(axis=last) * scale
+    rz = pred_logits._record
 
     def bw(g):
-        g_per = np.broadcast_to(np.expand_dims(g * scale, last), z.shape)
+        g_per = np.broadcast_to(np.expand_dims(g * scale, last), rz.shape)
         pos = z > 0
-        pred_logits.accumulate_grad(g_per * pos)
-        pred_logits.accumulate_grad(-g_per * g_arr)
+        rz.accumulate_grad(g_per * pos)
+        rz.accumulate_grad(-g_per * g_arr)
         g_abs = -(g_per / one_ex * ex)
-        pred_logits.accumulate_grad(g_abs * pos)
-        pred_logits.accumulate_grad(-(g_abs * (neg_z > 0)))
+        rz.accumulate_grad(g_abs * pos)
+        # z < 0 is -z > 0, NaN and -0.0 included, and keeps no copy of -z
+        rz.accumulate_grad(-(g_abs * (z < 0)))
 
     return T._node(data, (pred_logits,), bw)
 

@@ -54,12 +54,13 @@ class AdamW:
         self.t += 1
         params = self.params
         theta = np.concatenate([p.data for p in params.values()], axis=None)
+        # decoupled decay still applies to idle parameters
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params.values()]
+        if any(g.shape != p.data.shape for g, p in zip(grads, params.values())):
+            # the flat concatenation would reshape a same-size gradient
+            raise self._bad_gradient()
         try:
-            # decoupled decay still applies to idle parameters
-            grad = np.concatenate(
-                [np.zeros_like(p.data) if p.grad is None else p.grad for p in params.values()],
-                axis=None, dtype=theta.dtype, casting="no",
-            )
+            grad = np.concatenate(grads, axis=None, dtype=theta.dtype, casting="no")
         except TypeError:                    # a gradient of another dtype
             raise self._bad_gradient() from None
         if not np.isfinite(grad).all():
@@ -78,11 +79,16 @@ class AdamW:
 
     def _bad_gradient(self) -> TrainingError:
         """The error naming the first parameter, in key order, whose gradient
-        has another dtype or a non-finite value."""
+        has another shape or dtype, or a non-finite value."""
         for key, p in self.params.items():
             grad = p.grad
             if grad is None:
                 continue
+            if grad.shape != p.data.shape:
+                return TrainingError(
+                    f"gradient of parameter {key!r} has shape {grad.shape}, "
+                    f"the parameter {p.data.shape}"
+                )
             if grad.dtype != p.data.dtype:
                 # AdamW would silently promote the parameter and its moments
                 return TrainingError(

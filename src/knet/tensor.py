@@ -1,16 +1,29 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The graph is define-by-run: every operation returns a new Tensor that
-remembers its parents and a closure computing their gradients.  Calling
-``backward()`` on a scalar walks the recorded operations in reverse
-topological order.  Graphs are rebuilt on every forward pass, so the
-iterative refinement head can vary in depth without any bookkeeping.
+The graph is define-by-run: every operation that takes a gradient returns
+a Tensor linked to a graph record, which remembers its parents' records
+and a closure computing their gradients.  Calling ``backward()`` on a
+scalar walks the records in reverse topological order.  Graphs are
+rebuilt on every forward pass, so the iterative refinement head can vary
+in depth without any bookkeeping.
 
-Only leaves (tensors without a closure, such as parameters) keep their
-``grad`` after a walk; an interior node's gradient is dropped as soon as
-its closure has used it.  The closures and parent links stay, so a graph
-can be walked again, and the second walk adds the same gradients onto the
-leaves once more.
+A Tensor holds its value (``data``); its record holds no value, only the
+value's shape, the gradient while it is summed, the parent records and
+the closure.  So a value lives in the graph only as long as some closure
+keeps it, and each closure keeps only what its gradient reads: a
+product keeps an input's value only when the other input takes a
+gradient, a reshape or a sum keeps shapes, and softmax, sigmoid and relu
+keep their outputs.  An op output that no closure reads is freed as soon
+as the forward code drops its Tensor, though the graph still runs
+through its record.  Only tensors that take a gradient have a record:
+the parameters, and every op output that depends on one while gradients
+are recorded.
+
+Only leaves (records without a closure, the parameters') keep their
+``grad`` after a walk; an interior record's gradient is dropped as soon
+as its closure has used it.  The closures and parent links stay, so a
+graph can be walked again, and the second walk adds the same gradients
+onto the leaves once more.
 
 A global precision mode (f32 or f64) fixes the dtype of the arrays a
 Tensor is built from.  Training runs in f32; gradient checking needs f64
@@ -65,10 +78,35 @@ def no_grad():
         _state["grad_enabled"] = old
 
 
-class Tensor:
-    """N-dimensional array of reals with an optional gradient buffer."""
+class _Record:
+    """A tensor's place in the graph, holding no value: the value's shape,
+    the gradient summed into it, its parents' records and the closure that
+    sends its gradient on to them (None on a leaf)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("shape", "grad", "_parents", "_backward")
+
+    def __init__(self, shape: tuple[int, ...], parents: tuple = (), backward=None):
+        self.shape = shape
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g``, which must have the value's shape, into ``grad``."""
+        if g.shape != self.shape:
+            raise DimensionError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+        if self.grad is None:
+            # no copy: gradients are never updated in place
+            self.grad = np.asarray(g)
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    """N-dimensional array of reals, linked to a graph record when it takes
+    a gradient."""
+
+    __slots__ = ("data", "_record")
 
     def __init__(self, data, requires_grad: bool = False):
         dtype = _state["dtype"]
@@ -76,10 +114,31 @@ class Tensor:
         if arr.dtype != dtype:
             arr = arr.astype(dtype)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._record = _Record(arr.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._record is None else self._record.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self._record is None:
+            if g is not None:
+                raise ContractError(f"{self!r} takes no gradient")
+            return
+        self._record.grad = g
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._record is None else self._record._parents
+
+    @property
+    def _backward(self):
+        return None if self._record is None else self._record._backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,26 +164,26 @@ class Tensor:
 
         An interior node holds its gradient only during ``backward()``.
         """
-        if self.grad is None:
-            # no copy: gradients are never updated in place
-            self.grad = np.asarray(g)
-        else:
-            self.grad = self.grad + g
+        self._record.accumulate_grad(g)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``self`` must be a scalar (size 1).  Each interior node's ``grad``,
-        ``self``'s included, is released once its closure has run, so only
-        leaves keep one and a repeated walk adds onto the leaves alone.
+        ``self`` must be a scalar (size 1).  Each interior record's
+        ``grad``, ``self``'s included, is released once its closure has
+        run, so only leaves keep one and a repeated walk adds onto the
+        leaves alone.  A tensor that takes no gradient reaches no leaf.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
-        topo: list[Tensor] = []
+        root = self._record
+        if root is None:
+            return
+        topo: list[_Record] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Record, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -137,7 +196,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -159,11 +218,14 @@ def _wrap(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Assemble an op output; record edges only to parents that take grads.
+    """Assemble an op output; link its record only to the records of the
+    parents that take grads, never to the parent tensors.
 
-    The output must be in the working precision: a float64 scalar inside
-    an f32 op would otherwise turn it, and every gradient upstream, into
-    f64 without a trace.
+    ``backward_fn`` must hold parent records, not parent tensors, so the
+    graph keeps no value its closures do not read.  The output must be in
+    the working precision: a float64 scalar inside an f32 op would
+    otherwise turn it, and every gradient upstream, into f64 without a
+    trace.
     """
     if data.dtype != _state["dtype"]:
         op = backward_fn.__qualname__.split(".")[0]
@@ -172,15 +234,11 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         )
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._backward = None
-    out._parents = ()
-    out.requires_grad = False
-    parents = tuple(p for p in parents if p.requires_grad) if _state["grad_enabled"] else ()
-    if parents:
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    out._record = None
+    if _state["grad_enabled"]:
+        records = tuple(p._record for p in parents if p._record is not None)
+        if records:
+            out._record = _Record(data.shape, records, backward_fn)
     return out
 
 
@@ -208,35 +266,40 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.data, b.data, "add")
-    data = a.data + b.data
+    ra, rb = a._record, b._record
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        if ra is not None:
+            ra.accumulate_grad(_unbroadcast(g, ra.shape))
+        if rb is not None:
+            rb.accumulate_grad(_unbroadcast(g, rb.shape))
 
-    return _node(data, (a, b), bw)
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.data, b.data, "mul")
-    data = a.data * b.data
+    ra, rb = a._record, b._record
+    # an input's value is kept only for the other input's gradient
+    a_data = a.data if rb is not None else None
+    b_data = b.data if ra is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+        if ra is not None:
+            ra.accumulate_grad(_unbroadcast(g * b_data, ra.shape))
+        if rb is not None:
+            rb.accumulate_grad(_unbroadcast(g * a_data, rb.shape))
 
-    return _node(data, (a, b), bw)
+    return _node(a.data * b.data, (a, b), bw)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(g * (a.data > 0))
+        # out > 0 is x > 0, NaN included, so the output stands in for x
+        ra.accumulate_grad(g * (data > 0))
 
     return _node(data, (a,), bw)
 
@@ -247,9 +310,10 @@ def sigmoid(a: Tensor) -> Tensor:
     # min(x, -x) rather than -|x|: it passes a NaN through with its sign
     e = np.exp(np.minimum(x, -x))
     data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(g * data * (1.0 - data))
+        ra.accumulate_grad(g * data * (1.0 - data))
 
     return _node(data, (a,), bw)
 
@@ -281,12 +345,13 @@ def _norm_axes(axes, ndim):
 def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes_t = _norm_axes(axes, a.data.ndim)
     data = a.data.sum(axis=axes_t, keepdims=keepdims)
+    ra = a._record
 
     def bw(g):
         gg = g
         if not keepdims:
             gg = np.expand_dims(g, axes_t)
-        a.accumulate_grad(np.broadcast_to(gg, a.data.shape))
+        ra.accumulate_grad(np.broadcast_to(gg, ra.shape))
 
     return _node(data, (a,), bw)
 
@@ -295,10 +360,11 @@ def reduce_mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes_t = _norm_axes(axes, a.data.ndim)
     scale = np.asarray(1.0 / math.prod(a.data.shape[ax] for ax in axes_t)).astype(_state["dtype"])
     data = a.data.sum(axis=axes_t, keepdims=keepdims) * scale
+    ra = a._record
 
     def bw(g):
         gg = g * scale if keepdims else np.expand_dims(g * scale, axes_t)
-        a.accumulate_grad(np.broadcast_to(gg, a.data.shape))
+        ra.accumulate_grad(np.broadcast_to(gg, ra.shape))
 
     return _node(data, (a,), bw)
 
@@ -311,11 +377,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    ra = a._record
 
     def bw(g):
         # d/dx softmax = y * (g - sum(g * y))
         dot = (g * data).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(data * (g - dot))
+        ra.accumulate_grad(data * (g - dot))
 
     return _node(data, (a,), bw)
 
@@ -327,10 +394,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
+    ra = a._record
 
     def bw(g):
         sm = np.exp(data)
-        a.accumulate_grad(g - sm * g.sum(axis=axis, keepdims=True))
+        ra.accumulate_grad(g - sm * g.sum(axis=axis, keepdims=True))
 
     return _node(data, (a,), bw)
 
@@ -346,7 +414,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     accumulations, as the composite's ``sub`` and ``reduce_mean`` nodes do.
     The node keeps only the per-row ``sd``: its backward rebuilds the
     centered and normalized rows from ``x`` with the forward's ops rather
-    than holding two copies of ``x`` until the walk.
+    than holding two copies of ``x`` until the walk.  It keeps ``x``'s
+    value only when ``x`` or ``gamma`` takes a gradient, and ``gamma``'s
+    only when ``x`` does.
     """
     c = x.data.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -358,30 +428,35 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     dtype = _state["dtype"]
     scale = np.asarray(1.0 / c).astype(dtype)
 
-    def center():
-        return x.data - x.data.sum(axis=axes, keepdims=True) * scale
+    def center(v):
+        return v - v.sum(axis=axes, keepdims=True) * scale
 
-    centered = center()
+    centered = center(x.data)
     sd = np.sqrt((centered * centered).sum(axis=axes, keepdims=True) * scale
                  + np.asarray(eps).astype(dtype))
     data = centered / sd * gamma.data + beta.data
+    rx, rg, rb = x._record, gamma._record, beta._record
+    x_data = x.data if rx is not None or rg is not None else None
+    gamma_data = gamma.data if rx is not None else None
 
     def bw(g):
-        if beta.requires_grad:
-            beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
-        centered = center()
-        if gamma.requires_grad:
-            gamma.accumulate_grad(_unbroadcast(g * (centered / sd), gamma.data.shape))
-        if not x.requires_grad:
+        if rb is not None:
+            rb.accumulate_grad(_unbroadcast(g, rb.shape))
+        if x_data is None:
             return
-        g_normed = g * gamma.data
+        centered = center(x_data)
+        if rg is not None:
+            rg.accumulate_grad(_unbroadcast(g * (centered / sd), rg.shape))
+        if rx is None:
+            return
+        g_normed = g * gamma_data
         g_sd = _unbroadcast(-g_normed * centered / (sd * sd), sd.shape)
-        g_sq = np.broadcast_to(g_sd * 0.5 / sd * scale, x.data.shape)
+        g_sq = np.broadcast_to(g_sd * 0.5 / sd * scale, rx.shape)
         gcc = g_sq * centered
         g_centered = g_normed / sd + gcc + gcc
-        x.accumulate_grad(g_centered)
+        rx.accumulate_grad(g_centered)
         g_mean = _unbroadcast(-g_centered, sd.shape)
-        x.accumulate_grad(np.broadcast_to(g_mean * scale, x.data.shape))
+        rx.accumulate_grad(np.broadcast_to(g_mean * scale, rx.shape))
 
     return _node(data, (x, gamma, beta), bw)
 
@@ -405,13 +480,18 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
     except ValueError as err:
         raise DimensionError(f"matmul: shapes {a.data.shape} and {b.data.shape}: {err}") from None
 
+    ra, rb = a._record, b._record
+    # an input's value is kept only for the other input's gradient
+    a_data = a.data if rb is not None else None
+    b_data = b.data if ra is not None else None
+
     def bw(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.data.shape))
+        if ra is not None:
+            ga = g @ np.swapaxes(b_data, -1, -2)
+            ra.accumulate_grad(_unbroadcast(ga, ra.shape))
+        if rb is not None:
+            gb = np.swapaxes(a_data, -1, -2) @ g
+            rb.accumulate_grad(_unbroadcast(gb, rb.shape))
 
     return _node(data, (a, b), bw)
 
@@ -430,24 +510,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not align"
         )
     data = x.data @ w.data.T + b.data
+    rx, rw, rb = x._record, w._record, b._record
+    # x's value is kept only for w's gradient, w's only for x's
+    x_data = x.data if rw is not None else None
+    w_data = w.data if rx is not None else None
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x.accumulate_grad((g2 @ w.data).reshape(x.data.shape))
-        if w.requires_grad:
-            w.accumulate_grad(g2.T @ x.data.reshape(-1, x.data.shape[-1]))
-        if b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
+        if rx is not None:
+            rx.accumulate_grad((g2 @ w_data).reshape(rx.shape))
+        if rw is not None:
+            rw.accumulate_grad(g2.T @ x_data.reshape(-1, x_data.shape[-1]))
+        if rb is not None:
+            rb.accumulate_grad(g2.sum(axis=0))
 
     return _node(data, (x, w, b), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(g.reshape(a.data.shape))
+        ra.accumulate_grad(g.reshape(ra.shape))
 
     return _node(data, (a,), bw)
 
@@ -456,9 +541,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = a.data.transpose(axes)
     inv = np.argsort(axes)
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(g.transpose(inv))
+        ra.accumulate_grad(g.transpose(inv))
 
     return _node(data, (a,), bw)
 
@@ -468,13 +554,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    records = [t._record for t in tensors]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+            if r is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+                r.accumulate_grad(g[tuple(idx)])
 
     return _node(data, tuple(tensors), bw)
 
@@ -483,15 +570,16 @@ def index_select(a: Tensor, axis: int, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
     data = np.take(a.data, indices, axis=axis)
     axis %= a.data.ndim
+    ra, dtype = a._record, a.data.dtype
 
     def bw(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(ra.shape, dtype=dtype)
         idx = (slice(None),) * axis + (indices,)
-        if np.unique(indices % a.data.shape[axis]).size == indices.size:
+        if np.unique(indices % ra.shape[axis]).size == indices.size:
             buf[idx] += g       # same bytes as np.add.at into zeros, -0.0 -> +0.0 included
         else:
             np.add.at(buf, idx, g)
-        a.accumulate_grad(buf)
+        ra.accumulate_grad(buf)
 
     return _node(data, (a,), bw)
 
@@ -507,9 +595,10 @@ def permute_rows(a: Tensor, perm: np.ndarray, inverse: np.ndarray,
     """
     batch = np.arange(a.data.shape[0])[:, None]
     data = a.data[batch, perm if source is None else source]
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(g[batch, inverse])
+        ra.accumulate_grad(g[batch, inverse])
 
     return _node(data, (a,), bw)
 
@@ -520,9 +609,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         data = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise DimensionError(f"broadcast_to: cannot expand {a.data.shape} to {shape}") from None
+    ra = a._record
 
     def bw(g):
-        a.accumulate_grad(_unbroadcast(g, a.data.shape))
+        ra.accumulate_grad(_unbroadcast(g, ra.shape))
 
     return _node(data, (a,), bw)
 
@@ -537,7 +627,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     more than one image's columns.  The node keeps no columns: only the
     weight gradient reads them, and the backward gathers them again for
     the whole batch from ``x`` with the same fill, so the graph holds the
-    input it already had rather than a k*k-fold copy of it.
+    input rather than a k*k-fold copy of it, and that only when ``w``
+    takes a gradient.  ``w`` is kept only for ``x``'s gradient.
     """
     B, C_in, H, W = x.data.shape
     C_out, C_in2, kh, kw = w.data.shape
@@ -579,21 +670,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     out = out.reshape(B, C_out, H_out, W_out)
 
     parents = (x, w) if b is None else (x, w, b)
+    rx, rw, rb = x._record, w._record, None if b is None else b._record
+    x_data = x.data if rw is not None else None
+    w_kept = w_mat if rx is not None else None
 
     def bw(g):
         g2 = g.reshape(B, C_out, H_out * W_out)
-        if w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g2, columns(x.data, *buffers(B)), optimize=True)
-            w.accumulate_grad(gw.reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dcols = (w_mat.T @ g2).reshape(B, C_in, kh, kw, H_out, W_out)
-            dxp = np.zeros((B, C_in, Hp, Wp), dtype=x.data.dtype)
+        if rw is not None:
+            gw = np.einsum("bol,bkl->ok", g2, columns(x_data, *buffers(B)), optimize=True)
+            rw.accumulate_grad(gw.reshape(rw.shape))
+        if rb is not None:
+            rb.accumulate_grad(g2.sum(axis=(0, 2)))
+        if rx is not None:
+            dcols = (w_kept.T @ g2).reshape(B, C_in, kh, kw, H_out, W_out)
+            dxp = np.zeros((B, C_in, Hp, Wp), dtype=dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride] += dcols[:, :, i, j]
-            x.accumulate_grad(dxp[:, :, padding : padding + H, padding : padding + W] if padding else dxp)
+            rx.accumulate_grad(dxp[:, :, padding : padding + H, padding : padding + W] if padding else dxp)
 
     return _node(out, parents, bw)
 
@@ -624,9 +718,10 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resize the trailing two axes: ``A @ x @ M_w.T`` per map."""
     a = _interp_matrix(out_h, x.data.shape[-2], x.data.dtype)
     m_w = _interp_matrix(out_w, x.data.shape[-1], x.data.dtype)
+    rx = x._record
 
     def bw(g):
-        x.accumulate_grad((a.T @ (g.reshape(-1, out_h, out_w) @ m_w)).reshape(x.data.shape))
+        rx.accumulate_grad((a.T @ (g.reshape(-1, out_h, out_w) @ m_w)).reshape(rx.shape))
 
     return _node(bilinear_resize_array(x.data, out_h, out_w), (x,), bw)
 

@@ -294,8 +294,9 @@ def train(cfg: TrainConfig, resume: str | None = None,
     A resumed run keeps the checkpoint's best value, while its
     ``metrics.json`` history holds only the epochs of this call.
 
-    A step holds one autograd graph: its loss, and with it every stage
-    output and activation, is dropped after the optimizer step.
+    A step holds one autograd graph: its loss, and with it every
+    activation the graph keeps, is dropped after the backward walk, before
+    the optimizer step.
     """
     train_set = read_fitting(cfg.train_dir, cfg.model)
     val_set = read_fitting(cfg.val_dir, cfg.model)
@@ -336,9 +337,10 @@ def train(cfg: TrainConfig, resume: str | None = None,
                     )
                 opt.zero_grad()
                 loss.backward()
-                opt.step(lr)
-                # free this step's graph before the next forward or evaluate
+                # free this step's graph, and the activations its closures
+                # keep, before the optimizer's buffers are allocated
                 del loss
+                opt.step(lr)
                 record = {"iter": iteration, "epoch": epoch, "lr": lr}
                 record.update(asdict(breakdown))
                 log.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,5 +1,7 @@
 import hashlib
 import inspect
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -419,11 +421,13 @@ class TestForward:
 
     @pytest.mark.parametrize("mode", MO.MODES)
     def test_loss_graph_leaves_are_parameters(self, mode):
-        # constants never enter the graph: every leaf is a trainable parameter
+        # constants never enter the graph: every leaf is a trainable
+        # parameter's record, and no record is a tensor holding a value
         model, nodes = self._loss_graph(mode)
-        leaves = [t for t in nodes if not t._parents]
-        assert leaves and all(t.requires_grad for t in leaves)
-        assert {id(t) for t in leaves} <= {id(p) for p in model.params().values()}
+        records = nodes[1:]  # the walk starts at the loss tensor
+        assert not [r for r in records if isinstance(r, Tensor)]
+        leaves = [r for r in records if not r._parents]
+        assert leaves and {id(r) for r in leaves} <= {id(p._record) for p in model.params().values()}
 
     @pytest.mark.parametrize("mode, count", [
         ("semantic", 143), ("instance", 201), ("panoptic", 212),
@@ -433,36 +437,40 @@ class TestForward:
         _, nodes = self._loss_graph(mode)
         assert len(nodes) == count
 
-    @pytest.mark.parametrize("mode, nbytes", [
-        ("semantic", 83316), ("instance", 80200), ("panoptic", 85644),
-    ])
-    def test_loss_graph_bytes(self, mode, nbytes):
-        # pins the graph's memory: the bytes of every node's forward value
-        _, nodes = self._loss_graph(mode)
-        assert sum(t.data.nbytes for t in nodes) == nbytes
-
     @staticmethod
     def _closure_arrays(fn):
-        """The arrays a backward closure holds: its cells' arrays and tensor
-        values, through the functions it calls by closure too."""
+        """The arrays a backward closure holds, through the functions it
+        calls by closure too."""
         for cell in fn.__closure__ or ():
             value = cell.cell_contents
             if isinstance(value, np.ndarray):
                 yield value
-            elif isinstance(value, Tensor):
-                yield value.data
             elif inspect.isfunction(value):
                 yield from TestForward._closure_arrays(value)
 
+    def _kept_arrays(self, mode):
+        """The loss graph's records and every array their closures keep."""
+        model, nodes = self._loss_graph(mode)
+        records = nodes[1:]
+        return model, records, [a for r in records if r._backward
+                                for a in self._closure_arrays(r._backward)]
+
     @pytest.mark.parametrize("mode, nbytes", [
-        ("semantic", 80156), ("instance", 86484), ("panoptic", 95692),
+        ("semantic", 54744), ("instance", 64524), ("panoptic", 73088),
+    ])
+    def test_loss_graph_bytes(self, mode, nbytes):
+        # pins the graph's memory: records hold no values, so it is the bytes
+        # of the arrays the closures keep, each array once
+        _, _, arrays = self._kept_arrays(mode)
+        assert sum(a.nbytes for a in {id(a): a for a in arrays}.values()) == nbytes
+
+    @pytest.mark.parametrize("mode, nbytes", [
+        ("semantic", 51032), ("instance", 61068), ("panoptic", 69376),
     ])
     def test_loss_graph_retained_bytes(self, mode, nbytes):
-        # pins what the graph holds until backward: every node's value and
-        # every array its closures capture, each buffer counted once
-        _, nodes = self._loss_graph(mode)
-        arrays = [t.data for t in nodes]
-        arrays += [a for t in nodes if t._backward for a in self._closure_arrays(t._backward)]
+        # pins what the graph holds until backward: every array its closures
+        # keep, each buffer counted once, views included in their base
+        _, _, arrays = self._kept_arrays(mode)
         buffers = {}
         for a in arrays:
             while isinstance(a.base, np.ndarray):
@@ -474,33 +482,59 @@ class TestForward:
     def test_conv_and_layer_norm_keep_no_copies(self, mode):
         # a conv rebuilds its columns and a LayerNorm its centered rows from
         # the input in backward: neither closure holds an array of that size
-        _, nodes = self._loss_graph(mode)
+        _, records, _ = self._kept_arrays(mode)
         ops = set()
-        for t in nodes:
-            op = t._backward and t._backward.__qualname__.split(".")[0]
+        for r in records:
+            op = r._backward and r._backward.__qualname__.split(".")[0]
             if op not in ("conv2d", "layer_norm"):
                 continue
             ops.add(op)
-            cells = dict(zip(t._backward.__code__.co_freevars,
-                             (c.cell_contents for c in t._backward.__closure__)))
-            x = cells["x"].data
+            cells = dict(zip(r._backward.__code__.co_freevars,
+                             (c.cell_contents for c in r._backward.__closure__)))
+            x = cells["x_data"]
             sizes = {x.size}
             if op == "conv2d":
-                sizes.add(x.shape[0] * cells["w"].data[0].size * t.shape[2] * t.shape[3])
-            assert not [a.shape for a in self._closure_arrays(t._backward)
+                sizes.add(x.shape[0] * math.prod(cells["rw"].shape[1:]) * r.shape[2] * r.shape[3])
+            assert not [a.shape for a in self._closure_arrays(r._backward)
                         if a.size in sizes and not np.shares_memory(a, x)], op
         assert ops == {"conv2d", "layer_norm"}
 
     @pytest.mark.parametrize("mode", ["instance", "panoptic"])
     def test_loss_graph_holds_no_full_supervision_grid(self, mode):
         # matched and stuff rows are gathered before they are upsampled, so
-        # no node holds every kernel row on the supervision grid
-        model, nodes = self._loss_graph(mode)
+        # no record stands for, and no closure keeps, every kernel row on
+        # the supervision grid
+        model, records, arrays = self._kept_arrays(mode)
         cfg = model.cfg
         n = cfg.num_instance_kernels + (len(cfg.stuff_class_ids) if mode == "panoptic" else 0)
         gh, gw = supervision_grid((cfg.image_size // 4,) * 2, cfg.image_size)
         full = {(2, n, gh * gw), (2, n, gh, gw)}
-        assert not any(t.shape in full for t in nodes)
+        assert not [x.shape for x in (*records, *arrays) if x.shape in full]
+
+    def test_forward_frees_what_no_closure_reads(self, monkeypatch):
+        # the stage-0 mask GEMMs feed only a reshape (and a concat), the
+        # attention scores only a softmax: neither output outlives forward,
+        # though the loss graph still runs through their records
+        predict, softmax = MO.predict_masks, T.softmax
+        masks, scores = [], []
+
+        def tracking_predict(kernels, feats):
+            out = predict(kernels, feats)
+            masks.append(weakref.ref(out.data.base))   # the reshape's view of the GEMM output
+            return out
+
+        def tracking_softmax(a, axis=-1):
+            if axis == -1:
+                scores.append(weakref.ref(a.data))
+            return softmax(a, axis)
+
+        monkeypatch.setattr(MO, "predict_masks", tracking_predict)
+        monkeypatch.setattr(T, "softmax", tracking_softmax)
+        model, nodes = self._loss_graph("panoptic")
+        assert len(masks) == 2 and len(scores) == 1
+        assert [ref() is None for ref in masks + scores] == [True, True, True]
+        nodes[0].backward()
+        assert all(p.grad is not None for p in model.params().values())
 
 
 class TestBinarizeInstances:

@@ -87,6 +87,18 @@ class TestAdamWClass:
             opt.step(1e-2)
         assert p.data.dtype == np.float32 and opt.m["layer.weight"].dtype == np.float32
 
+    @pytest.mark.parametrize("shape", [(4,), (5,), (2, 2, 1)])
+    def test_gradient_shape_must_match_parameter(self, shape):
+        # a same-size gradient used to be reshaped into the parameter and a
+        # larger one failed as a numpy broadcast error
+        p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+        idle = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        opt = AdamW({"idle": idle, "layer.weight": p}, 0.05)
+        p.grad = np.ones(shape, dtype=np.float32)
+        with pytest.raises(TrainingError, match=r"'layer.weight' has shape \(.*\), the parameter \(2, 2\)"):
+            opt.step(1e-2)
+        assert np.array_equal(p.data, np.ones((2, 2)))
+
     def test_idle_parameter_still_decays(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         opt = AdamW({"w": p}, 0.5)

@@ -571,6 +571,19 @@ def test_forward_determinism():
     assert np.array_equal(s1, s2)
 
 
+def test_leaf_gradient_must_have_its_shape():
+    # a (3,) gradient used to be stored on a (2, 3) leaf, and the next one
+    # broadcast onto it
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(DimensionError, match=r"gradient of shape \(3,\) for a tensor of shape \(2, 3\)"):
+        x.accumulate_grad(np.ones(3, dtype=np.float32))
+    assert x.grad is None
+    x.accumulate_grad(np.ones((2, 3), dtype=np.float32))
+    with pytest.raises(DimensionError):
+        x.accumulate_grad(np.ones((1, 3), dtype=np.float32))
+    assert x.grad.shape == (2, 3)
+
+
 def test_no_grad_suppresses_graph():
     x = T.Tensor([1.0], requires_grad=True)
     with T.no_grad():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -68,6 +69,55 @@ def test_bench_record_is_self_consistent(path):
                 assert stats["q1"] == pytest.approx(q1, rel=1e-5), (where, side)
                 assert stats["q3"] == pytest.approx(q3, rel=1e-5), (where, side)
                 assert stats["iqr"] == pytest.approx(stats["q3"] - stats["q1"], rel=1e-5, abs=1e-6)
+
+
+def _kept_values(fn):
+    """(name, value) of every cell a closure keeps, through the functions it
+    calls by closure too."""
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        value = cell.cell_contents
+        if inspect.isfunction(value):
+            yield from _kept_values(value)
+        else:
+            yield name, value
+
+
+def _plain(value, record_type) -> bool:
+    """An array, a shape, a scalar or a graph record: never a Tensor."""
+    if isinstance(value, (tuple, list)):
+        return all(_plain(v, record_type) for v in value)
+    return value is None or isinstance(
+        value, (np.ndarray, np.generic, np.dtype, int, float, bool, record_type))
+
+
+@pytest.mark.parametrize("mode", ["semantic", "instance", "panoptic"])
+def test_graph_closures_keep_no_tensor(mode):
+    # a record's closure keeps only what its gradient reads; a Tensor would
+    # keep its whole value alive until the graph goes, read or not
+    from knet import tensor as T
+    from knet.data import SceneSpec, generate_sample
+    from knet.model import ModelConfig, SegmentationModel
+
+    spec = SceneSpec(seed=21, size=16, n_max=2, size_range=(5.0, 8.0))
+    gts = [generate_sample(spec, i) for i in range(2)]
+    cfg = ModelConfig(mode=mode, image_size=16, channels=8, num_instance_kernels=3, stages=1,
+                      heads=2, min_area=1, keep_fraction=0.0)
+    _, loss, _ = SegmentationModel(cfg, seed=8).forward(np.stack([g.image for g in gts]), gts)
+    seen, stack, ops, kept = set(), list(loss._parents), set(), []
+    while stack:
+        record = stack.pop()
+        if id(record) in seen:
+            continue
+        seen.add(id(record))
+        stack.extend(record._parents)
+        fn = record._backward
+        if fn is not None and fn.__module__.startswith("knet."):
+            op = fn.__qualname__.split(".")[0]
+            ops.add(op)
+            kept += [(op, name, type(v).__name__) for name, v in _kept_values(fn)
+                     if not _plain(v, T._Record)]
+    assert {"conv2d", "layer_norm", "matmul", "linear", "dice_loss"} <= ops
+    assert kept == []
 
 
 def test_package_imports_no_scipy():

@@ -165,6 +165,38 @@ class TestTrainSmoke:
         assert len(graphs) == 3 and len(alive_at_forward) > 3  # evaluate forwards too
         assert alive_at_forward == [0] * len(alive_at_forward)
 
+    def test_graph_is_freed_before_the_optimizer_step(self, tmp_path, monkeypatch):
+        # the outputs that the step's sigmoid and softmax closures keep are
+        # gone by the time AdamW allocates its buffers
+        cfg = replace(tiny_train_config(tmp_path), batch_size=2)
+        forward, step = SegmentationModel.forward, AdamW.step
+        kept, alive_at_step = [], []
+
+        def tracking_forward(self, images, gts=None):
+            out = forward(self, images, gts)
+            if gts is not None:
+                seen, stack = set(), list(out[1]._parents)
+                while stack:
+                    record = stack.pop()
+                    if id(record) in seen:
+                        continue
+                    seen.add(id(record))
+                    stack.extend(record._parents)
+                    fn = record._backward
+                    if fn and fn.__qualname__.split(".")[0] in ("sigmoid", "softmax"):
+                        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+                        kept.append(weakref.ref(cells["data"].cell_contents))
+            return out
+
+        def tracking_step(self, lr):
+            alive_at_step.append(sum(ref() is not None for ref in kept))
+            return step(self, lr)
+
+        monkeypatch.setattr(SegmentationModel, "forward", tracking_forward)
+        monkeypatch.setattr(AdamW, "step", tracking_step)
+        TR.train(cfg)
+        assert kept and alive_at_step == [0, 0, 0]
+
     def test_checkpoint_round_trip_bitwise(self, tmp_path):
         cfg = tiny_train_config(tmp_path)
         TR.train(cfg)
