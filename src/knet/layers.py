@@ -115,8 +115,7 @@ class MultiHeadAttention(Layer):
         qh = self._split(self.q(x), b, n)
         kt = T.transpose(T.reshape(self.k(x), (b, n, self.heads, self.head_dim)), (0, 2, 3, 1))
         vh = self._split(self.v(x), b, n)
-        scores = T.matmul(qh * (1.0 / math.sqrt(self.head_dim)), kt)
-        ctx = T.matmul(T.softmax(scores, axis=-1), vh)
+        ctx = T.attention(qh, kt, vh, 1.0 / math.sqrt(self.head_dim))
         return self.out(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, self.c)))
 
 

@@ -599,14 +599,15 @@ def set_prediction_loss(stages: list[StageOutput], gts: list, cfg: ModelConfig,
             sel_rows: list[int] = []
             sel_masks: list[np.ndarray] = []
             cls_probs = T.sigmoid_array(stage.class_logits.data[:, :n_ins])
-            # matching reads the instance rows on the grid as plain arrays
-            match_logits = T.bilinear_resize_array(
-                stage.mask_logits.data[:, :n_ins], gh, gw).reshape(b, n_ins, gh * gw)
             for bi in range(b):
                 if gt_masks[bi].shape[0] == 0:
                     continue
-                cost = matching_cost(cls_probs[bi], match_logits[bi], gt_classes[bi],
-                                     gt_masks[bi])
+                # matching reads one image's instance rows on the grid as a
+                # plain array; each row resizes alone, so per image is the
+                # batch's bytes without the batch's (b, n_ins, grid) table
+                match_logits = T.bilinear_resize_array(
+                    stage.mask_logits.data[bi, :n_ins], gh, gw).reshape(n_ins, gh * gw)
+                cost = matching_cost(cls_probs[bi], match_logits, gt_classes[bi], gt_masks[bi])
                 for p, g in hungarian_assign(cost):
                     focal_targets[bi, p, gt_classes[bi][g]] = 1.0
                     sel_rows.append(bi * n_total + p)

@@ -51,7 +51,6 @@ class AdamW:
         correctly rounded ops, so each element gets the bytes a
         per-parameter update would give it.
         """
-        self.t += 1
         params = self.params
         theta = np.concatenate([p.data for p in params.values()], axis=None)
         # decoupled decay still applies to idle parameters
@@ -65,6 +64,8 @@ class AdamW:
             raise self._bad_gradient() from None
         if not np.isfinite(grad).all():
             raise self._bad_gradient()
+        # a rejected step leaves the step count, and so the bias correction, as it was
+        self.t += 1
         theta, m, v = adamw_step(
             theta, grad, np.concatenate([self.m[k] for k in params], axis=None),
             np.concatenate([self.v[k] for k in params], axis=None), self.t, lr, self.weight_decay,

@@ -12,8 +12,9 @@ value's shape, the gradient while it is summed, the parent records and
 the closure.  So a value lives in the graph only as long as some closure
 keeps it, and each closure keeps only what its gradient reads: a
 product keeps an input's value only when the other input takes a
-gradient, a reshape or a sum keeps shapes, and softmax, sigmoid and relu
-keep their outputs.  An op output that no closure reads is freed as soon
+gradient, a reshape or a sum keeps shapes, softmax, sigmoid and relu
+keep their outputs, and attention recomputes its probabilities rather
+than keep them.  An op output that no closure reads is freed as soon
 as the forward code drops its Tensor, though the graph still runs
 through its record.  Only tensors that take a gradient have a record:
 the parameters, and every op output that depends on one while gradients
@@ -494,6 +495,60 @@ def matmul(a: Tensor, b: Tensor, high_precision: bool = False) -> Tensor:
             rb.accumulate_grad(_unbroadcast(gb, rb.shape))
 
     return _node(data, (a, b), bw)
+
+
+def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Scaled dot-product attention ``softmax(q * scale @ k_t) @ v``, with
+    the softmax over the last axis.
+
+    One node that runs the numpy ops of the composite built from ``mul``,
+    ``matmul``, ``softmax`` and ``matmul`` (the reference in
+    ``tests/test_fused.py``), in the order its forward and its backward
+    walk would, so the bytes are the same; non-finite scores are a
+    ``NumericError`` as in ``softmax``.  The node keeps no (..., N, M)
+    probability table, only ``q * scale``, ``k_t``, ``v`` and each row's
+    max and exp-sum: its backward recomputes the probabilities from them
+    with the forward's ops, then runs the gradients of the second matmul,
+    the softmax, the first matmul and the scaling in turn.  ``v`` is kept
+    only when ``q`` or ``k_t`` takes a gradient.
+    """
+    sq, sk, sv = q.data.shape, k_t.data.shape, v.data.shape
+    try:
+        np.broadcast_shapes(sq[:-2], sk[:-2], sv[:-2])
+        aligned = min(len(sq), len(sk), len(sv)) >= 2 and sq[-1] == sk[-2] and sk[-1] == sv[-2]
+    except ValueError:
+        aligned = False
+    if not aligned:
+        raise DimensionError(f"attention: shapes {sq}, {sk} and {sv} do not align")
+    scale = np.asarray(scale).astype(_state["dtype"])
+    qs = q.data * scale
+    scores = qs @ k_t.data
+    if not np.isfinite(scores).all():
+        raise NumericError("attention: non-finite scores")
+    row_max = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - row_max)
+    del scores
+    row_sum = e.sum(axis=-1, keepdims=True)
+    data = (e / row_sum) @ v.data
+    rq, rk, rv = q._record, k_t._record, v._record
+    k_data = k_t.data
+    v_data = v.data if rq is not None or rk is not None else None
+
+    def bw(g):
+        probs = np.exp(qs @ k_data - row_max) / row_sum
+        if rv is not None:
+            rv.accumulate_grad(_unbroadcast(np.swapaxes(probs, -1, -2) @ g, rv.shape))
+        if v_data is None:
+            return
+        g_probs = g @ np.swapaxes(v_data, -1, -2)
+        # d/dx softmax = y * (g - sum(g * y))
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        if rk is not None:
+            rk.accumulate_grad(_unbroadcast(np.swapaxes(qs, -1, -2) @ g_scores, rk.shape))
+        if rq is not None:
+            rq.accumulate_grad(_unbroadcast(g_scores @ np.swapaxes(k_data, -1, -2), rq.shape) * scale)
+
+    return _node(data, (q, k_t, v), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

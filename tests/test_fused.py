@@ -1,17 +1,19 @@
 """Fused single-node ops against the composites they replace, bit for bit.
 
-``T.layer_norm`` and the loss terms ``focal_loss``, ``dice_loss`` and
-``mask_ce_loss`` are each one graph node.  The references below build the
-same functions from primitives, one node per primitive: the engine's own
-and, for the ops no model path runs (``sub``, ``div``, ``neg``,
-``pow_const``, ``sqrt``, ``exp``, ``log`` and ``clip``), those of
-``composite_ops``.  The ops are called by name; ``Tensor`` keeps only the
+``T.layer_norm``, ``T.attention`` and the loss terms ``focal_loss``,
+``dice_loss`` and ``mask_ce_loss`` are each one graph node.  The
+references below build the same functions from primitives, one node per
+primitive: the engine's own and, for the ops no model path runs
+(``sub``, ``div``, ``neg``, ``pow_const``, ``sqrt``, ``exp``, ``log``
+and ``clip``), those of ``composite_ops``.  The ops are called by name; ``Tensor`` keeps only the
 ``+`` and ``*`` operators that the model uses.  Each fused op must give
 the same forward bytes and the same gradient bytes for every input and
 parameter, in f32 and f64, also when its input feeds other nodes too.
 The last test swaps the references into a full model loss and checks that
 every parameter gradient keeps its bytes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +38,10 @@ def layer_norm_ref(x, gamma, beta, eps=L.LN_EPS):
     var = T.reduce_mean(centered * centered, axes=-1, keepdims=True)
     normed = div(centered, sqrt(var + eps))
     return normed * gamma + beta
+
+
+def attention_ref(q, k_t, v, scale):
+    return T.matmul(T.softmax(T.matmul(q * scale, k_t), axis=-1), v)
 
 
 def focal_loss_ref(probs, targets, alpha=0.25, gamma=2.0):
@@ -110,6 +116,46 @@ def test_layer_norm_bitwise(precision, shared, shape):
         _compare(lambda x, g, b: T.layer_norm(x, g, b, L.LN_EPS), layer_norm_ref,
                  rng.standard_normal(shape) * 3.0 + 1.0,
                  [rng.standard_normal(c), rng.standard_normal(c)], shared)
+
+
+def _heads_attention(attend, heads):
+    """``attend`` on q, k_t and v made from one (B, N, C) input by three
+    linears and split into heads, as in ``MultiHeadAttention``."""
+    def op(x, wq, bq, wk, bk, wv, bv):
+        b, n, c = x.shape
+
+        def split(t, axes):
+            return T.transpose(T.reshape(t, (b, n, heads, c // heads)), axes)
+
+        return attend(split(T.linear(x, wq, bq), (0, 2, 1, 3)),
+                      split(T.linear(x, wk, bk), (0, 2, 3, 1)),
+                      split(T.linear(x, wv, bv), (0, 2, 1, 3)), 1.0 / math.sqrt(c // heads))
+    return op
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("shared", SHARED)
+@pytest.mark.parametrize("shape, heads", [((1, 5, 4), 1), ((3, 7, 8), 2)])
+def test_attention_bitwise(precision, shared, shape, heads):
+    rng = np.random.default_rng(40 + heads)
+    c = shape[-1]
+    weights = [a for _ in range(3) for a in (rng.standard_normal((c, c)), rng.standard_normal(c))]
+    with T.precision(precision):
+        _compare(_heads_attention(T.attention, heads), _heads_attention(attention_ref, heads),
+                 rng.standard_normal(shape) * 2.0, weights, shared)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_attention_gradient_of_v_alone(precision):
+    # constant q and k_t: the node keeps no v, and v's gradient still
+    # reads the recomputed probabilities
+    rng = np.random.default_rng(45)
+    with T.precision(precision):
+        q, k_t = Tensor(rng.standard_normal((2, 4, 3))), Tensor(rng.standard_normal((2, 3, 6)))
+        v = rng.standard_normal((2, 6, 5))
+        got = _run(lambda x: T.attention(q, k_t, x, 0.5), v, [], 6, "before")
+        want = _run(lambda x: attention_ref(q, k_t, x, 0.5), v, [], 6, "before")
+    assert got == want
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -200,6 +246,7 @@ def test_model_gradients_match_composites(mode, monkeypatch):
     fused = _param_grads(mode)
     monkeypatch.setattr(L.LayerNorm, "__call__",
                         lambda self, x: layer_norm_ref(x, self.gamma, self.beta))
+    monkeypatch.setattr(T, "attention", attention_ref)
     monkeypatch.setattr(M, "focal_loss", focal_loss_ref)
     monkeypatch.setattr(M, "dice_loss", dice_loss_ref)
     monkeypatch.setattr(M, "mask_ce_loss", mask_ce_loss_ref)

@@ -430,7 +430,7 @@ class TestForward:
         assert leaves and {id(r) for r in leaves} <= {id(p._record) for p in model.params().values()}
 
     @pytest.mark.parametrize("mode, count", [
-        ("semantic", 143), ("instance", 201), ("panoptic", 212),
+        ("semantic", 140), ("instance", 198), ("panoptic", 209),
     ])
     def test_loss_graph_node_count(self, mode, count):
         # pins the graph size: a change here adds or removes autograd nodes per step
@@ -456,7 +456,7 @@ class TestForward:
                                 for a in self._closure_arrays(r._backward)]
 
     @pytest.mark.parametrize("mode, nbytes", [
-        ("semantic", 54744), ("instance", 64524), ("panoptic", 73088),
+        ("semantic", 54504), ("instance", 64476), ("panoptic", 72848),
     ])
     def test_loss_graph_bytes(self, mode, nbytes):
         # pins the graph's memory: records hold no values, so it is the bytes
@@ -465,7 +465,7 @@ class TestForward:
         assert sum(a.nbytes for a in {id(a): a for a in arrays}.values()) == nbytes
 
     @pytest.mark.parametrize("mode, nbytes", [
-        ("semantic", 51032), ("instance", 61068), ("panoptic", 69376),
+        ("semantic", 50792), ("instance", 61020), ("panoptic", 69136),
     ])
     def test_loss_graph_retained_bytes(self, mode, nbytes):
         # pins what the graph holds until backward: every array its closures
@@ -512,29 +512,52 @@ class TestForward:
         assert not [x.shape for x in (*records, *arrays) if x.shape in full]
 
     def test_forward_frees_what_no_closure_reads(self, monkeypatch):
-        # the stage-0 mask GEMMs feed only a reshape (and a concat), the
-        # attention scores only a softmax: neither output outlives forward,
-        # though the loss graph still runs through their records
-        predict, softmax = MO.predict_masks, T.softmax
-        masks, scores = [], []
+        # the stage-0 mask GEMMs feed only a reshape (and a concat): their
+        # outputs do not outlive forward, though the loss graph still runs
+        # through their records.  The attention node recomputes its
+        # probabilities in backward, so no closure keeps a (B, heads, N, N)
+        # table, nor any array with the scores' N x N trailing axes
+        predict = MO.predict_masks
+        masks = []
 
         def tracking_predict(kernels, feats):
             out = predict(kernels, feats)
             masks.append(weakref.ref(out.data.base))   # the reshape's view of the GEMM output
             return out
 
-        def tracking_softmax(a, axis=-1):
-            if axis == -1:
-                scores.append(weakref.ref(a.data))
-            return softmax(a, axis)
-
         monkeypatch.setattr(MO, "predict_masks", tracking_predict)
-        monkeypatch.setattr(T, "softmax", tracking_softmax)
         model, nodes = self._loss_graph("panoptic")
-        assert len(masks) == 2 and len(scores) == 1
-        assert [ref() is None for ref in masks + scores] == [True, True, True]
+        assert len(masks) == 2
+        assert [ref() is None for ref in masks] == [True, True]
+        cfg = model.cfg
+        n = cfg.num_instance_kernels + len(cfg.stuff_class_ids)
+        ops = {r._backward.__qualname__.split(".")[0] for r in nodes[1:] if r._backward}
+        assert "attention" in ops and "softmax" not in ops
+        kept = [a.shape for r in nodes[1:] if r._backward
+                for a in self._closure_arrays(r._backward)]
+        assert (2, cfg.heads, n, 1) in kept   # the row statistics
+        assert not [s for s in kept if s[-2:] == (n, n)]
         nodes[0].backward()
         assert all(p.grad is not None for p in model.params().values())
+
+    @pytest.mark.parametrize("mode", ["instance", "panoptic"])
+    def test_matching_resizes_one_image_at_a_time(self, mode, monkeypatch):
+        # matching reads each image's instance rows on the supervision grid
+        # as it matches that image, so no (B, n_ins, grid) table is built
+        resize = T.bilinear_resize_array
+        shapes = []
+
+        def tracking_resize(x, out_h, out_w):
+            if inspect.currentframe().f_back.f_code is M.set_prediction_loss.__code__:
+                shapes.append(x.shape)
+            return resize(x, out_h, out_w)
+
+        monkeypatch.setattr(T, "bilinear_resize_array", tracking_resize)
+        model, _ = self._loss_graph(mode)
+        cfg = model.cfg
+        mh = cfg.image_size // 4
+        # both images of the batch hold instances; tiny_cfg has one stage after stage 0
+        assert shapes == [(cfg.num_instance_kernels, mh, mh)] * (2 * (cfg.stages + 1))
 
 
 class TestBinarizeInstances:

@@ -171,6 +171,29 @@ class TestOneCallStep:
             opt.step(1e-2)
         assert all(np.array_equal(p.data, np.ones(2)) for p in params.values())
 
+    def test_rejected_step_leaves_the_step_count(self):
+        # the bias correction counts only the steps taken: after a rejected
+        # step, the next good one is bitwise a fresh optimizer's first step
+        def opt_and_param():
+            p = Tensor(np.linspace(-1.0, 1.0, 4, dtype=np.float32), requires_grad=True)
+            return AdamW({"w": p}, 0.05), p
+
+        good = np.array([0.5, -2.0, 0.25, 3.0], dtype=np.float32)
+        opt, p = opt_and_param()
+        p.grad = np.array([np.nan, 0.0, 0.0, 0.0], dtype=np.float32)
+        with pytest.raises(TrainingError):
+            opt.step(1e-2)
+        assert opt.t == 0
+        p.grad = good
+        opt.step(1e-2)
+        fresh, q = opt_and_param()
+        q.grad = good
+        fresh.step(1e-2)
+        assert opt.t == fresh.t == 1
+        assert p.data.tobytes() == q.data.tobytes()
+        assert opt.m["w"].tobytes() == fresh.m["w"].tobytes()
+        assert opt.v["w"].tobytes() == fresh.v["w"].tobytes()
+
     def test_parameters_of_mixed_dtypes_rejected(self):
         p32 = Tensor(np.ones(2), requires_grad=True)
         with T.precision("f64"):

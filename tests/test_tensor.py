@@ -160,6 +160,49 @@ class TestSoftmax:
             T.softmax(T.Tensor([np.inf, 0.0]), axis=0)
 
 
+class TestAttention:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_checks_each_input(self, f64, seed):
+        rng = np.random.default_rng(seed)
+        q = T.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        k_t = T.Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+        v = T.Tensor(rng.standard_normal((2, 3, 6, 4)), requires_grad=True)
+        coef = T.Tensor(rng.standard_normal((2, 3, 4, 4)))
+
+        def loss_wrt(x):
+            return lambda t: T.reduce_sum(T.mul(
+                T.attention(*(t if u is x else u for u in (q, k_t, v)), 0.7), coef))
+
+        for x in (q, k_t, v):
+            assert T.grad_check(loss_wrt(x), x) < 1e-6
+
+    def test_equal_scores_average_the_rows_of_v(self, f64):
+        # scale 0 makes every score of a row equal
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((3, 2))
+        out = T.attention(T.Tensor(rng.standard_normal((4, 5))), T.Tensor(rng.standard_normal((5, 3))),
+                          T.Tensor(v), 0.0)
+        np.testing.assert_allclose(out.data, np.broadcast_to(v.mean(axis=0), (4, 2)), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_scores_raise(self, bad):
+        q = np.ones((2, 3))
+        q[1, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="attention: non-finite scores"):
+            T.attention(T.Tensor(q), T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 2))), 1.0)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (4, 4), (4, 2)),             # q and k_t inner axes
+        ((2, 3), (3, 4), (3, 2)),             # k_t and v inner axes
+        ((3,), (3, 4), (4, 2)),               # a vector
+        ((2, 2, 3), (3, 3, 4), (4, 2)),       # batch axes that do not broadcast
+    ])
+    def test_misaligned_shapes_raise(self, shapes):
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(*(T.Tensor(np.ones(s)) for s in shapes), 1.0)
+
+
 def test_op_output_must_keep_working_precision():
     # a float64 scalar would silently promote an f32 op and its gradients
     x = T.Tensor(np.linspace(0.0, 1.0, 5, dtype=np.float32), requires_grad=True)
